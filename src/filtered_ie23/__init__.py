@@ -27,7 +27,7 @@ from .bench import (BenchRun, ConvergenceReport, ConvergenceRow, VdpComparison,
                     quasi_periodic_benchmark_run, read_csv, vdp_benchmark_runs,
                     vdp_reference)
 from .core import (HistoryWindow, OdeProblem, SolverConfig, Trajectory,
-                   window_advance, window_from_points)
+                   window_from_points)
 from .errors import (DegenerateBeta, DimensionMismatch, MinStepReached,
                      NewtonDiverged, NonFiniteState, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem, SolverError)
@@ -58,5 +58,5 @@ __all__ = [
     "quasi_periodic_benchmark_run", "quasi_periodic_problem", "read_csv",
     "rk3_step", "solve_filtered_ie23", "solve_ie_pre_2", "solve_ie_pre_post_3",
     "solve_rk4_reference", "van_der_pol_problem", "vdp_benchmark_runs",
-    "vdp_reference", "window_advance", "window_from_points",
+    "vdp_reference", "window_from_points",
 ]

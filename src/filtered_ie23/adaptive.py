@@ -17,12 +17,12 @@ from typing import Optional, Sequence
 
 from .core import (HistoryWindow, OdeProblem, SolverConfig, Trajectory,
                    Vector, all_finite)
-from .errors import (DegenerateBeta, MinStepReached, NewtonDiverged,
-                     NonFiniteState, SingularLinearSystem)
-from .filters import (alpha_coeff, beta_coeff, error_estimate, post_filter,
-                      pre_filter)
+from .errors import (MinStepReached, NewtonDiverged, NonPositiveStep,
+                     SingularLinearSystem)
+from .filters import curvature, post_filtered, pre_filtered
 from .newton import implicit_euler_stage
-from .steppers import rk3_step
+# perfbench/tracing.py rebinds rk3_step here, though only bootstrap calls it
+from .steppers import bootstrap, rk3_step  # noqa: F401
 
 
 class Verdict(enum.Enum):
@@ -58,20 +58,24 @@ def attempt_step(p: OdeProblem, w: HistoryWindow, k_n: float,
 
     Solver-level failures (Newton divergence, degenerate post-filter)
     yield verdict HALVE with est = inf rather than raising, so the
-    controller has a single rejection path.
+    controller has a single rejection path.  solve_filtered_ie23 runs
+    the same arithmetic and accepts where this returns no HALVE.
     """
-    alpha = alpha_coeff(k_n, w.k_nm1, w.k_nm2)
-    y_tilde = pre_filter(w, alpha)
-    t_next = w.t_n + k_n
+    if min(k_n, w.k_nm1, w.k_nm2, w.k_nm3) <= 0.0:
+        raise NonPositiveStep("attempt_step needs positive steps")
+    _, y_nm2, y_nm1, y_n = w.states
+    kappa_prev = curvature(w.k_nm2, w.k_nm1, y_nm2, y_nm1, y_n)
+    y_tilde = pre_filtered(k_n, w.k_nm1, w.k_nm2, y_n, kappa_prev)
     try:
-        outcome = implicit_euler_stage(p, t_next, k_n, y_tilde, w.y_n, cfg)
-        coeffs = beta_coeff(k_n, w.k_nm1, w.k_nm2, w.k_nm3)
-    except (NewtonDiverged, SingularLinearSystem, DegenerateBeta):
+        y_second = implicit_euler_stage(p, w.t_n + k_n, k_n, y_tilde, y_n, cfg).y
+    except (NewtonDiverged, SingularLinearSystem):
         return StepAttempt(k_n, None, None, math.inf, Verdict.HALVE)
-    y_second = outcome.y
-    y_third = post_filter(y_second, w, k_n, coeffs.beta)
-    est = error_estimate(y_second, y_third, p.est_component)
-    if not math.isfinite(est) or cfg.tol * k_n < est:
+    filtered = post_filtered(k_n, w.k_nm1, w.k_nm2, w.k_nm3, y_nm1, y_n,
+                             kappa_prev, y_second, p.est_component)
+    if filtered is None:
+        return StepAttempt(k_n, None, None, math.inf, Verdict.HALVE)
+    y_third, est = filtered
+    if not (est <= cfg.tol * k_n and all_finite(y_third)):
         verdict = Verdict.HALVE
     elif est < cfg.tol * k_n / 2.0 ** cfg.doubling_exponent:
         verdict = Verdict.ACCEPT_AND_DOUBLE
@@ -90,51 +94,33 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     the remaining span, halved on rejection (bounded by
     max_halvings_per_step and k_min, else MinStepReached), and doubled
     after steps whose estimate is far below tolerance, provided the
-    doubled step still fits under k_max.  Consecutive accepted steps
-    therefore always differ by a factor of 1/2, 1, or 2, except for the
-    final step, which is shortened to land exactly on t_end.
+    doubled step still fits under k_max.  So each accepted step is the one
+    before it times 2**e, integer e <= 1, except that a step clamped to
+    the remaining span t_end - t_n is that span times 2**e, e <= 0.
 
     Attempts that produce a non-finite state or estimate are rejected and
     retried at half the step; a non-finite bootstrap state raises
     NonFiniteState outright.
     """
-    d = p.dimension
     comp = p.est_component
-    rhs = p.rhs
     tol = cfg.tol
-    dt0 = cfg.dt0
     k_min = cfg.k_min
     k_max = cfg.k_max
-    newton_tol = cfg.newton_tol
-    max_iter = cfg.newton_max_iter
-    max_halvings = cfg.max_halvings_per_step
     double_div = 2.0 ** cfg.doubling_exponent
-    t_end = cfg.t_end
-    span = cfg.span
-    t_edge = t_end - 1e-14 * span
+    t_edge = cfg.t_end - 1e-14 * cfg.span
 
-    if 3.0 * dt0 >= span:
+    if 3.0 * cfg.dt0 >= cfg.span:
         raise ValueError("dt0 too large: the three bootstrap steps must fit in the span")
 
-    traj = Trajectory(d)
+    traj = Trajectory(p.dimension)
     stats = AdaptiveRunStats()
 
-    # bootstrap: three explicit third-order steps at dt0
-    t = cfg.t_begin
-    y = tuple(float(c) for c in y0)
-    traj.append(t, y, 0.0, 0.0)
-    ts_w = [t]
-    ys_w = [y]
-    for _ in range(3):
-        y = rk3_step(p, t, y, dt0)
-        if not all_finite(y):
-            raise NonFiniteState(f"bootstrap produced a non-finite state near t={t!r}")
-        t = t + dt0
-        traj.append(t, y, 0.0, dt0)
-        ts_w.append(t)
-        ys_w.append(y)
+    k = cfg.dt0
+    w = bootstrap(p, cfg.t_begin, y0, k)
+    for t, y, k_row in zip(w.times, w.states, (0.0, k, k, k)):
+        traj.append(t, y, 0.0, k_row)
+    ts_w, ys_w = list(w.times), list(w.states)
 
-    k = dt0
     while ts_w[3] < t_edge:
         t_n = ts_w[3]
         y_nm2, y_nm1, y_n = ys_w[1], ys_w[2], ys_w[3]
@@ -146,88 +132,49 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
             k = k_min
         if k > k_max:
             k = k_max
-        remaining = t_end - t_n
+        remaining = cfg.t_end - t_n
         if k > remaining:
             k = remaining
 
-        # trailing curvature: shared by the pre-filter and the estimator,
-        # independent of the candidate k (same expressions as filters.curvature)
-        s_prev = k_nm1 + k_nm2
-        wn_prev = 2.0 * k_nm2 / s_prev
-        wp_prev = 2.0 * k_nm1 / s_prev
-        kappa_prev = tuple(
-            wn_prev * y_n[i] - 2.0 * y_nm1[i] + wp_prev * y_nm2[i]
-            for i in range(d)
-        )
+        kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
 
         halvings = 0
         while True:
-            alpha = k * k / (k_nm1 * k_nm2)
-            half_a = 0.5 * alpha
-            y_tilde = tuple(y_n[i] - half_a * kappa_prev[i] for i in range(d))
+            y_tilde = pre_filtered(k, k_nm1, k_nm2, y_n, kappa_prev)
             t_next = t_n + k
-
-            failed = False
-            est = math.inf
-            y_third = None
             try:
                 outcome = implicit_euler_stage(p, t_next, k, y_tilde, y_n, cfg)
             except (NewtonDiverged, SingularLinearSystem):
                 stats.newton_failures += 1
-                failed = True
-            if not failed:
-                y_second = outcome.y
-                ksum = k + k_nm1
-                num = k * k * ksum * (2.0 * k + 2.0 * k_nm1 + k_nm2)
-                den = 2.0 * k_nm1 * (
-                    k * ksum * (3.0 * k + 2.0 * k_nm1)
-                    + k_nm2 * (4.0 * k * k + 2.0 * k * k_nm1 - k_nm1 * k_nm1)
-                    - 2.0 * k_nm2 * k_nm2 * ksum
-                    + 3.0 * k_nm3 * (k - k_nm2) * ksum
+                filtered = None
+            else:
+                # None when the post-filter is degenerate at this k
+                filtered = post_filtered(k, k_nm1, k_nm2, k_nm3, y_nm1, y_n,
+                                         kappa_prev, outcome.y, comp)
+            if filtered is not None:
+                y_third, est = filtered
+                # a NaN est fails the comparison too
+                if est <= tol * k and all_finite(y_third):
+                    break
+            stats.rejected += 1
+            halvings += 1
+            k = 0.5 * k
+            if halvings > cfg.max_halvings_per_step or k < k_min:
+                raise MinStepReached(
+                    f"step fell to {k!r} at t={t_n!r} without an acceptable attempt"
                 )
-                scale = max(k, k_nm1, k_nm2, k_nm3) ** 4
-                if abs(den) < 1e-12 * max(scale, abs(num)):
-                    failed = True      # degenerate post-filter at this k
-                else:
-                    beta = num / den
-                    s_cur = k + k_nm1
-                    wn_cur = 2.0 * k_nm1 / s_cur
-                    wp_cur = 2.0 * k / s_cur
-                    y_third = tuple(
-                        y_second[i] - beta * (
-                            (wn_cur * y_second[i] - 2.0 * y_n[i] + wp_cur * y_nm1[i])
-                            - kappa_prev[i]
-                        )
-                        for i in range(d)
-                    )
-                    if comp is None:
-                        est = max(abs(y_third[i] - y_second[i]) for i in range(d))
-                    else:
-                        est = abs(y_third[comp] - y_second[comp])
 
-            if (failed or not math.isfinite(est) or tol * k < est
-                    or not all_finite(y_third)):
-                stats.rejected += 1
-                halvings += 1
-                k = 0.5 * k
-                if halvings > max_halvings or k < k_min:
-                    raise MinStepReached(
-                        f"step fell to {k!r} at t={t_n!r} without an acceptable attempt"
-                    )
-                continue
-
-            traj.append(t_next, y_third, est, k)
-            ts_w = [ts_w[1], ts_w[2], ts_w[3], t_next]
-            ys_w = [ys_w[1], ys_w[2], ys_w[3], y_third]
-            stats.accepted += 1
-            if k < stats.min_k_used:
-                stats.min_k_used = k
-            if k > stats.max_k_used:
-                stats.max_k_used = k
-            if est < tol * k / double_div and 2.0 * k <= k_max:
-                k = 2.0 * k
-                stats.doublings += 1
-            break
+        traj.append(t_next, y_third, est, k)
+        ts_w = [ts_w[1], ts_w[2], ts_w[3], t_next]
+        ys_w = [ys_w[1], ys_w[2], ys_w[3], y_third]
+        stats.accepted += 1
+        if k < stats.min_k_used:
+            stats.min_k_used = k
+        if k > stats.max_k_used:
+            stats.max_k_used = k
+        if est < tol * k / double_div and 2.0 * k <= k_max:
+            k = 2.0 * k
+            stats.doublings += 1
 
     traj.rejections = stats.rejected
     return traj, stats

@@ -173,7 +173,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, ArithmeticError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

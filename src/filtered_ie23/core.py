@@ -13,7 +13,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .errors import NonMonotonicTimes
+from .errors import DimensionMismatch, NonMonotonicTimes
 
 Vector = tuple[float, ...]
 Rhs = Callable[[float, Vector], Sequence[float]]
@@ -43,6 +43,18 @@ class OdeProblem:
     exact: Optional[Callable[[float], Vector]] = None
     name: str = "ode"
     est_component: Optional[int] = None
+
+
+def initial_state(p: OdeProblem, y0: Sequence[float]) -> Vector:
+    """y0 as a tuple of floats, checked against p's dimension and
+    est_component; every solver starts from it."""
+    y = tuple([float(c) for c in y0])
+    if len(y) != p.dimension:
+        raise DimensionMismatch(f"y0 has {len(y)} components, {p.name!r} has {p.dimension}")
+    comp = p.est_component
+    if comp is not None and not 0 <= comp < p.dimension:
+        raise DimensionMismatch(f"est_component {comp!r} of {p.name!r} is not in [0, {p.dimension})")
+    return y
 
 
 @dataclass(frozen=True)
@@ -101,10 +113,6 @@ def window_from_points(points) -> HistoryWindow:
     if len({len(s) for s in states}) != 1:
         raise ValueError("window states have mixed dimensions")
     return HistoryWindow(times, states)
-
-
-def window_advance(w: HistoryWindow, t_new: float, y_new: Sequence[float]) -> HistoryWindow:
-    return w.advance(t_new, y_new)
 
 
 @dataclass

@@ -4,6 +4,14 @@ error estimate.
 All formulas act componentwise on state vectors.  Step-size arguments
 follow the naming k_n (candidate step), k_nm1, k_nm2, k_nm3 (the three
 most recent accepted steps, newest first).
+
+Every driver and attempt_step take the curvature of the newest three
+states once per step from `curvature`, then call the unchecked kernel
+(pre_filtered, post_filtered, post_filtered_uniform) on each attempt.
+Each kernel call makes at most one call of its own (_beta_parts), as
+further calls measurably slowed the drivers, so it repeats the alpha,
+curvature, filter and estimate expressions of the checked functions;
+the tests pin the two to each other bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +40,73 @@ class FilterCoefficients:
     beta_den: float
 
 
+def _beta_parts(k_n: float, k_nm1: float, k_nm2: float,
+                k_nm3: float) -> tuple[float, float, bool]:
+    """beta's numerator and denominator, and whether the latter is degenerate."""
+    ksum = k_n + k_nm1
+    num = k_n * k_n * ksum * (2.0 * k_n + 2.0 * k_nm1 + k_nm2)
+    den = 2.0 * k_nm1 * (
+        k_n * ksum * (3.0 * k_n + 2.0 * k_nm1)
+        + k_nm2 * (4.0 * k_n * k_n + 2.0 * k_n * k_nm1 - k_nm1 * k_nm1)
+        - 2.0 * k_nm2 * k_nm2 * ksum
+        + 3.0 * k_nm3 * (k_n - k_nm2) * ksum
+    )
+    scale = max(k_n, k_nm1, k_nm2, k_nm3) ** 4
+    return num, den, abs(den) < _DEGENERACY_RTOL * max(scale, abs(num))
+
+
+def _estimate(y_second: Sequence[float], y_third: Sequence[float],
+              component: Optional[int]) -> float:
+    if component is not None:
+        return abs(y_third[component] - y_second[component])
+    return max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])
+
+
+def pre_filtered(k_n: float, k_nm1: float, k_nm2: float, y_n: Sequence[float],
+                 kappa_prev: Sequence[float]) -> Vector:
+    """pre_filter of the window whose trailing curvature is kappa_prev."""
+    half_a = 0.5 * (k_n * k_n / (k_nm1 * k_nm2))    # alpha_coeff, inlined
+    return tuple([y_n[i] - half_a * kappa_prev[i] for i in range(len(y_n))])
+
+
+def post_filtered(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float,
+                  y_nm1: Sequence[float], y_n: Sequence[float],
+                  kappa_prev: Sequence[float], y_second: Sequence[float],
+                  component: Optional[int]) -> Optional[tuple[Vector, float]]:
+    """The third-order value of a step whose implicit stage gave y_second,
+    and the embedded estimate; None when beta is degenerate at k_n."""
+    num, den, degenerate = _beta_parts(k_n, k_nm1, k_nm2, k_nm3)
+    if degenerate:
+        return None
+    beta = num / den
+    # curvature(k_nm1, k_n, y_nm1, y_n, y_second), fused into the filter
+    s = k_n + k_nm1
+    w_next = 2.0 * k_nm1 / s
+    w_prev = 2.0 * k_n / s
+    y_third = tuple([
+        y_second[i] - beta * (
+            (w_next * y_second[i] - 2.0 * y_n[i] + w_prev * y_nm1[i]) - kappa_prev[i])
+        for i in range(len(y_second))
+    ])
+    if component is not None:                        # _estimate, inlined
+        return y_third, abs(y_third[component] - y_second[component])
+    return y_third, max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])
+
+
+def post_filtered_uniform(y_nm2: Sequence[float], y_nm1: Sequence[float],
+                          y_n: Sequence[float], y_second: Sequence[float],
+                          component: Optional[int]) -> tuple[Vector, float]:
+    """post_filtered at beta = 5/11 in closed form, a few ulps off the
+    general form; perfbench/pins.json pins the constant-step answers made
+    with it (post_filtered moves the 2000-step quasi-periodic error)."""
+    y_third = tuple([
+        y_second[i] - 5.0 / 11.0 * (
+            y_second[i] - 3.0 * y_n[i] + 3.0 * y_nm1[i] - y_nm2[i])
+        for i in range(len(y_second))
+    ])
+    return y_third, _estimate(y_second, y_third, component)
+
+
 def curvature(k_prev: float, k_cur: float,
               y_prev: Sequence[float], y_mid: Sequence[float],
               y_next: Sequence[float]) -> Vector:
@@ -47,10 +122,8 @@ def curvature(k_prev: float, k_cur: float,
     s = k_cur + k_prev
     w_next = 2.0 * k_prev / s
     w_prev = 2.0 * k_cur / s
-    return tuple(
-        w_next * yn - 2.0 * ym + w_prev * yp
-        for yp, ym, yn in zip(y_prev, y_mid, y_next)
-    )
+    return tuple([w_next * y_next[i] - 2.0 * y_mid[i] + w_prev * y_prev[i]
+                  for i in range(len(y_mid))])
 
 
 def alpha_coeff(k_n: float, k_nm1: float, k_nm2: float) -> float:
@@ -73,16 +146,8 @@ def beta_coeff(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> FilterCo
     """
     if min(k_n, k_nm1, k_nm2, k_nm3) <= 0.0:
         raise NonPositiveStep("beta_coeff needs positive steps")
-    ksum = k_n + k_nm1
-    num = k_n * k_n * ksum * (2.0 * k_n + 2.0 * k_nm1 + k_nm2)
-    den = 2.0 * k_nm1 * (
-        k_n * ksum * (3.0 * k_n + 2.0 * k_nm1)
-        + k_nm2 * (4.0 * k_n * k_n + 2.0 * k_n * k_nm1 - k_nm1 * k_nm1)
-        - 2.0 * k_nm2 * k_nm2 * ksum
-        + 3.0 * k_nm3 * (k_n - k_nm2) * ksum
-    )
-    scale = max(k_n, k_nm1, k_nm2, k_nm3) ** 4
-    if abs(den) < _DEGENERACY_RTOL * max(scale, abs(num)):
+    num, den, degenerate = _beta_parts(k_n, k_nm1, k_nm2, k_nm3)
+    if degenerate:
         raise DegenerateBeta(
             f"post-filter denominator {den!r} vanishes for steps "
             f"({k_n!r}, {k_nm1!r}, {k_nm2!r}, {k_nm3!r})"
@@ -128,20 +193,18 @@ def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
 def pre_filter(w: HistoryWindow, alpha: float) -> Vector:
     """State handed to the implicit stage: the newest window state with
     half the (alpha-scaled) trailing curvature removed."""
-    kappa = curvature(w.k_nm2, w.k_nm1, w.states[1], w.states[2], w.states[3])
+    kappa_prev = curvature(w.k_nm2, w.k_nm1, *w.states[1:])
     half_a = 0.5 * alpha
-    return tuple(yn - half_a * c for yn, c in zip(w.states[3], kappa))
+    return tuple([w.y_n[i] - half_a * kappa_prev[i] for i in range(len(kappa_prev))])
 
 
 def post_filter(y_next: Sequence[float], w: HistoryWindow, k_n: float,
                 beta: float) -> Vector:
     """Third-order correction of the implicit-stage output."""
-    kappa_prev = curvature(w.k_nm2, w.k_nm1, w.states[1], w.states[2], w.states[3])
+    kappa_prev = curvature(w.k_nm2, w.k_nm1, *w.states[1:])
     kappa_cur = curvature(w.k_nm1, k_n, w.states[2], w.states[3], y_next)
-    return tuple(
-        yn - beta * (kc - kp)
-        for yn, kc, kp in zip(y_next, kappa_cur, kappa_prev)
-    )
+    return tuple([y_next[i] - beta * (kappa_cur[i] - kappa_prev[i])
+                  for i in range(len(y_next))])
 
 
 def error_estimate(y_second: Sequence[float], y_third: Sequence[float],
@@ -157,6 +220,4 @@ def error_estimate(y_second: Sequence[float], y_third: Sequence[float],
         raise DimensionMismatch(
             f"estimate over vectors of lengths {len(y_second)} and {len(y_third)}"
         )
-    if component is not None:
-        return abs(y_third[component] - y_second[component])
-    return max(abs(a - b) for a, b in zip(y_second, y_third))
+    return _estimate(y_second, y_third, component)

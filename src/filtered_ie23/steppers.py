@@ -14,14 +14,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (HistoryWindow, OdeProblem, SolverConfig, Trajectory,
-                   Vector, all_finite)
-from .errors import NonFiniteState, NonPositiveStep
-from .filters import alpha_coeff, beta_coeff, error_estimate
+                   Vector, all_finite, initial_state)
+from .errors import DegenerateBeta, NonFiniteState, NonPositiveStep
+from .filters import (curvature, post_filtered, post_filtered_uniform,
+                      pre_filtered)
 from .newton import implicit_euler_stage
 
 
 class Method(enum.Enum):
-    RK3 = "rk3"
     IE_PRE_2 = "ie-pre-2"
     IE_PRE_POST_3 = "ie-pre-post-3"
     RK4_REF = "rk4-ref"
@@ -50,11 +50,13 @@ def rk3_step(p: OdeProblem, t: float, y: Vector, h: float) -> Vector:
 
 def bootstrap(p: OdeProblem, t0: float, y0: Sequence[float], dt: float) -> HistoryWindow:
     """Three rk3 steps of size dt; returns the resulting 4-point window."""
-    y = tuple(float(c) for c in y0)
+    y = initial_state(p, y0)
     times = [t0]
     states = [y]
     for i in range(3):
         y = rk3_step(p, times[-1], y, dt)
+        if not all_finite(y):
+            raise NonFiniteState(f"bootstrap produced a non-finite state near t={times[-1]!r}")
         times.append(t0 + (i + 1) * dt)
         states.append(y)
     return HistoryWindow(tuple(times), tuple(states))
@@ -80,14 +82,13 @@ def _step_times(cfg: SolverConfig, dt: float) -> list[float]:
 def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
                        third_order: bool) -> ConstantStepRun:
     dt = cfg.dt0
-    d = p.dimension
     times = _step_times(cfg, dt)
     n_start = 3 if third_order else 2
     if len(times) <= n_start:
         raise ValueError("too few steps: the startup leaves no room for a filtered step")
 
-    traj = Trajectory(d)
-    y = tuple(float(c) for c in y0)
+    traj = Trajectory(p.dimension)
+    y = initial_state(p, y0)
     traj.append(cfg.t_begin, y, 0.0, 0.0)
 
     # startup occupies the first grid points.  The third-order method seeds
@@ -96,63 +97,37 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     # history with plain implicit Euler: the O(dt^2) startup contribution
     # then carries the same order as the method itself, keeping the whole
     # run inside the implicit Euler family.
-    history = [y]
-    t_prev = cfg.t_begin
-    for t in times[:n_start]:
-        if third_order:
-            y = rk3_step(p, t_prev, y, dt)
-        else:
+    if third_order:
+        history = list(bootstrap(p, cfg.t_begin, y, dt).states)
+    else:
+        history = [y]
+        for t in times[:n_start]:
             y = implicit_euler_stage(p, t, dt, y, y, cfg).y
+            history.append(y)
+    for t, y in zip(times, history[1:]):
         traj.append(t, y, 0.0, dt)
-        history.append(y)
-        t_prev = t
 
-    c23 = 5.0 / 11.0
-    for idx in range(n_start, len(times)):
-        t_next = times[idx]
+    t_prev = times[n_start - 1]
+    for t_next in times[n_start:]:
         k = t_next - t_prev
-        y_nm2, y_nm1, y_n = history[-3], history[-2], history[-1]
-        final_clamped = abs(k - dt) > 1e-9 * dt
-        if not final_clamped:
-            # uniform grid: pre-filter with gain 1, post-filter with 5/11
-            y_tilde = tuple(
-                y_n[i] - 0.5 * (y_n[i] - 2.0 * y_nm1[i] + y_nm2[i]) for i in range(d)
-            )
-            out = implicit_euler_stage(p, t_next, dt, y_tilde, y_n, cfg)
-            y_second = out.y
-            if third_order:
-                y_next = tuple(
-                    y_second[i] - c23 * (
-                        y_second[i] - 3.0 * y_n[i] + 3.0 * y_nm1[i] - y_nm2[i]
-                    )
-                    for i in range(d)
-                )
-                est = error_estimate(y_second, y_next, p.est_component)
-            else:
-                y_next, est = y_second, 0.0
+        y_nm2, y_nm1, y_n = history[-3:]
+        # steps run at dt exactly, but a clamped final step at its own k
+        uniform = abs(k - dt) <= 1e-9 * dt
+        h = dt if uniform else k
+        kappa_prev = curvature(dt, dt, y_nm2, y_nm1, y_n)
+        y_tilde = pre_filtered(h, dt, dt, y_n, kappa_prev)
+        y_second = implicit_euler_stage(p, t_next, h, y_tilde, y_n, cfg).y
+        if not third_order:
+            y_next, est = y_second, 0.0
+        elif uniform:
+            y_next, est = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second,
+                                                p.est_component)
         else:
-            # the clamped final step keeps the method's variable-step form
-            alpha = alpha_coeff(k, dt, dt)
-            kappa_prev = tuple(
-                y_n[i] - 2.0 * y_nm1[i] + y_nm2[i] for i in range(d)
-            )
-            y_tilde = tuple(y_n[i] - 0.5 * alpha * kappa_prev[i] for i in range(d))
-            out = implicit_euler_stage(p, t_next, k, y_tilde, y_n, cfg)
-            y_second = out.y
-            if third_order:
-                coeffs = beta_coeff(k, dt, dt, dt)
-                s = k + dt
-                kappa_cur = tuple(
-                    (2.0 * dt / s) * y_second[i] - 2.0 * y_n[i] + (2.0 * k / s) * y_nm1[i]
-                    for i in range(d)
-                )
-                y_next = tuple(
-                    y_second[i] - coeffs.beta * (kappa_cur[i] - kappa_prev[i])
-                    for i in range(d)
-                )
-                est = error_estimate(y_second, y_next, p.est_component)
-            else:
-                y_next, est = y_second, 0.0
+            filtered = post_filtered(k, dt, dt, dt, y_nm1, y_n, kappa_prev,
+                                     y_second, p.est_component)
+            if filtered is None:
+                raise DegenerateBeta(f"post-filter degenerate at final step {k!r}, dt {dt!r}")
+            y_next, est = filtered
         traj.append(t_next, y_next, est, k)
         history = [y_nm1, y_n, y_next]
         t_prev = t_next
@@ -181,7 +156,7 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     rhs = p.rhs
     times = _step_times(cfg, dt)
     traj = Trajectory(d)
-    y = tuple(float(c) for c in y0)
+    y = initial_state(p, y0)
     traj.append(cfg.t_begin, y, 0.0, 0.0)
     t_prev = cfg.t_begin
     half = 0.5 * dt

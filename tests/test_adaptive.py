@@ -6,7 +6,7 @@ from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
                            SolverConfig, Verdict, alpha_coeff, attempt_step,
                            beta_coeff, error_estimate, implicit_euler_stage,
                            model_problem, post_filter, pre_filter,
-                           solve_filtered_ie23)
+                           solve_filtered_ie23, window_from_points)
 from filtered_ie23.steppers import bootstrap
 
 SPEC = model_problem()
@@ -144,3 +144,31 @@ class TestDoublingGuard:
         _, stats = solve_filtered_ie23(self.CONST, cfg, (5.0,))
         assert stats.doublings == 2
         assert stats.max_k_used > 0.39
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("tol, dt0", [(5e-3, 1e-2), (2.5e-4, 1e-3)])
+    def test_attempt_step_replays_every_accepted_row(self, tol, dt0):
+        # the driver and attempt_step share the filter kernel: rebuilding
+        # each accepted step's window from the trajectory and attempting
+        # that row's k reproduces the row bit for bit.  The checked public
+        # filters, composed by hand, give the same bits on these
+        # non-uniform windows too.
+        cfg = SolverConfig(tol=tol, dt0=dt0, t_end=2.0)
+        traj, _ = solve_filtered_ie23(P, cfg, (1.0,))
+        for i in range(4, len(traj)):
+            w = window_from_points(
+                [(traj.times[j], traj.state(j)) for j in range(i - 4, i)])
+            k = traj.ks[i]
+            attempt = attempt_step(P, w, k, cfg)
+            assert attempt.verdict is not Verdict.HALVE
+            assert w.t_n + attempt.k_n == traj.times[i]
+            assert attempt.y_third == traj.state(i)
+            assert attempt.est == traj.est[i]
+
+            coeffs = beta_coeff(k, w.k_nm1, w.k_nm2, w.k_nm3)
+            y_tilde = pre_filter(w, coeffs.alpha)
+            y_second = implicit_euler_stage(P, w.t_n + k, k, y_tilde, w.y_n, cfg).y
+            assert y_second == attempt.y_second
+            assert post_filter(y_second, w, k, coeffs.beta) == attempt.y_third
+            assert error_estimate(y_second, attempt.y_third) == attempt.est

@@ -1,6 +1,12 @@
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import filtered_ie23
 from filtered_ie23 import read_csv
 from filtered_ie23.cli import main
 
@@ -79,6 +85,15 @@ class TestUsageErrors:
         assert main(["solve", "--problem", "model",
                      "--t0", "2.0", "--t1", "1.0"]) == 2
 
+    def test_zero_step_count(self, capsys):
+        assert main(["convergence", "--problem", "model", "--steps", "0,1"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_unwritable_output_path(self, capsys, tmp_path):
+        out = str(tmp_path / "missing-dir" / "x.csv")
+        assert main(["solve", "--problem", "model", "--out", out]) == 2
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestConvergenceCommand:
     def test_table_output(self, capsys):
@@ -101,6 +116,20 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "filtered-ie23" in out
         assert "ie-pre-post-3" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["problems"], 0),
+    (["solve", "--problem", "lorenz"], 2),
+])
+def test_module_entry_point(argv, code):
+    # python -m filtered_ie23 runs the CLI from a source checkout
+    src = str(Path(filtered_ie23.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "filtered_ie23", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
 
 
 def test_installed_console_script():

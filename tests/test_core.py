@@ -3,7 +3,7 @@ import math
 import pytest
 
 from filtered_ie23 import (NonMonotonicTimes, SolverConfig, Trajectory,
-                           window_advance, window_from_points)
+                           window_from_points)
 from filtered_ie23.core import all_finite, maxnorm
 
 
@@ -96,7 +96,7 @@ class TestHistoryWindow:
         with pytest.raises(NonMonotonicTimes):
             w.advance(2.5, (4.0,))
         with pytest.raises(NonMonotonicTimes):
-            window_advance(w, 1.0, (4.0,))
+            w.advance(1.0, (4.0,))
 
     def test_from_points_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,13 @@
+import math
+import random
+
 import pytest
 
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, NonPositiveStep,
                            alpha_coeff, beta_coeff, beta_oracle, curvature,
                            error_estimate, post_filter, pre_filter,
                            window_from_points)
+from filtered_ie23.filters import post_filtered, post_filtered_uniform
 
 UNIFORM_BETA = 5.0 / 11.0
 
@@ -118,3 +122,23 @@ class TestErrorEstimate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             error_estimate((1.0,), (1.0, 2.0))
+
+
+class TestUniformClosedForm:
+    def test_agrees_with_general_post_filter(self):
+        # post_filtered_uniform is post_filtered at beta = 5/11 rewritten
+        # as one closed form; the two round differently, by a few ulps of
+        # the largest intermediate, |y_second - 3 y_n + 3 y_nm1 - y_nm2|
+        # <= 8 * scale
+        rng = random.Random(7)
+        for _ in range(200):
+            k = 10.0 ** rng.uniform(-4, 0)
+            y_nm2, y_nm1, y_n, y_second = (
+                tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(4))
+            kappa_prev = curvature(k, k, y_nm2, y_nm1, y_n)
+            general = post_filtered(k, k, k, k, y_nm1, y_n, kappa_prev, y_second, None)
+            uniform = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second, None)
+            ulps = 4 * math.ulp(8.0 * max(map(abs, y_nm2 + y_nm1 + y_n + y_second)))
+            for a, b in zip(general[0], uniform[0]):
+                assert abs(a - b) <= ulps
+            assert abs(general[1] - uniform[1]) <= ulps

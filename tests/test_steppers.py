@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import pytest
 
-from filtered_ie23 import (Method, NonPositiveStep, SolverConfig,
-                           model_problem, rk3_step, solve_ie_pre_2,
-                           solve_ie_pre_post_3, solve_rk4_reference)
+from filtered_ie23 import (DimensionMismatch, Method, NonFiniteState,
+                           NonPositiveStep, OdeProblem, SolverConfig,
+                           model_problem, rk3_step, solve_filtered_ie23,
+                           solve_ie_pre_2, solve_ie_pre_post_3,
+                           solve_rk4_reference)
 from filtered_ie23.steppers import bootstrap
 
 SPEC = model_problem()
@@ -116,3 +119,27 @@ class TestRk4Reference:
         assert traj.final_time() == 1.0
         assert list(traj.ks[1:4]) == [0.3] * 3
         assert traj.ks[4] == pytest.approx(0.1, rel=1e-12)
+
+
+class TestInitialStateCheck:
+    SOLVERS = [solve_filtered_ie23, solve_ie_pre_2, solve_ie_pre_post_3,
+               solve_rk4_reference]
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("y0", [(1.0, 99.0), ()])
+    def test_wrong_length_y0(self, solver, y0):
+        with pytest.raises(DimensionMismatch):
+            solver(P, _cfg(0.05), y0)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("component", [1, -1])
+    def test_est_component_out_of_range(self, solver, component):
+        bad = dataclasses.replace(P, est_component=component)
+        with pytest.raises(DimensionMismatch):
+            solver(bad, _cfg(0.05), (1.0,))
+
+
+def test_nonfinite_startup_raises():
+    bad = OdeProblem(1, lambda t, y: (math.nan,))
+    with pytest.raises(NonFiniteState):
+        solve_ie_pre_post_3(bad, _cfg(0.05), (1.0,))
