@@ -44,6 +44,8 @@ class ConvergenceReport:
 def constant_run(method: Method, spec: ProblemSpec, steps: int,
                  t_range: Optional[tuple[float, float]] = None) -> ConstantStepRun:
     """Run a constant-step method over the spec's range with `steps` steps."""
+    if not steps >= 1:
+        raise ValueError(f"step count must be at least 1, got {steps!r}")
     t0, t1 = t_range if t_range is not None else spec.default_range
     dt = (t1 - t0) / steps
     cfg = SolverConfig(tol=1.0, dt0=dt, t_begin=t0, t_end=t1, k_max=dt)

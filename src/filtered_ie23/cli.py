@@ -90,6 +90,9 @@ def _cmd_solve(args) -> int:
     dt0 = args.dt0 if args.dt0 is not None else (t1 - t0) / 200.0
     k_max = max((t1 - t0) / 10.0, dt0)
     cfg = SolverConfig(tol=args.tol, dt0=dt0, t_begin=t0, t_end=t1, k_max=k_max)
+    if args.out:
+        # an unwritable path fails here, before the solve, not after it
+        open(args.out, "a").close()
 
     if args.method == _ADAPTIVE:
         run = adaptive_run(spec, args.tol, dt0, t_range=(t0, t1))

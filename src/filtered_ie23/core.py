@@ -159,6 +159,11 @@ class SolverConfig:
                 f"need k_min < dt0 <= k_max, got {self.k_min!r} / "
                 f"{self.dt0!r} / {self.k_max!r}"
             )
+        for name, least in (("max_halvings_per_step", 0),
+                            ("newton_max_iter", 1), ("doubling_exponent", 0)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
     @property
     def span(self) -> float:
@@ -178,7 +183,8 @@ class Trajectory:
     materialize tuples on demand.
     """
 
-    __slots__ = ("dimension", "rejections", "_times", "_flat", "_est", "_ks")
+    __slots__ = ("dimension", "rejections", "_times", "_flat", "_est", "_ks",
+                 "_t_last")
 
     def __init__(self, dimension: int):
         self.dimension = dimension
@@ -187,13 +193,15 @@ class Trajectory:
         self._flat = array("d")
         self._est = array("d")
         self._ks = array("d")
+        self._t_last = -math.inf    # the newest time; a first time must exceed -inf
 
     def append(self, t: float, y: Sequence[float], est: float, k: float) -> None:
-        if self._times and not t > self._times[-1]:
+        if not t > self._t_last:
             raise NonMonotonicTimes(
-                f"time {t!r} does not advance past {self._times[-1]!r}"
+                f"time {t!r} does not advance past {self._t_last!r}"
             )
         self._times.append(t)
+        self._t_last = t
         self._flat.extend(y)
         self._est.append(est)
         self._ks.append(k)
@@ -245,7 +253,7 @@ class Trajectory:
 
 
 def maxnorm(v: Sequence[float]) -> float:
-    return max(abs(c) for c in v)
+    return max(map(abs, v))
 
 
 def all_finite(v: Sequence[float]) -> bool:

@@ -8,6 +8,11 @@ Dimensions 1 and 2 get straight-line fast paths because the adaptive
 benchmarks spend millions of attempts there.  Those paths perform the same
 floating-point operations in the same order as the generic code, so results
 are bit-identical either way.
+
+The dense solve finds its pivot with an explicit `>` loop rather than
+max(..., key=...): it makes the same comparisons in the same order, so the
+first row of maximal magnitude still wins a tie, without a lambda call per
+row on the 4-D path of the constant-step methods.
 """
 
 from __future__ import annotations
@@ -46,19 +51,26 @@ def _solve_dense(m: list[list[float]], rhs: list[float]) -> list[float]:
     """Gaussian elimination with partial pivoting, in place."""
     d = len(rhs)
     for col in range(d):
-        piv = max(range(col, d), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) < _PIVOT_FLOOR:
+        piv, best = col, abs(m[col][col])
+        for r in range(col + 1, d):
+            a = abs(m[r][col])
+            if a > best:
+                piv, best = r, a
+        if best < _PIVOT_FLOOR:
             raise SingularLinearSystem("Newton matrix is numerically singular")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
             rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1.0 / m[col][col]
+        pivot_row = m[col]
+        inv = 1.0 / pivot_row[col]
+        rhs_col = rhs[col]
         for r in range(col + 1, d):
-            factor = m[r][col] * inv
+            row = m[r]
+            factor = row[col] * inv
             if factor != 0.0:
                 for c in range(col + 1, d):
-                    m[r][c] -= factor * m[col][c]
-                rhs[r] -= factor * rhs[col]
+                    row[c] -= factor * pivot_row[c]
+                rhs[r] -= factor * rhs_col
     for r in range(d - 1, -1, -1):
         acc = rhs[r]
         row = m[r]
@@ -192,8 +204,9 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
             )
         jm = jac(t_next, tuple(y)) if jac is not None \
             else _fd_jacobian(p, t_next, y, f)
-        m = [[(1.0 if r == c else 0.0) - k_n * jm[r][c] for c in range(d)]
-             for r in range(d)]
+        # not -k_n * jr[c] off the diagonal: that turns a 0.0 entry into -0.0
+        m = [[(1.0 if r == c else 0.0) - k_n * jr[c] for c in range(d)]
+             for r, jr in zip(range(d), jm)]
         delta = _solve_dense(m, [-gi for gi in g])
         for i in range(d):
             y[i] += delta[i]

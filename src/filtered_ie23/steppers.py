@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import (HistoryWindow, OdeProblem, SolverConfig, Trajectory,
                    Vector, all_finite, initial_state)
@@ -62,27 +62,26 @@ def bootstrap(p: OdeProblem, t0: float, y0: Sequence[float], dt: float) -> Histo
     return HistoryWindow(tuple(times), tuple(states))
 
 
-def _step_times(cfg: SolverConfig, dt: float) -> list[float]:
+def _step_times(cfg: SolverConfig, dt: float) -> Iterator[float]:
     """Times after t_begin: interior points on the uniform grid, then t_end
-    (the final step is clamped when dt does not divide the span)."""
+    (the final step is clamped when dt does not divide the span).  Yielded
+    one at a time, so a long reference solve holds no list of them."""
     t0, t_end, span = cfg.t_begin, cfg.t_end, cfg.span
     edge = t_end - 1e-14 * span
-    times = []
     i = 1
     while True:
         t = t0 + i * dt
         if t >= edge:
             break
-        times.append(t)
+        yield t
         i += 1
-    times.append(t_end)
-    return times
+    yield t_end
 
 
 def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
                        third_order: bool) -> ConstantStepRun:
     dt = cfg.dt0
-    times = _step_times(cfg, dt)
+    times = list(_step_times(cfg, dt))
     n_start = 3 if third_order else 2
     if len(times) <= n_start:
         raise ValueError("too few steps: the startup leaves no room for a filtered step")
@@ -162,21 +161,23 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     half = 0.5 * dt
     sixth = dt / 6.0
     rng = range(d)
+    append = traj.append
     for t_next in times:
         h = t_next - t_prev
         if abs(h - dt) > 1e-9 * dt:
             half, sixth = 0.5 * h, h / 6.0
         else:
             h = dt
+        # tuple([...]) builds a short tuple faster than tuple(<generator>)
         s1 = rhs(t_prev, y)
-        s2 = rhs(t_prev + half, tuple(y[i] + half * s1[i] for i in rng))
-        s3 = rhs(t_prev + half, tuple(y[i] + half * s2[i] for i in rng))
-        s4 = rhs(t_next, tuple(y[i] + h * s3[i] for i in rng))
-        y = tuple(
+        s2 = rhs(t_prev + half, tuple([y[i] + half * s1[i] for i in rng]))
+        s3 = rhs(t_prev + half, tuple([y[i] + half * s2[i] for i in rng]))
+        s4 = rhs(t_next, tuple([y[i] + h * s3[i] for i in rng]))
+        y = tuple([
             y[i] + sixth * (s1[i] + 2.0 * (s2[i] + s3[i]) + s4[i]) for i in rng
-        )
+        ])
         if not all_finite(y):
             raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
-        traj.append(t_next, y, 0.0, h)
+        append(t_next, y, 0.0, h)
         t_prev = t_next
     return ConstantStepRun(traj, dt, Method.RK4_REF)

@@ -87,12 +87,17 @@ class TestUsageErrors:
 
     def test_zero_step_count(self, capsys):
         assert main(["convergence", "--problem", "model", "--steps", "0,1"]) == 2
-        assert "usage error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert "step count must be at least 1, got 0" in err
 
     def test_unwritable_output_path(self, capsys, tmp_path):
+        # rejected before the solve: nothing of the run is printed
         out = str(tmp_path / "missing-dir" / "x.csv")
         assert main(["solve", "--problem", "model", "--out", out]) == 2
-        assert "usage error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err
+        assert captured.out == ""
 
 
 class TestConvergenceCommand:

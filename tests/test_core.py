@@ -34,6 +34,21 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(dt0=1e-3, k_min=1e-2)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("max_halvings_per_step", -1),
+        ("newton_max_iter", 0),
+        ("doubling_exponent", -1),
+    ])
+    def test_rejects_out_of_range_counts(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: bad})
+
+    def test_accepts_smallest_counts(self):
+        cfg = SolverConfig(max_halvings_per_step=0, newton_max_iter=1,
+                           doubling_exponent=0)
+        assert (cfg.max_halvings_per_step, cfg.newton_max_iter,
+                cfg.doubling_exponent) == (0, 1, 0)
+
 
 class TestTrajectory:
     def _sample(self):
@@ -62,8 +77,18 @@ class TestTrajectory:
 
     def test_append_requires_increasing_times(self):
         traj = self._sample()
+        for t in (1.0, 0.75, math.nan):    # equal, smaller, NaN
+            with pytest.raises(NonMonotonicTimes):
+                traj.append(t, (4.0, -4.0), 0.0, 0.0)
+        assert len(traj) == 3
+
+    def test_append_rejects_nan_first_time(self):
+        traj = Trajectory(1)
         with pytest.raises(NonMonotonicTimes):
-            traj.append(1.0, (4.0, -4.0), 0.0, 0.0)
+            traj.append(math.nan, (1.0,), 0.0, 0.0)
+        assert len(traj) == 0
+        traj.append(-1e300, (1.0,), 0.0, 0.0)
+        assert list(traj.times) == [-1e300]
 
     def test_final_error_maxnorm_and_component(self):
         traj = self._sample()

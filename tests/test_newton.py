@@ -6,6 +6,7 @@ from filtered_ie23 import (NewtonDiverged, NonPositiveStep, OdeProblem,
                            SingularLinearSystem, SolverConfig,
                            implicit_euler_stage, quasi_periodic_problem)
 from filtered_ie23.core import maxnorm
+from filtered_ie23.newton import _solve_dense
 
 CFG = SolverConfig()
 
@@ -83,6 +84,20 @@ class TestNonlinearStage:
         closed = y_tilde[0] + k * 3.0 * t_next * t_next
         assert out.y[0] == pytest.approx(closed, rel=1e-12)
         assert out.iterations <= 2
+
+
+class TestSolveDense:
+    def test_first_of_tied_pivots_wins(self):
+        row0, row1 = [2.0, 1.0], [-2.0, 3.0]
+        m = [row0, row1]
+        assert _solve_dense(m, [1.0, 2.0]) == [0.125, 0.75]
+        assert m[0] is row0 and m[1] is row1    # no swap on a tie
+
+    def test_tie_below_a_smaller_pivot(self):
+        row0, row1, row2 = [1.0, 2.0, 0.0], [3.0, 0.0, 1.0], [-3.0, 1.0, 1.0]
+        m = [row0, row1, row2]
+        assert _solve_dense(m, [3.0, 4.0, -1.0]) == [1.0, 1.0, 1.0]
+        assert m[0] is row1
 
 
 class TestFailureModes:

@@ -6,8 +6,10 @@ import pytest
 from filtered_ie23 import (DimensionMismatch, Method, NonFiniteState,
                            NonPositiveStep, OdeProblem, SolverConfig,
                            model_problem, rk3_step, solve_filtered_ie23,
-                           solve_ie_pre_2, solve_ie_pre_post_3,
-                           solve_rk4_reference)
+                           quasi_periodic_problem, solve_ie_pre_2,
+                           solve_ie_pre_post_3, solve_rk4_reference,
+                           van_der_pol_problem)
+from filtered_ie23.bench import constant_run
 from filtered_ie23.steppers import bootstrap
 
 SPEC = model_problem()
@@ -59,7 +61,7 @@ class TestThirdOrderConstant:
     def test_frozen_forty_step_error(self):
         run = solve_ie_pre_post_3(P, _cfg(0.05), (1.0,))
         err = run.trajectory.final_error(P.exact)
-        assert err == pytest.approx(1.6954053552584725e-03, rel=1e-12)
+        assert err == pytest.approx(1.6954053552584725e-03, rel=1e-12, abs=0)
         assert run.method is Method.IE_PRE_POST_3
         assert run.dt == 0.05
 
@@ -80,6 +82,16 @@ class TestThirdOrderConstant:
         with pytest.raises(ValueError):
             solve_ie_pre_post_3(P, _cfg(0.5, t_end=1.0), (1.0,))
 
+    def test_quasi_periodic_final_state_bits(self):
+        # the generic 4-D Newton path, frozen bit for bit
+        traj = constant_run(Method.IE_PRE_POST_3, quasi_periodic_problem(),
+                            300).trajectory
+        assert len(traj) == 301
+        assert repr(traj.final_state()) == (
+            "(2.1524163730177452, 0.1646491205648053, "
+            "-17.596098024761954, -9.771498687364561)")
+        assert repr(traj.est[-1]) == "0.0066073080054809274"
+
 
 class TestSecondOrderConstant:
     def test_startup_rows_are_implicit_euler(self):
@@ -91,7 +103,7 @@ class TestSecondOrderConstant:
     def test_frozen_forty_step_error(self):
         run = solve_ie_pre_2(P, _cfg(0.05), (1.0,))
         err = run.trajectory.final_error(P.exact)
-        assert err == pytest.approx(5.086671955347022e-02, rel=1e-12)
+        assert err == pytest.approx(5.086671955347022e-02, rel=1e-12, abs=0)
 
     def test_estimates_stay_zero(self):
         # the second-order method has no embedded companion
@@ -119,6 +131,18 @@ class TestRk4Reference:
         assert traj.final_time() == 1.0
         assert list(traj.ks[1:4]) == [0.3] * 3
         assert traj.ks[4] == pytest.approx(0.1, rel=1e-12)
+
+    def test_van_der_pol_final_state_bits(self):
+        # 3333 steps of 0.003, then a clamped final step of 0.001; a span
+        # this long also catches a reassociated stage sum
+        spec = van_der_pol_problem(1.0)
+        cfg = SolverConfig(tol=1.0, dt0=0.003, t_begin=0.0, t_end=10.0,
+                           k_max=0.003)
+        traj = solve_rk4_reference(spec.problem, cfg,
+                                   spec.default_initial_state).trajectory
+        assert len(traj) == 3335
+        assert traj.ks[-1] == pytest.approx(0.001, rel=1e-12, abs=0)
+        assert repr(traj.final_state()) == "(-2.0083407825889332, 0.032907065673611506)"
 
 
 class TestInitialStateCheck:
