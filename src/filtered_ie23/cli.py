@@ -15,18 +15,15 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .bench import (CONSTANT_SOLVERS, adaptive_run, compare_adaptive_constant,
+from .adaptive import solve_filtered_ie23
+from .bench import (CONSTANT_SOLVERS, compare_adaptive_constant,
                     convergence_table, emit_csv)
 from .core import SolverConfig
 from .errors import SolverError
 from .problems import REGISTRY, make_problem
 from .steppers import Method
 
-_METHODS = {
-    "ie-pre-2": Method.IE_PRE_2,
-    "ie-pre-post-3": Method.IE_PRE_POST_3,
-    "rk4-ref": Method.RK4_REF,
-}
+_METHODS = {m.value: m for m in Method}
 _ADAPTIVE = "filtered-ie23"
 
 
@@ -94,27 +91,21 @@ def _cmd_solve(args) -> int:
         # an unwritable path fails here, before the solve, not after it
         open(args.out, "a").close()
 
+    p, y0 = spec.problem, spec.default_initial_state
     if args.method == _ADAPTIVE:
-        run = adaptive_run(spec, args.tol, dt0, t_range=(t0, t1))
-        traj, stats = run.trajectory, run.stats
-        print(f"{spec.problem.name}: {stats.accepted} accepted, "
+        traj, stats = solve_filtered_ie23(p, cfg, y0)
+        print(f"{p.name}: {stats.accepted} accepted, "
               f"{stats.rejected} rejected, {stats.doublings} doublings, "
               f"k in [{stats.min_k_used:.3e}, {stats.max_k_used:.3e}]")
-        err = run.final_error
     else:
-        solver = CONSTANT_SOLVERS[_METHODS[args.method]]
-        result = solver(spec.problem, cfg, spec.default_initial_state)
-        traj = result.trajectory
-        print(f"{spec.problem.name}: {traj.steps_taken} steps of {dt0:g}")
-        err = None
-        if spec.problem.exact is not None:
-            err = traj.final_error(spec.problem.exact, spec.problem.est_component)
+        traj = CONSTANT_SOLVERS[_METHODS[args.method]](p, cfg, y0).trajectory
+        print(f"{p.name}: {traj.steps_taken} steps of {dt0:g}")
 
     final = ", ".join(repr(c) for c in traj.final_state())
     print(f"t = {traj.final_time()!r}")
     print(f"y = ({final})")
-    if err is not None:
-        print(f"final error = {err:.6e}")
+    if p.exact is not None:
+        print(f"final error = {traj.final_error(p.exact, p.est_component):.6e}")
     if args.out:
         emit_csv(traj, args.out)
         print(f"wrote {len(traj)} rows to {args.out}")

@@ -122,23 +122,16 @@ class SolverConfig:
     tol is an error-per-unit-step tolerance: a step of size k is accepted
     when the embedded estimate satisfies est <= tol * k.  dt0 is both the
     constant step of the fixed-step methods and the bootstrap/initial step
-    of the adaptive method.
-
-    doubling_exponent controls how far below the acceptance threshold the
-    estimate must fall before the controller doubles the step: doubling
-    happens when est < tol * k / 2**doubling_exponent.  The default of 6
-    is the setting under which the reference trajectories frozen in the
-    test suite were produced.
+    of the adaptive method.  k_max caps the adaptive step (default
+    span / 10); the floor k_min is fixed at 1e-12 * span.  The adaptive
+    controller's doubling divisor is fixed too (2**6, see adaptive.py).
     """
 
     tol: float = 1e-3
     dt0: float = 1e-2
     t_begin: float = 0.0
     t_end: float = 1.0
-    k_min: Optional[float] = None
     k_max: Optional[float] = None
-    doubling_exponent: int = 6
-    max_halvings_per_step: int = 30
     newton_tol: float = 1e-10
     newton_max_iter: int = 25
 
@@ -146,8 +139,6 @@ class SolverConfig:
         span = self.t_end - self.t_begin
         if not span > 0.0:
             raise ValueError("t_end must exceed t_begin")
-        if self.k_min is None:
-            self.k_min = 1e-12 * span
         if self.k_max is None:
             self.k_max = span / 10.0
         if not self.tol > 0.0:
@@ -159,15 +150,19 @@ class SolverConfig:
                 f"need k_min < dt0 <= k_max, got {self.k_min!r} / "
                 f"{self.dt0!r} / {self.k_max!r}"
             )
-        for name, least in (("max_halvings_per_step", 0),
-                            ("newton_max_iter", 1), ("doubling_exponent", 0)):
-            value = getattr(self, name)
-            if not value >= least:
-                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        if not self.newton_max_iter >= 1:
+            raise ValueError(
+                f"newton_max_iter must be at least 1, got {self.newton_max_iter!r}")
 
     @property
     def span(self) -> float:
         return self.t_end - self.t_begin
+
+    @property
+    def k_min(self) -> float:
+        """The adaptive step floor: a halving cascade that falls below it
+        raises MinStepReached."""
+        return 1e-12 * self.span
 
 
 class Trajectory:
@@ -177,18 +172,15 @@ class Trajectory:
     est[i] -- the embedded error estimate of the step that produced the
     point (0 for the initial point and for bootstrap steps) -- and ks[i],
     the step size that produced the point (0 for the initial point).
-    rejections counts discarded step attempts.
 
     Rows live in flat double arrays; state(i) and the states property
     materialize tuples on demand.
     """
 
-    __slots__ = ("dimension", "rejections", "_times", "_flat", "_est", "_ks",
-                 "_t_last")
+    __slots__ = ("dimension", "_times", "_flat", "_est", "_ks", "_t_last")
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self.rejections = 0
         self._times = array("d")
         self._flat = array("d")
         self._est = array("d")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -86,7 +87,6 @@ class TestAdaptiveSolve:
     def test_stats_are_consistent(self):
         cfg, traj, stats = self._run()
         assert stats.accepted == len(traj) - 4
-        assert traj.rejections == stats.rejected
         assert 0.0 < stats.min_k_used <= stats.max_k_used <= cfg.k_max
 
     def test_accepted_steps_meet_tolerance(self):
@@ -111,14 +111,23 @@ class TestAdaptiveSolve:
 
     def test_unreachable_region_hits_step_floor(self):
         # rhs turns non-finite just past the bootstrap, so every attempt
-        # fails and the halving cascade runs out
+        # fails at its one rhs call, and the cascade halves k = 0.01 until
+        # it falls below k_min = 1e-12 * span: 34 attempts
+        attempts = []
+
         def rhs(t, y):
-            return (math.nan,) if t > 0.0301 else (y[0],)
+            if t > 0.03 + 1e-13:
+                attempts.append(t)
+                return (math.nan,)
+            return (y[0],)
 
         bad = OdeProblem(1, rhs, lambda t, y: ((1.0,),))
         cfg = SolverConfig(tol=1e-3, dt0=0.01, t_end=1.0)
-        with pytest.raises(MinStepReached):
+        k_last = 0.01 / 2.0 ** 34
+        assert k_last < cfg.k_min < 2.0 * k_last
+        with pytest.raises(MinStepReached, match=re.escape(f"step fell to {k_last!r}")):
             solve_filtered_ie23(bad, cfg, (1.0,))
+        assert len(attempts) == 34
 
     def test_bootstrap_must_fit_in_span(self):
         cfg = SolverConfig(tol=1e-3, dt0=0.4, t_end=1.0, k_max=0.5)

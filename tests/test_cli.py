@@ -30,6 +30,15 @@ class TestSolveCommand:
         assert "197 accepted" in out
         assert "final error" in out
 
+    def test_adaptive_uses_the_solve_config(self, capsys):
+        # dt0 = 0.3 is above the default k_max = span / 10 = 0.2; solve
+        # raises k_max to dt0 for every method, the adaptive one included
+        code = main(["solve", "--problem", "model", "--dt0", "0.3"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("model: 957 accepted, 837 rejected")
+        assert "final error" in out
+
     def test_constant_method_with_csv_output(self, capsys, tmp_path):
         path = tmp_path / "run.csv"
         code = main(["solve", "--problem", "model", "--method", "ie-pre-post-3",

@@ -15,8 +15,19 @@ class TestSolverConfig:
         assert cfg.k_max == 0.2
 
     def test_explicit_bounds_kept(self):
-        cfg = SolverConfig(dt0=0.05, k_min=1e-6, k_max=0.5)
-        assert (cfg.k_min, cfg.k_max) == (1e-6, 0.5)
+        cfg = SolverConfig(dt0=0.05, k_max=0.5)
+        assert cfg.k_max == 0.5
+
+    @pytest.mark.parametrize("field, value", [
+        ("k_min", 1e-6),
+        ("doubling_exponent", 6),
+        ("max_halvings_per_step", 30),
+    ])
+    def test_removed_controller_fields(self, field, value):
+        # the floor and the doubling divisor are fixed, and the floor alone
+        # ends a halving cascade
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: value})
 
     def test_rejects_empty_span(self):
         with pytest.raises(ValueError):
@@ -32,22 +43,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(dt0=0.5, k_max=0.1)
         with pytest.raises(ValueError):
-            SolverConfig(dt0=1e-3, k_min=1e-2)
+            SolverConfig(dt0=1e-13)     # below the floor k_min = 1e-12 * span
 
     @pytest.mark.parametrize("field, bad", [
-        ("max_halvings_per_step", -1),
         ("newton_max_iter", 0),
-        ("doubling_exponent", -1),
     ])
     def test_rejects_out_of_range_counts(self, field, bad):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: bad})
 
     def test_accepts_smallest_counts(self):
-        cfg = SolverConfig(max_halvings_per_step=0, newton_max_iter=1,
-                           doubling_exponent=0)
-        assert (cfg.max_halvings_per_step, cfg.newton_max_iter,
-                cfg.doubling_exponent) == (0, 1, 0)
+        assert SolverConfig(newton_max_iter=1).newton_max_iter == 1
 
 
 class TestTrajectory:
