@@ -31,8 +31,7 @@ from .core import (HistoryWindow, OdeProblem, SolverConfig, Trajectory,
 from .errors import (DegenerateBeta, DimensionMismatch, MinStepReached,
                      NewtonDiverged, NonFiniteState, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem, SolverError)
-from .filters import (FilterCoefficients, alpha_coeff, beta_coeff, beta_oracle,
-                      curvature, error_estimate, post_filter, pre_filter)
+from .filters import alpha_coeff, beta_coeff, beta_oracle, curvature
 from .newton import NewtonOutcome, implicit_euler_stage
 from .problems import (ProblemSpec, make_problem, model_analog_problem,
                        model_problem, quasi_periodic_problem,
@@ -45,18 +44,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveRunStats", "BenchRun", "ConstantStepRun", "ConvergenceReport",
     "ConvergenceRow", "DegenerateBeta", "DimensionMismatch",
-    "FilterCoefficients", "HistoryWindow", "Method", "MinStepReached",
-    "NewtonDiverged", "NewtonOutcome", "NonFiniteState", "NonMonotonicTimes",
+    "HistoryWindow", "Method", "MinStepReached", "NewtonDiverged",
+    "NewtonOutcome", "NonFiniteState", "NonMonotonicTimes",
     "NonPositiveStep", "OdeProblem", "ProblemSpec", "SingularLinearSystem",
     "SolverConfig", "SolverError", "StepAttempt", "Trajectory",
     "VdpComparison", "Verdict", "adaptive_run", "alpha_coeff",
-    "analog_benchmark_runs", "attempt_step", "benchmark_suite", "beta_coeff",
-    "beta_oracle", "compare_adaptive_constant", "constant_run",
-    "convergence_table", "curvature", "emit_csv", "error_estimate",
+    "analog_benchmark_runs", "attempt_step", "benchmark_suite",
+    "beta_coeff", "beta_oracle", "compare_adaptive_constant",
+    "constant_run", "convergence_table", "curvature", "emit_csv",
     "implicit_euler_stage", "make_problem", "model_analog_problem",
-    "model_benchmark_runs", "model_problem", "post_filter", "pre_filter",
+    "model_benchmark_runs", "model_problem",
     "quasi_periodic_benchmark_run", "quasi_periodic_problem", "read_csv",
-    "rk3_step", "solve_filtered_ie23", "solve_ie_pre_2", "solve_ie_pre_post_3",
-    "solve_rk4_reference", "van_der_pol_problem", "vdp_benchmark_runs",
-    "vdp_reference", "window_from_points",
+    "rk3_step", "solve_filtered_ie23", "solve_ie_pre_2",
+    "solve_ie_pre_post_3", "solve_rk4_reference", "van_der_pol_problem",
+    "vdp_benchmark_runs", "vdp_reference", "window_from_points",
 ]

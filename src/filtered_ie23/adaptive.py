@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (HistoryWindow, OdeProblem, SolverConfig, Trajectory,
-                   Vector, all_finite)
+                   Vector, all_finite, initial_state)
 from .errors import (MinStepReached, NewtonDiverged, NonPositiveStep,
                      SingularLinearSystem)
 from .filters import curvature, post_filtered, pre_filtered
@@ -64,8 +64,11 @@ def attempt_step(p: OdeProblem, w: HistoryWindow, k_n: float,
     Solver-level failures (Newton divergence, degenerate post-filter)
     yield verdict HALVE with est = inf rather than raising, so the
     controller has a single rejection path.  solve_filtered_ie23 runs
-    the same arithmetic and accepts where this returns no HALVE.
+    the same arithmetic and accepts where this returns no HALVE.  A
+    window whose states do not have p's dimension raises
+    DimensionMismatch.
     """
+    initial_state(p, w.y_n)
     if min(k_n, w.k_nm1, w.k_nm2, w.k_nm3) <= 0.0:
         raise NonPositiveStep("attempt_step needs positive steps")
     _, y_nm2, y_nm1, y_n = w.states

@@ -85,8 +85,7 @@ def _cmd_solve(args) -> int:
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got {t0!r} .. {t1!r}")
     dt0 = args.dt0 if args.dt0 is not None else (t1 - t0) / 200.0
-    k_max = max((t1 - t0) / 10.0, dt0)
-    cfg = SolverConfig(tol=args.tol, dt0=dt0, t_begin=t0, t_end=t1, k_max=k_max)
+    cfg = SolverConfig(tol=args.tol, dt0=dt0, t_begin=t0, t_end=t1)
     if args.out:
         # an unwritable path fails here, before the solve, not after it
         open(args.out, "a").close()

@@ -89,17 +89,6 @@ class HistoryWindow:
     def y_n(self) -> Vector:
         return self.states[3]
 
-    def advance(self, t_new: float, y_new: Sequence[float]) -> "HistoryWindow":
-        """Slide the window by one accepted step, evicting the oldest entry."""
-        if not t_new > self.times[3]:
-            raise NonMonotonicTimes(
-                f"new time {t_new!r} does not advance past {self.times[3]!r}"
-            )
-        return HistoryWindow(
-            (self.times[1], self.times[2], self.times[3], t_new),
-            (self.states[1], self.states[2], self.states[3], tuple(y_new)),
-        )
-
 
 def window_from_points(points) -> HistoryWindow:
     """Build a HistoryWindow from four (t, y) pairs ordered oldest first."""
@@ -122,9 +111,10 @@ class SolverConfig:
     tol is an error-per-unit-step tolerance: a step of size k is accepted
     when the embedded estimate satisfies est <= tol * k.  dt0 is both the
     constant step of the fixed-step methods and the bootstrap/initial step
-    of the adaptive method.  k_max caps the adaptive step (default
-    span / 10); the floor k_min is fixed at 1e-12 * span.  The adaptive
-    controller's doubling divisor is fixed too (2**6, see adaptive.py).
+    of the adaptive method, and may not exceed the span.  k_max caps the
+    adaptive step (default max(span / 10, dt0)); the floor k_min is fixed
+    at 1e-12 * span.  The adaptive controller's doubling divisor is fixed
+    too (2**6, see adaptive.py).
     """
 
     tol: float = 1e-3
@@ -140,11 +130,13 @@ class SolverConfig:
         if not span > 0.0:
             raise ValueError("t_end must exceed t_begin")
         if self.k_max is None:
-            self.k_max = span / 10.0
+            self.k_max = max(span / 10.0, self.dt0)
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if not self.dt0 > 0.0:
             raise ValueError("dt0 must be positive")
+        if not self.dt0 <= span:
+            raise ValueError(f"dt0 {self.dt0!r} exceeds the span {span!r}")
         if not (self.k_min < self.dt0 <= self.k_max):
             raise ValueError(
                 f"need k_min < dt0 <= k_max, got {self.k_min!r} / "

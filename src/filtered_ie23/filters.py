@@ -9,35 +9,22 @@ Every driver and attempt_step take the curvature of the newest three
 states once per step from `curvature`, then call the unchecked kernel
 (pre_filtered, post_filtered, post_filtered_uniform) on each attempt.
 Each kernel call makes at most one call of its own (_beta_parts), as
-further calls measurably slowed the drivers, so it repeats the alpha,
-curvature, filter and estimate expressions of the checked functions;
-the tests pin the two to each other bit for bit.
+further calls measurably slowed the drivers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import HistoryWindow, Vector
-from .errors import DegenerateBeta, DimensionMismatch, NonPositiveStep
+from .core import Vector
+from .errors import DegenerateBeta, NonPositiveStep
 
 # Relative floor for the post-filter denominator.  The denominator is a
 # homogeneous degree-4 polynomial of the four steps, so the floor must be
 # compared against a degree-4 scale; max(steps)**4 keeps the test
 # meaningful for steps both far above and far below 1.
 _DEGENERACY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class FilterCoefficients:
-    """Pre- and post-filter coefficients for one candidate step."""
-
-    alpha: float
-    beta: float
-    beta_num: float
-    beta_den: float
 
 
 def _beta_parts(k_n: float, k_nm1: float, k_nm2: float,
@@ -64,7 +51,8 @@ def _estimate(y_second: Sequence[float], y_third: Sequence[float],
 
 def pre_filtered(k_n: float, k_nm1: float, k_nm2: float, y_n: Sequence[float],
                  kappa_prev: Sequence[float]) -> Vector:
-    """pre_filter of the window whose trailing curvature is kappa_prev."""
+    """The state handed to the implicit stage: y_n with half the
+    alpha-scaled trailing curvature kappa_prev removed."""
     half_a = 0.5 * (k_n * k_n / (k_nm1 * k_nm2))    # alpha_coeff, inlined
     return tuple([y_n[i] - half_a * kappa_prev[i] for i in range(len(y_n))])
 
@@ -133,7 +121,7 @@ def alpha_coeff(k_n: float, k_nm1: float, k_nm2: float) -> float:
     return k_n * k_n / (k_nm1 * k_nm2)
 
 
-def beta_coeff(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> FilterCoefficients:
+def beta_coeff(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
     """Post-filter gain for one candidate step.
 
     Closed form chosen so the complete step (pre-filter, implicit stage,
@@ -152,12 +140,7 @@ def beta_coeff(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> FilterCo
             f"post-filter denominator {den!r} vanishes for steps "
             f"({k_n!r}, {k_nm1!r}, {k_nm2!r}, {k_nm3!r})"
         )
-    return FilterCoefficients(
-        alpha=alpha_coeff(k_n, k_nm1, k_nm2),
-        beta=num / den,
-        beta_num=num,
-        beta_den=den,
-    )
+    return num / den
 
 
 def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
@@ -188,36 +171,3 @@ def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
     if dk == 0:
         raise DegenerateBeta("curvature difference vanishes on cubic data")
     return float((y_ie - t4 ** 3) / dk)
-
-
-def pre_filter(w: HistoryWindow, alpha: float) -> Vector:
-    """State handed to the implicit stage: the newest window state with
-    half the (alpha-scaled) trailing curvature removed."""
-    kappa_prev = curvature(w.k_nm2, w.k_nm1, *w.states[1:])
-    half_a = 0.5 * alpha
-    return tuple([w.y_n[i] - half_a * kappa_prev[i] for i in range(len(kappa_prev))])
-
-
-def post_filter(y_next: Sequence[float], w: HistoryWindow, k_n: float,
-                beta: float) -> Vector:
-    """Third-order correction of the implicit-stage output."""
-    kappa_prev = curvature(w.k_nm2, w.k_nm1, *w.states[1:])
-    kappa_cur = curvature(w.k_nm1, k_n, w.states[2], w.states[3], y_next)
-    return tuple([y_next[i] - beta * (kappa_cur[i] - kappa_prev[i])
-                  for i in range(len(y_next))])
-
-
-def error_estimate(y_second: Sequence[float], y_third: Sequence[float],
-                   component: Optional[int] = None) -> float:
-    """Embedded error estimate: the distance between the second- and
-    third-order values.
-
-    By default this is the max-norm over components; pass `component` to
-    read a single component instead (problems can request this through
-    OdeProblem.est_component).
-    """
-    if len(y_second) != len(y_third):
-        raise DimensionMismatch(
-            f"estimate over vectors of lengths {len(y_second)} and {len(y_third)}"
-        )
-    return _estimate(y_second, y_third, component)

@@ -16,9 +16,9 @@ import pytest
 
 from filtered_ie23 import (DegenerateBeta, Method, adaptive_run, alpha_coeff,
                            beta_coeff, beta_oracle, constant_run,
-                           convergence_table, model_problem, post_filter,
-                           pre_filter, quasi_periodic_problem,
-                           window_from_points)
+                           convergence_table, curvature, model_problem,
+                           quasi_periodic_problem)
+from filtered_ie23.filters import post_filtered, pre_filtered
 
 MODEL = model_problem()
 QP = quasi_periodic_problem()
@@ -81,7 +81,7 @@ def test_03_uniform_grid_coefficient_identities():
     for _ in range(100):
         k = 10.0 ** rng.uniform(-3.0, 3.0)
         worst = max(worst, abs(alpha_coeff(k, k, k) - 1.0))
-        beta = beta_coeff(k, k, k, k).beta
+        beta = beta_coeff(k, k, k, k)
         worst = max(worst, abs(beta - 5.0 / 11.0) / (5.0 / 11.0))
     assert worst <= 1e-14
     print(f"PASS 03 uniform-grid identities: worst relative deviation {worst:.2e}")
@@ -95,7 +95,7 @@ def test_04_beta_closed_form_matches_oracle():
     for _ in range(total):
         steps = tuple(rng.uniform(1e-3, 10.0) for _ in range(4))
         try:
-            closed = beta_coeff(*steps).beta
+            closed = beta_coeff(*steps)
             oracle = beta_oracle(*steps)
         except DegenerateBeta:
             excluded += 1
@@ -131,17 +131,19 @@ def test_05_polynomial_exactness():
         t3 = t2 + k1
         t4 = t3 + kn
 
+        # the steps as the history's times give them
+        k_nm1, k_nm2, k_nm3 = t3 - t2, t2 - t1, t1
+
         for power in (2, 3):
-            w = window_from_points(
-                [(0.0, (0.0,))] + [(t, (t ** power,)) for t in (t1, t2, t3)])
-            alpha = alpha_coeff(kn, w.k_nm1, w.k_nm2)
-            y_tilde = pre_filter(w, alpha)
+            y_nm2, y_nm1, y_n = ((t ** power,) for t in (t1, t2, t3))
+            kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
+            y_tilde = pre_filtered(kn, k_nm1, k_nm2, y_n, kappa_prev)
             y_stage = (y_tilde[0] + kn * power * t4 ** (power - 1),)
             if power == 2:
                 worst2 = max(worst2, abs(y_stage[0] - t4 ** 2) / t4 ** 2)
             else:
-                beta = beta_coeff(kn, w.k_nm1, w.k_nm2, w.k_nm3).beta
-                y_third = post_filter(y_stage, w, kn, beta)
+                y_third, _ = post_filtered(kn, k_nm1, k_nm2, k_nm3, y_nm1, y_n,
+                                           kappa_prev, y_stage, None)
                 worst3 = max(worst3, abs(y_third[0] - t4 ** 3) / t4 ** 3)
     elapsed = time.perf_counter() - t0
     assert worst2 <= 1e-12, f"quadratic reproduction off by {worst2:.3e}"

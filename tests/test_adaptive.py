@@ -5,9 +5,9 @@ import pytest
 
 from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
                            SolverConfig, Verdict, alpha_coeff, attempt_step,
-                           beta_coeff, error_estimate, implicit_euler_stage,
-                           model_problem, post_filter, pre_filter,
-                           solve_filtered_ie23, window_from_points)
+                           beta_coeff, curvature, implicit_euler_stage,
+                           model_problem, solve_filtered_ie23,
+                           window_from_points)
 from filtered_ie23.steppers import bootstrap
 
 SPEC = model_problem()
@@ -18,22 +18,34 @@ def _window():
     return bootstrap(P, 0.0, (1.0,), 0.01)
 
 
+def _compose(p, w, k, cfg):
+    """One step written out from the public formulas: pre-filter,
+    implicit stage, post-filter and max-norm estimate."""
+    _, y_nm2, y_nm1, y_n = w.states
+    kappa_prev = curvature(w.k_nm2, w.k_nm1, y_nm2, y_nm1, y_n)
+    half_a = 0.5 * alpha_coeff(k, w.k_nm1, w.k_nm2)
+    y_tilde = tuple([y_n[i] - half_a * kappa_prev[i] for i in range(len(y_n))])
+    y_second = implicit_euler_stage(p, w.t_n + k, k, y_tilde, y_n, cfg).y
+    kappa_cur = curvature(w.k_nm1, k, y_nm1, y_n, y_second)
+    beta = beta_coeff(k, w.k_nm1, w.k_nm2, w.k_nm3)
+    y_third = tuple([y_second[i] - beta * (kappa_cur[i] - kappa_prev[i])
+                     for i in range(len(y_second))])
+    est = max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])
+    return y_second, y_third, est
+
+
 class TestAttemptStep:
     def test_matches_manual_composition_exactly(self):
         w = _window()
         k = 0.01
         cfg = SolverConfig(tol=0.005, dt0=0.01, t_end=2.0)
         attempt = attempt_step(P, w, k, cfg)
-
-        alpha = alpha_coeff(k, w.k_nm1, w.k_nm2)
-        y_tilde = pre_filter(w, alpha)
-        out = implicit_euler_stage(P, w.t_n + k, k, y_tilde, w.y_n, cfg)
-        y_third = post_filter(out.y, w, k, beta_coeff(k, w.k_nm1, w.k_nm2, w.k_nm3).beta)
+        y_second, y_third, est = _compose(P, w, k, cfg)
 
         assert attempt.k_n == k
-        assert attempt.y_second == out.y
+        assert attempt.y_second == y_second
         assert attempt.y_third == y_third
-        assert attempt.est == error_estimate(out.y, y_third, P.est_component)
+        assert attempt.est == est
         assert attempt.est > 0.0
 
     def test_verdict_thresholds(self):
@@ -160,8 +172,8 @@ class TestOneKernel:
     def test_attempt_step_replays_every_accepted_row(self, tol, dt0):
         # the driver and attempt_step share the filter kernel: rebuilding
         # each accepted step's window from the trajectory and attempting
-        # that row's k reproduces the row bit for bit.  The checked public
-        # filters, composed by hand, give the same bits on these
+        # that row's k reproduces the row bit for bit.  The public
+        # formulas, composed by hand, give the same bits on these
         # non-uniform windows too.
         cfg = SolverConfig(tol=tol, dt0=dt0, t_end=2.0)
         traj, _ = solve_filtered_ie23(P, cfg, (1.0,))
@@ -174,10 +186,5 @@ class TestOneKernel:
             assert w.t_n + attempt.k_n == traj.times[i]
             assert attempt.y_third == traj.state(i)
             assert attempt.est == traj.est[i]
-
-            coeffs = beta_coeff(k, w.k_nm1, w.k_nm2, w.k_nm3)
-            y_tilde = pre_filter(w, coeffs.alpha)
-            y_second = implicit_euler_stage(P, w.t_n + k, k, y_tilde, w.y_n, cfg).y
-            assert y_second == attempt.y_second
-            assert post_filter(y_second, w, k, coeffs.beta) == attempt.y_third
-            assert error_estimate(y_second, attempt.y_third) == attempt.est
+            assert _compose(P, w, k, cfg) == (attempt.y_second, attempt.y_third,
+                                              attempt.est)

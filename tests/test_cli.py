@@ -1,4 +1,5 @@
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -130,6 +131,36 @@ class TestCompareCommand:
         out = capsys.readouterr().out
         assert "filtered-ie23" in out
         assert "ie-pre-post-3" in out
+
+    def test_dt0_above_a_tenth_of_the_span(self, capsys):
+        # the default k_max = max(span / 10, dt0) admits dt0 = 0.3 on [0, 2]
+        code = main(["compare", "--problem", "model",
+                     "--tol", "5e-3", "--dt0", "0.3"])
+        assert code == 0
+        assert "filtered-ie23      119" in capsys.readouterr().out
+
+
+def _readme_commands():
+    """(command, stdout) pairs of the README's command-line block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```text\n", 1)[1]
+    block = block.split("```", 1)[0]
+    pairs = []
+    for chunk in block.split("$ filtered-ie23 ")[1:]:
+        command, _, out = chunk.partition("\n")
+        pairs.append((command, out.rstrip("\n") + "\n"))
+    return pairs
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("command, stdout", README_COMMANDS,
+                         ids=[command for command, _ in README_COMMANDS])
+def test_readme_command_block(command, stdout, capsys):
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == stdout
 
 
 @pytest.mark.parametrize("argv, code", [

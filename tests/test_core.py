@@ -14,6 +14,11 @@ class TestSolverConfig:
         assert cfg.k_min == pytest.approx(2e-12)
         assert cfg.k_max == 0.2
 
+    def test_default_ceiling_admits_dt0(self):
+        # a dt0 above a tenth of the span raises the default ceiling to dt0
+        assert SolverConfig(dt0=0.3, t_end=2.0).k_max == 0.3
+        assert SolverConfig(dt0=1.0, t_end=1.0).k_max == 1.0
+
     def test_explicit_bounds_kept(self):
         cfg = SolverConfig(dt0=0.05, k_max=0.5)
         assert cfg.k_max == 0.5
@@ -44,6 +49,11 @@ class TestSolverConfig:
             SolverConfig(dt0=0.5, k_max=0.1)
         with pytest.raises(ValueError):
             SolverConfig(dt0=1e-13)     # below the floor k_min = 1e-12 * span
+        for dt0 in (1.5, math.inf):     # above the span of 1
+            with pytest.raises(ValueError, match="exceeds the span"):
+                SolverConfig(dt0=dt0)
+            with pytest.raises(ValueError, match="exceeds the span"):
+                SolverConfig(dt0=dt0, k_max=math.inf)
 
     @pytest.mark.parametrize("field, bad", [
         ("newton_max_iter", 0),
@@ -115,19 +125,6 @@ class TestHistoryWindow:
         assert (w.k_nm1, w.k_nm2, w.k_nm3) == (1.0, 0.5, 1.0)
         assert w.t_n == 2.5
         assert w.y_n == (3.0,)
-
-    def test_advance_slides_window(self):
-        w = self._window().advance(3.0, (4.0,))
-        assert w.times == (1.0, 1.5, 2.5, 3.0)
-        assert w.states[-1] == (4.0,)
-        assert w.states[0] == (1.0,)
-
-    def test_advance_rejects_stalled_time(self):
-        w = self._window()
-        with pytest.raises(NonMonotonicTimes):
-            w.advance(2.5, (4.0,))
-        with pytest.raises(NonMonotonicTimes):
-            w.advance(1.0, (4.0,))
 
     def test_from_points_validation(self):
         with pytest.raises(ValueError):

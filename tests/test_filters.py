@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from filtered_ie23 import (DegenerateBeta, DimensionMismatch, NonPositiveStep,
-                           alpha_coeff, beta_coeff, beta_oracle, curvature,
-                           error_estimate, post_filter, pre_filter,
-                           window_from_points)
-from filtered_ie23.filters import post_filtered, post_filtered_uniform
+from filtered_ie23 import (DegenerateBeta, HistoryWindow, NonPositiveStep,
+                           SolverConfig, alpha_coeff, attempt_step,
+                           beta_coeff, beta_oracle, curvature, model_problem)
+from filtered_ie23.filters import (_beta_parts, post_filtered,
+                                   post_filtered_uniform, pre_filtered)
+from filtered_ie23.steppers import bootstrap
 
 UNIFORM_BETA = 5.0 / 11.0
 
@@ -50,17 +51,14 @@ class TestAlpha:
 class TestBeta:
     def test_uniform_grid_value(self):
         for k in (0.5, 1.0, 2.0):
-            coeffs = beta_coeff(k, k, k, k)
-            assert coeffs.beta == UNIFORM_BETA
-            assert coeffs.beta == coeffs.beta_num / coeffs.beta_den
+            assert beta_coeff(k, k, k, k) == UNIFORM_BETA
             # the numerator/denominator pair is 10k^4 / 22k^4
-            assert coeffs.beta_num == 10.0 * k ** 4
-            assert coeffs.beta_den == 22.0 * k ** 4
+            assert _beta_parts(k, k, k, k) == (10.0 * k ** 4, 22.0 * k ** 4, False)
 
     def test_known_offgrid_values(self):
         # doubling after three uniform steps, and halving after three
-        assert beta_coeff(2.0, 1.0, 1.0, 1.0).beta == pytest.approx(3.0 / 5.0, rel=1e-14)
-        assert beta_coeff(0.5, 1.0, 1.0, 1.0).beta == pytest.approx(-6.0 / 13.0, rel=1e-14)
+        assert beta_coeff(2.0, 1.0, 1.0, 1.0) == pytest.approx(3.0 / 5.0, rel=1e-14)
+        assert beta_coeff(0.5, 1.0, 1.0, 1.0) == pytest.approx(-6.0 / 13.0, rel=1e-14)
 
     def test_degenerate_history_raises(self):
         with pytest.raises(DegenerateBeta):
@@ -81,47 +79,51 @@ class TestBeta:
         for steps in [(1.3, 0.7, 1.9, 0.4), (0.01, 0.02, 0.04, 0.04),
                       (5.0, 2.5, 2.5, 5.0)]:
             want = beta_oracle(*steps)
-            got = beta_coeff(*steps).beta
+            got = beta_coeff(*steps)
             assert got == pytest.approx(want, rel=1e-12)
 
 
-def _quadratic_window():
-    # y = t^2 on the uniform grid 0,1,2,3
-    return window_from_points(
-        [(0.0, (0.0,)), (1.0, (1.0,)), (2.0, (4.0,)), (3.0, (9.0,))]
-    )
+# the kernel on y = t^2 over the uniform grid 0, 1, 2, 3 in component 0
+# and zeros in component 1: the trailing curvature is (2, 0)
+Y_NM2, Y_NM1, Y_N = (1.0, 0.0), (4.0, 0.0), (9.0, 0.0)
+KAPPA_PREV = curvature(1.0, 1.0, Y_NM2, Y_NM1, Y_N)
+
+
+def _post_filtered(y_second, component=None):
+    return post_filtered(1.0, 1.0, 1.0, 1.0, Y_NM1, Y_N, KAPPA_PREV, y_second,
+                         component)
 
 
 class TestFilters:
     def test_pre_filter_uniform_arithmetic(self):
-        w = _quadratic_window()
-        # curvature of the last three points is 2; gain 1 removes half of it
-        assert pre_filter(w, alpha_coeff(1.0, 1.0, 1.0)) == (8.0,)
+        # gain 1 removes half of the trailing curvature
+        assert pre_filtered(1.0, 1.0, 1.0, Y_N, KAPPA_PREV) == (8.0, 0.0)
 
     def test_post_filter_uniform_arithmetic(self):
-        w = _quadratic_window()
-        # y_next = 20 gives kappa_cur = 6 against kappa_prev = 2
-        assert post_filter((20.0,), w, 1.0, 0.5) == (18.0,)
+        # y_second = (27, -22) gives kappa_cur = (13, -22) against
+        # kappa_prev = (2, 0), and beta = 5/11 moves it by (-5, 10)
+        assert _post_filtered((27.0, -22.0))[0] == (22.0, -12.0)
+
+    def test_degenerate_beta_gives_none(self):
+        assert post_filtered(3.0, 3.0, 6.0, 2.0, Y_NM1, Y_N, KAPPA_PREV,
+                             (27.0, -22.0), None) is None
 
     def test_filters_ignore_oldest_window_slot(self):
-        w = _quadratic_window()
-        shifted = window_from_points(
-            [(-5.0, (99.0,)), (1.0, (1.0,)), (2.0, (4.0,)), (3.0, (9.0,))]
-        )
-        assert pre_filter(w, 1.0) == pre_filter(shifted, 1.0)
-        assert post_filter((20.0,), w, 1.0, 0.5) == post_filter((20.0,), shifted, 1.0, 0.5)
+        # the oldest slot enters a step only through its time (k_nm3)
+        p = model_problem().problem
+        w = bootstrap(p, 0.0, (1.0,), 0.01)
+        shifted = HistoryWindow(w.times, ((99.0,),) + w.states[1:])
+        cfg = SolverConfig(tol=0.005, dt0=0.01, t_end=2.0)
+        assert attempt_step(p, shifted, 0.01, cfg) == attempt_step(p, w, 0.01, cfg)
 
 
 class TestErrorEstimate:
     def test_maxnorm_over_components(self):
-        assert error_estimate((1.0, 2.0), (1.5, 1.0)) == 1.0
+        assert _post_filtered((27.0, -22.0))[1] == 10.0
 
     def test_single_component_projection(self):
-        assert error_estimate((1.0, 2.0), (1.5, 1.0), component=0) == 0.5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            error_estimate((1.0,), (1.0, 2.0))
+        assert _post_filtered((27.0, -22.0), component=0)[1] == 5.0
+        assert _post_filtered((27.0, -22.0), component=1)[1] == 10.0
 
 
 class TestUniformClosedForm:

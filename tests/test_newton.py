@@ -74,6 +74,21 @@ class TestNonlinearStage:
         root = (1.0 - math.sqrt(0.6)) / 0.2
         assert out.y[0] == pytest.approx(root, rel=1e-10)
 
+    def test_zero_jacobian_entries_keep_positive_zero(self):
+        # the 3-D stage builds I - k*J entry by entry; a 0.0 Jacobian entry
+        # off the diagonal must stay +0.0 there, since the solve carries its
+        # sign into the update of the middle component, whose guess is -0.0
+        def rhs(t, y):
+            return (-y[0] * y[0], 0.0, -y[2] ** 3)
+
+        def jac(t, y):
+            return ((-2.0 * y[0], 0.0, 0.0), (0.0, 0.0, 0.0),
+                    (0.0, 0.0, -3.0 * y[2] ** 2))
+
+        start = (1.0, -0.0, 1.0)
+        y = implicit_euler_stage(OdeProblem(3, rhs, jac), 0.1, 0.1, start,
+                                 start, CFG).y
+        assert math.copysign(1.0, y[1]) == 1.0
 
     def test_time_only_rhs_matches_closed_form(self):
         # f independent of y: the stage equation is linear with solution

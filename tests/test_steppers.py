@@ -5,10 +5,11 @@ import pytest
 
 from filtered_ie23 import (DimensionMismatch, Method, NonFiniteState,
                            NonPositiveStep, OdeProblem, SolverConfig,
-                           model_problem, rk3_step, solve_filtered_ie23,
-                           quasi_periodic_problem, solve_ie_pre_2,
-                           solve_ie_pre_post_3, solve_rk4_reference,
-                           van_der_pol_problem)
+                           attempt_step, model_problem, rk3_step,
+                           solve_filtered_ie23, quasi_periodic_problem,
+                           solve_ie_pre_2, solve_ie_pre_post_3,
+                           solve_rk4_reference, van_der_pol_problem,
+                           window_from_points)
 from filtered_ie23.bench import constant_run
 from filtered_ie23.steppers import bootstrap
 
@@ -145,9 +146,15 @@ class TestRk4Reference:
         assert repr(traj.final_state()) == "(-2.0083407825889332, 0.032907065673611506)"
 
 
+def _attempt_from(p, cfg, y0):
+    """attempt_step from a window whose four states are all y0."""
+    w = window_from_points([(i * cfg.dt0, y0) for i in range(4)])
+    return attempt_step(p, w, cfg.dt0, cfg)
+
+
 class TestInitialStateCheck:
     SOLVERS = [solve_filtered_ie23, solve_ie_pre_2, solve_ie_pre_post_3,
-               solve_rk4_reference]
+               solve_rk4_reference, _attempt_from]
 
     @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("y0", [(1.0, 99.0), ()])
