@@ -15,19 +15,17 @@ Entry points:
   make_problem          test problems: model, quasi-periodic, model-analog,
                         van-der-pol
   convergence_table     constant-step refinement study
-  benchmark_suite       the full set of adaptive benchmark runs
 """
 
 from .adaptive import (AdaptiveRunStats, StepAttempt, Verdict, attempt_step,
                        solve_filtered_ie23)
 from .bench import (BenchRun, ConvergenceReport, ConvergenceRow, VdpComparison,
-                    adaptive_run, analog_benchmark_runs, benchmark_suite,
+                    adaptive_run, analog_benchmark_runs,
                     compare_adaptive_constant, constant_run, convergence_table,
                     emit_csv, model_benchmark_runs,
                     quasi_periodic_benchmark_run, read_csv, vdp_benchmark_runs,
                     vdp_reference)
-from .core import (HistoryWindow, OdeProblem, SolverConfig, Trajectory,
-                   window_from_points)
+from .core import OdeProblem, SolverConfig, Trajectory
 from .errors import (DegenerateBeta, DimensionMismatch, MinStepReached,
                      NewtonDiverged, NonFiniteState, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem, SolverError)
@@ -44,12 +42,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveRunStats", "BenchRun", "ConstantStepRun", "ConvergenceReport",
     "ConvergenceRow", "DegenerateBeta", "DimensionMismatch",
-    "HistoryWindow", "Method", "MinStepReached", "NewtonDiverged",
+    "Method", "MinStepReached", "NewtonDiverged",
     "NewtonOutcome", "NonFiniteState", "NonMonotonicTimes",
     "NonPositiveStep", "OdeProblem", "ProblemSpec", "SingularLinearSystem",
     "SolverConfig", "SolverError", "StepAttempt", "Trajectory",
     "VdpComparison", "Verdict", "adaptive_run", "alpha_coeff",
-    "analog_benchmark_runs", "attempt_step", "benchmark_suite",
+    "analog_benchmark_runs", "attempt_step",
     "beta_coeff", "beta_oracle", "compare_adaptive_constant",
     "constant_run", "convergence_table", "curvature", "emit_csv",
     "implicit_euler_stage", "make_problem", "model_analog_problem",
@@ -57,5 +55,5 @@ __all__ = [
     "quasi_periodic_benchmark_run", "quasi_periodic_problem", "read_csv",
     "rk3_step", "solve_filtered_ie23", "solve_ie_pre_2",
     "solve_ie_pre_post_3", "solve_rk4_reference", "van_der_pol_problem",
-    "vdp_benchmark_runs", "vdp_reference", "window_from_points",
+    "vdp_benchmark_runs", "vdp_reference",
 ]

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (HistoryWindow, OdeProblem, SolverConfig, Trajectory,
-                   Vector, all_finite, initial_state)
-from .errors import (MinStepReached, NewtonDiverged, NonPositiveStep,
-                     SingularLinearSystem)
+from .core import (OdeProblem, SolverConfig, Trajectory, Vector, all_finite,
+                   initial_state)
+from .errors import (MinStepReached, NewtonDiverged, NonMonotonicTimes,
+                     NonPositiveStep, SingularLinearSystem)
 from .filters import curvature, post_filtered, pre_filtered
 from .newton import implicit_euler_stage
 # perfbench/tracing.py rebinds rk3_step here, though only bootstrap calls it
@@ -57,28 +57,38 @@ class AdaptiveRunStats:
     newton_failures: int = 0
 
 
-def attempt_step(p: OdeProblem, w: HistoryWindow, k_n: float,
-                 cfg: SolverConfig) -> StepAttempt:
-    """Evaluate one candidate step without committing to it.
+def attempt_step(p: OdeProblem, points: Sequence[tuple[float, Sequence[float]]],
+                 k_n: float, cfg: SolverConfig) -> StepAttempt:
+    """Evaluate one candidate step of size k_n from the four most recent
+    accepted (t, y) points, oldest first, without committing to it.
 
     Solver-level failures (Newton divergence, degenerate post-filter)
     yield verdict HALVE with est = inf rather than raising, so the
     controller has a single rejection path.  solve_filtered_ie23 runs
-    the same arithmetic and accepts where this returns no HALVE.  A
-    window whose states do not have p's dimension raises
-    DimensionMismatch.
+    the same arithmetic and accepts where this returns no HALVE.  The
+    points are checked first: a count other than 4 raises ValueError, a
+    state without p's dimension DimensionMismatch, times that do not
+    strictly increase NonMonotonicTimes, and k_n <= 0 NonPositiveStep.
     """
-    initial_state(p, w.y_n)
-    if min(k_n, w.k_nm1, w.k_nm2, w.k_nm3) <= 0.0:
-        raise NonPositiveStep("attempt_step needs positive steps")
-    _, y_nm2, y_nm1, y_n = w.states
-    kappa_prev = curvature(w.k_nm2, w.k_nm1, y_nm2, y_nm1, y_n)
-    y_tilde = pre_filtered(k_n, w.k_nm1, w.k_nm2, y_n, kappa_prev)
+    if len(points) != 4:
+        raise ValueError(f"attempt_step needs 4 (t, y) points, got {len(points)}")
+    times = [float(t) for t, _ in points]
+    t_nm3, t_nm2, t_nm1, t_n = times
+    _, y_nm2, y_nm1, y_n = [initial_state(p, y) for _, y in points]
+    if not t_nm3 < t_nm2 < t_nm1 < t_n:
+        raise NonMonotonicTimes(f"times {times} are not strictly increasing")
+    if not k_n > 0.0:
+        raise NonPositiveStep(f"attempt_step needs a positive step, got {k_n!r}")
+    k_nm1 = t_n - t_nm1
+    k_nm2 = t_nm1 - t_nm2
+    k_nm3 = t_nm2 - t_nm3
+    kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
+    y_tilde = pre_filtered(k_n, k_nm1, k_nm2, y_n, kappa_prev)
     try:
-        y_second = implicit_euler_stage(p, w.t_n + k_n, k_n, y_tilde, y_n, cfg).y
+        y_second = implicit_euler_stage(p, t_n + k_n, k_n, y_tilde, y_n, cfg).y
     except (NewtonDiverged, SingularLinearSystem):
         return StepAttempt(k_n, None, None, math.inf, Verdict.HALVE)
-    filtered = post_filtered(k_n, w.k_nm1, w.k_nm2, w.k_nm3, y_nm1, y_n,
+    filtered = post_filtered(k_n, k_nm1, k_nm2, k_nm3, y_nm1, y_n,
                              kappa_prev, y_second, p.est_component)
     if filtered is None:
         return StepAttempt(k_n, None, None, math.inf, Verdict.HALVE)
@@ -126,18 +136,14 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     stats = AdaptiveRunStats()
 
     k = cfg.dt0
-    w = bootstrap(p, cfg.t_begin, y0, k)
-    for t, y, k_row in zip(w.times, w.states, (0.0, k, k, k)):
+    times, states = bootstrap(p, cfg.t_begin, y0, k)
+    for t, y, k_row in zip(times, states, (0.0, k, k, k)):
         traj.append(t, y, 0.0, k_row)
-    ts_w, ys_w = list(w.times), list(w.states)
+    t_nm3, t_nm2, t_nm1, t_n = times
+    _, y_nm2, y_nm1, y_n = states
+    k_nm3, k_nm2, k_nm1 = t_nm2 - t_nm3, t_nm1 - t_nm2, t_n - t_nm1
 
-    while ts_w[3] < t_edge:
-        t_n = ts_w[3]
-        y_nm2, y_nm1, y_n = ys_w[1], ys_w[2], ys_w[3]
-        k_nm1 = ts_w[3] - ts_w[2]
-        k_nm2 = ts_w[2] - ts_w[1]
-        k_nm3 = ts_w[1] - ts_w[0]
-
+    while t_n < t_edge:
         if k < k_min:
             k = k_min
         if k > k_max:
@@ -173,8 +179,9 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
                 )
 
         traj.append(t_next, y_third, est, k)
-        ts_w = [ts_w[1], ts_w[2], ts_w[3], t_next]
-        ys_w = [ys_w[1], ys_w[2], ys_w[3], y_third]
+        k_nm3, k_nm2, k_nm1 = k_nm2, k_nm1, t_next - t_n
+        y_nm2, y_nm1, y_n = y_nm1, y_n, y_third
+        t_n = t_next
         stats.accepted += 1
         if k < stats.min_k_used:
             stats.min_k_used = k

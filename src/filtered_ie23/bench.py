@@ -213,15 +213,6 @@ def vdp_benchmark_runs(mus: Sequence[float] = (1.0, 10.0, 100.0)) -> list[VdpCom
     return out
 
 
-def benchmark_suite() -> list[BenchRun]:
-    """Every adaptive run the benchmark tables rest on, for invariant audits."""
-    runs = model_benchmark_runs()
-    runs.append(quasi_periodic_benchmark_run())
-    runs.extend(analog_benchmark_runs())
-    runs.extend(c.run for c in vdp_benchmark_runs())
-    return runs
-
-
 # ---------------------------------------------------------------------------
 # CSV
 

@@ -57,53 +57,6 @@ def initial_state(p: OdeProblem, y0: Sequence[float]) -> Vector:
     return y
 
 
-@dataclass(frozen=True)
-class HistoryWindow:
-    """The four most recent accepted (t, y) pairs, oldest first.
-
-    Step sizes are derived from the stored times:
-    k_nm1 = times[3]-times[2], k_nm2 = times[2]-times[1],
-    k_nm3 = times[1]-times[0].
-    """
-
-    times: tuple[float, float, float, float]
-    states: tuple[Vector, Vector, Vector, Vector]
-
-    @property
-    def k_nm1(self) -> float:
-        return self.times[3] - self.times[2]
-
-    @property
-    def k_nm2(self) -> float:
-        return self.times[2] - self.times[1]
-
-    @property
-    def k_nm3(self) -> float:
-        return self.times[1] - self.times[0]
-
-    @property
-    def t_n(self) -> float:
-        return self.times[3]
-
-    @property
-    def y_n(self) -> Vector:
-        return self.states[3]
-
-
-def window_from_points(points) -> HistoryWindow:
-    """Build a HistoryWindow from four (t, y) pairs ordered oldest first."""
-    if len(points) != 4:
-        raise ValueError("a history window needs exactly 4 points")
-    times = tuple(float(t) for t, _ in points)
-    states = tuple(tuple(float(c) for c in y) for _, y in points)
-    for a, b in zip(times, times[1:]):
-        if not b > a:
-            raise NonMonotonicTimes(f"times {times} are not strictly increasing")
-    if len({len(s) for s in states}) != 1:
-        raise ValueError("window states have mixed dimensions")
-    return HistoryWindow(times, states)
-
-
 @dataclass
 class SolverConfig:
     """Settings shared by all solvers.

@@ -41,5 +41,5 @@ class NonFiniteState(SolverError):
 
 
 class MinStepReached(SolverError):
-    """The controller halved the step below the configured floor (or past
-    the per-step halving cap) without finding an acceptable step."""
+    """The controller halved the step below the floor k_min = 1e-12 * span
+    without finding an acceptable step."""

@@ -7,7 +7,10 @@ with partial pivoting is used; no array library is involved.
 Dimensions 1 and 2 get straight-line fast paths because the adaptive
 benchmarks spend millions of attempts there.  Those paths perform the same
 floating-point operations in the same order as the generic code, so results
-are bit-identical either way.
+are bit-identical either way.  What they save, on a 2-CPU Xeon under
+CPython 3.11 over 3 alternating process pairs: with the generic path alone
+the adaptive analog gamma = 1/3/5 runs took 3.72-4.20 s against 1.97-2.23 s,
+and van der Pol mu = 10 on [0, 50] took 2.27-2.55 s against 0.88-1.13 s.
 
 The dense solve finds its pivot with an explicit `>` loop rather than
 max(..., key=...): it makes the same comparisons in the same order, so the

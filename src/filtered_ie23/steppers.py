@@ -13,8 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import (HistoryWindow, OdeProblem, SolverConfig, Trajectory,
-                   Vector, all_finite, initial_state)
+from .core import (OdeProblem, SolverConfig, Trajectory, Vector, all_finite,
+                   initial_state)
 from .errors import DegenerateBeta, NonFiniteState, NonPositiveStep
 from .filters import (curvature, post_filtered, post_filtered_uniform,
                       pre_filtered)
@@ -30,8 +30,6 @@ class Method(enum.Enum):
 @dataclass(frozen=True)
 class ConstantStepRun:
     trajectory: Trajectory
-    dt: float
-    method: Method
 
 
 def rk3_step(p: OdeProblem, t: float, y: Vector, h: float) -> Vector:
@@ -48,8 +46,10 @@ def rk3_step(p: OdeProblem, t: float, y: Vector, h: float) -> Vector:
     )
 
 
-def bootstrap(p: OdeProblem, t0: float, y0: Sequence[float], dt: float) -> HistoryWindow:
-    """Three rk3 steps of size dt; returns the resulting 4-point window."""
+def bootstrap(p: OdeProblem, t0: float, y0: Sequence[float],
+              dt: float) -> tuple[tuple[float, ...], tuple[Vector, ...]]:
+    """Three rk3 steps of size dt from (t0, y0); returns the four times and
+    the four states, oldest first."""
     y = initial_state(p, y0)
     times = [t0]
     states = [y]
@@ -59,7 +59,7 @@ def bootstrap(p: OdeProblem, t0: float, y0: Sequence[float], dt: float) -> Histo
             raise NonFiniteState(f"bootstrap produced a non-finite state near t={times[-1]!r}")
         times.append(t0 + (i + 1) * dt)
         states.append(y)
-    return HistoryWindow(tuple(times), tuple(states))
+    return tuple(times), tuple(states)
 
 
 def _step_times(cfg: SolverConfig, dt: float) -> Iterator[float]:
@@ -97,7 +97,7 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     # then carries the same order as the method itself, keeping the whole
     # run inside the implicit Euler family.
     if third_order:
-        history = list(bootstrap(p, cfg.t_begin, y, dt).states)
+        _, history = bootstrap(p, cfg.t_begin, y, dt)
     else:
         history = [y]
         for t in times[:n_start]:
@@ -106,10 +106,10 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     for t, y in zip(times, history[1:]):
         traj.append(t, y, 0.0, dt)
 
+    y_nm2, y_nm1, y_n = history[-3:]
     t_prev = times[n_start - 1]
     for t_next in times[n_start:]:
         k = t_next - t_prev
-        y_nm2, y_nm1, y_n = history[-3:]
         # steps run at dt exactly, but a clamped final step at its own k
         uniform = abs(k - dt) <= 1e-9 * dt
         h = dt if uniform else k
@@ -128,10 +128,10 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
                 raise DegenerateBeta(f"post-filter degenerate at final step {k!r}, dt {dt!r}")
             y_next, est = filtered
         traj.append(t_next, y_next, est, k)
-        history = [y_nm1, y_n, y_next]
+        y_nm2, y_nm1, y_n = y_nm1, y_n, y_next
         t_prev = t_next
 
-    return ConstantStepRun(traj, dt, Method.IE_PRE_POST_3 if third_order else Method.IE_PRE_2)
+    return ConstantStepRun(traj)
 
 
 def solve_ie_pre_2(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -> ConstantStepRun:
@@ -180,4 +180,4 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
             raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
         append(t_next, y, 0.0, h)
         t_prev = t_next
-    return ConstantStepRun(traj, dt, Method.RK4_REF)
+    return ConstantStepRun(traj)

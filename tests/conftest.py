@@ -48,7 +48,8 @@ def bench_vdp():
 
 @pytest.fixture(scope="session")
 def all_bench_runs(bench_model, bench_qp, bench_analog, bench_vdp):
-    """Every adaptive benchmark run, in benchmark_suite() order."""
+    """Every adaptive benchmark run: model, quasi-periodic, analog, then
+    van der Pol."""
     return [
         *bench_model.value,
         bench_qp.value,

@@ -3,11 +3,11 @@ import re
 
 import pytest
 
-from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
+from filtered_ie23 import (DimensionMismatch, MinStepReached, NonFiniteState,
+                           NonMonotonicTimes, NonPositiveStep, OdeProblem,
                            SolverConfig, Verdict, alpha_coeff, attempt_step,
                            beta_coeff, curvature, implicit_euler_stage,
-                           model_problem, solve_filtered_ie23,
-                           window_from_points)
+                           model_problem, solve_filtered_ie23)
 from filtered_ie23.steppers import bootstrap
 
 SPEC = model_problem()
@@ -15,19 +15,21 @@ P = SPEC.problem
 
 
 def _window():
-    return bootstrap(P, 0.0, (1.0,), 0.01)
+    """The four bootstrap points of the model problem, as (t, y) pairs."""
+    return list(zip(*bootstrap(P, 0.0, (1.0,), 0.01)))
 
 
-def _compose(p, w, k, cfg):
+def _compose(p, points, k, cfg):
     """One step written out from the public formulas: pre-filter,
     implicit stage, post-filter and max-norm estimate."""
-    _, y_nm2, y_nm1, y_n = w.states
-    kappa_prev = curvature(w.k_nm2, w.k_nm1, y_nm2, y_nm1, y_n)
-    half_a = 0.5 * alpha_coeff(k, w.k_nm1, w.k_nm2)
+    (t_nm3, _), (t_nm2, y_nm2), (t_nm1, y_nm1), (t_n, y_n) = points
+    k_nm1, k_nm2, k_nm3 = t_n - t_nm1, t_nm1 - t_nm2, t_nm2 - t_nm3
+    kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
+    half_a = 0.5 * alpha_coeff(k, k_nm1, k_nm2)
     y_tilde = tuple([y_n[i] - half_a * kappa_prev[i] for i in range(len(y_n))])
-    y_second = implicit_euler_stage(p, w.t_n + k, k, y_tilde, y_n, cfg).y
-    kappa_cur = curvature(w.k_nm1, k, y_nm1, y_n, y_second)
-    beta = beta_coeff(k, w.k_nm1, w.k_nm2, w.k_nm3)
+    y_second = implicit_euler_stage(p, t_n + k, k, y_tilde, y_n, cfg).y
+    kappa_cur = curvature(k_nm1, k, y_nm1, y_n, y_second)
+    beta = beta_coeff(k, k_nm1, k_nm2, k_nm3)
     y_third = tuple([y_second[i] - beta * (kappa_cur[i] - kappa_prev[i])
                      for i in range(len(y_second))])
     est = max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])
@@ -79,6 +81,46 @@ class TestAttemptStep:
         assert attempt.est == math.inf
         assert attempt.y_second is None
         assert attempt.y_third is None
+
+
+class TestAttemptStepPoints:
+    CFG = SolverConfig(tol=0.005, dt0=0.01, t_end=2.0)
+    POINTS = [(0.0, (1.0,)), (0.01, (1.01,)), (0.02, (1.02,)), (0.03, (1.03,))]
+
+    def _with(self, i, point):
+        points = list(self.POINTS)
+        points[i] = point
+        return points
+
+    def test_needs_exactly_four_points(self):
+        for points in (self.POINTS[:2], self.POINTS[:3], self.POINTS + [(0.04, (1.04,))]):
+            with pytest.raises(ValueError, match="4"):
+                attempt_step(P, points, 0.01, self.CFG)
+
+    def test_times_must_strictly_increase(self):
+        with pytest.raises(NonMonotonicTimes):
+            attempt_step(P, self._with(2, (0.01, (1.02,))), 0.01, self.CFG)
+        with pytest.raises(NonMonotonicTimes):
+            attempt_step(P, self._with(0, (math.nan, (1.0,))), 0.01, self.CFG)
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 3])
+    def test_every_state_must_match_the_dimension(self, i):
+        # unchecked, a 2-D y_nm2 (i = 1) gave a silent HALVE read from its
+        # first component, and a 2-D y_nm1 (i = 2) a bare IndexError
+        t, y = self.POINTS[i]
+        with pytest.raises(DimensionMismatch):
+            attempt_step(P, self._with(i, (t, y + (7.0,))), 0.01, self.CFG)
+
+    @pytest.mark.parametrize("k_n", [0.0, -0.01, math.nan])
+    def test_step_must_be_positive(self, k_n):
+        with pytest.raises(NonPositiveStep):
+            attempt_step(P, self.POINTS, k_n, self.CFG)
+
+    def test_int_points_give_the_float_result(self):
+        ints = [(0, (0,)), (1, (1,)), (2, (2,)), (3, (3,))]
+        floats = [(0.0, (0.0,)), (1.0, (1.0,)), (2.0, (2.0,)), (3.0, (3.0,))]
+        cfg = SolverConfig(tol=0.005, dt0=1.0, t_end=40.0)
+        assert attempt_step(P, ints, 1, cfg) == attempt_step(P, floats, 1.0, cfg)
 
 
 class TestAdaptiveSolve:
@@ -170,21 +212,20 @@ class TestDoublingGuard:
 class TestOneKernel:
     @pytest.mark.parametrize("tol, dt0", [(5e-3, 1e-2), (2.5e-4, 1e-3)])
     def test_attempt_step_replays_every_accepted_row(self, tol, dt0):
-        # the driver and attempt_step share the filter kernel: rebuilding
-        # each accepted step's window from the trajectory and attempting
-        # that row's k reproduces the row bit for bit.  The public
-        # formulas, composed by hand, give the same bits on these
-        # non-uniform windows too.
+        # the driver and attempt_step share the filter kernel: handing
+        # attempt_step the four rows before each accepted step and that
+        # row's k reproduces the row bit for bit.  The public formulas,
+        # composed by hand, give the same bits on these non-uniform
+        # histories too.
         cfg = SolverConfig(tol=tol, dt0=dt0, t_end=2.0)
         traj, _ = solve_filtered_ie23(P, cfg, (1.0,))
         for i in range(4, len(traj)):
-            w = window_from_points(
-                [(traj.times[j], traj.state(j)) for j in range(i - 4, i)])
+            points = [(traj.times[j], traj.state(j)) for j in range(i - 4, i)]
             k = traj.ks[i]
-            attempt = attempt_step(P, w, k, cfg)
+            attempt = attempt_step(P, points, k, cfg)
             assert attempt.verdict is not Verdict.HALVE
-            assert w.t_n + attempt.k_n == traj.times[i]
+            assert traj.times[i - 1] + attempt.k_n == traj.times[i]
             assert attempt.y_third == traj.state(i)
             assert attempt.est == traj.est[i]
-            assert _compose(P, w, k, cfg) == (attempt.y_second, attempt.y_third,
-                                              attempt.est)
+            assert _compose(P, points, k, cfg) == (attempt.y_second,
+                                                   attempt.y_third, attempt.est)

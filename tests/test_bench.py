@@ -17,13 +17,13 @@ class TestConstantRun:
     def test_wiring(self):
         run = constant_run(Method.IE_PRE_POST_3, MODEL, 40)
         assert len(run.trajectory) == 41
-        assert run.dt == 0.05
-        assert run.method is Method.IE_PRE_POST_3
+        assert list(run.trajectory.ks[1:4]) == [0.05] * 3
+        assert run.trajectory.est[-1] > 0.0
         assert run.trajectory.final_time() == 2.0
 
     def test_range_override(self):
         run = constant_run(Method.RK4_REF, MODEL, 10, t_range=(0.0, 1.0))
-        assert run.dt == 0.1
+        assert list(run.trajectory.ks[1:]) == [0.1] * 10
         assert run.trajectory.final_time() == 1.0
 
 

@@ -2,8 +2,7 @@ import math
 
 import pytest
 
-from filtered_ie23 import (NonMonotonicTimes, SolverConfig, Trajectory,
-                           window_from_points)
+from filtered_ie23 import NonMonotonicTimes, SolverConfig, Trajectory
 from filtered_ie23.core import all_finite, maxnorm
 
 
@@ -112,36 +111,6 @@ class TestTrajectory:
         assert traj.final_error(exact) == 0.5
         assert traj.final_error(exact, component=0) == 0.0
         assert traj.final_error(exact, component=1) == 0.5
-
-
-class TestHistoryWindow:
-    def _window(self):
-        return window_from_points(
-            [(0.0, (0.0,)), (1.0, (1.0,)), (1.5, (2.0,)), (2.5, (3.0,))]
-        )
-
-    def test_derived_steps_and_accessors(self):
-        w = self._window()
-        assert (w.k_nm1, w.k_nm2, w.k_nm3) == (1.0, 0.5, 1.0)
-        assert w.t_n == 2.5
-        assert w.y_n == (3.0,)
-
-    def test_from_points_validation(self):
-        with pytest.raises(ValueError):
-            window_from_points([(0.0, (0.0,)), (1.0, (1.0,))])
-        with pytest.raises(NonMonotonicTimes):
-            window_from_points(
-                [(0.0, (0.0,)), (1.0, (1.0,)), (1.0, (2.0,)), (2.0, (3.0,))]
-            )
-        with pytest.raises(ValueError):
-            window_from_points(
-                [(0.0, (0.0,)), (1.0, (1.0, 2.0)), (2.0, (2.0,)), (3.0, (3.0,))]
-            )
-
-    def test_from_points_coerces_to_floats(self):
-        w = window_from_points([(0, (0,)), (1, (1,)), (2, (2,)), (3, (3,))])
-        assert w.times == (0.0, 1.0, 2.0, 3.0)
-        assert w.states[1] == (1.0,)
 
 
 def test_maxnorm():

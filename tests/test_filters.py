@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from filtered_ie23 import (DegenerateBeta, HistoryWindow, NonPositiveStep,
+from filtered_ie23 import (DegenerateBeta, NonPositiveStep,
                            SolverConfig, alpha_coeff, attempt_step,
                            beta_coeff, beta_oracle, curvature, model_problem)
 from filtered_ie23.filters import (_beta_parts, post_filtered,
@@ -111,10 +111,10 @@ class TestFilters:
     def test_filters_ignore_oldest_window_slot(self):
         # the oldest slot enters a step only through its time (k_nm3)
         p = model_problem().problem
-        w = bootstrap(p, 0.0, (1.0,), 0.01)
-        shifted = HistoryWindow(w.times, ((99.0,),) + w.states[1:])
+        points = list(zip(*bootstrap(p, 0.0, (1.0,), 0.01)))
+        shifted = [(points[0][0], (99.0,))] + points[1:]
         cfg = SolverConfig(tol=0.005, dt0=0.01, t_end=2.0)
-        assert attempt_step(p, shifted, 0.01, cfg) == attempt_step(p, w, 0.01, cfg)
+        assert attempt_step(p, shifted, 0.01, cfg) == attempt_step(p, points, 0.01, cfg)
 
 
 class TestErrorEstimate:

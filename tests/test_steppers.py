@@ -8,8 +8,7 @@ from filtered_ie23 import (DimensionMismatch, Method, NonFiniteState,
                            attempt_step, model_problem, rk3_step,
                            solve_filtered_ie23, quasi_periodic_problem,
                            solve_ie_pre_2, solve_ie_pre_post_3,
-                           solve_rk4_reference, van_der_pol_problem,
-                           window_from_points)
+                           solve_rk4_reference, van_der_pol_problem)
 from filtered_ie23.bench import constant_run
 from filtered_ie23.steppers import bootstrap
 
@@ -44,12 +43,13 @@ class TestRk3:
             rk3_step(P, 0.0, (1.0,), 0.0)
 
     def test_bootstrap_iterates_rk3(self):
-        w = bootstrap(P, 0.0, (1.0,), 0.25)
-        assert w.times == (0.0, 0.25, 0.5, 0.75)
+        times, states = bootstrap(P, 0.0, (1.0,), 0.25)
+        assert times == (0.0, 0.25, 0.5, 0.75)
+        assert states[0] == (1.0,)
         y = (1.0,)
         for i in range(3):
             y = rk3_step(P, 0.25 * i, y, 0.25)
-            assert w.states[i + 1] == y
+            assert states[i + 1] == y
 
 
 class TestThirdOrderConstant:
@@ -63,8 +63,6 @@ class TestThirdOrderConstant:
         run = solve_ie_pre_post_3(P, _cfg(0.05), (1.0,))
         err = run.trajectory.final_error(P.exact)
         assert err == pytest.approx(1.6954053552584725e-03, rel=1e-12, abs=0)
-        assert run.method is Method.IE_PRE_POST_3
-        assert run.dt == 0.05
 
     def test_interior_estimates_are_positive(self):
         run = solve_ie_pre_post_3(P, _cfg(0.05), (1.0,))
@@ -147,9 +145,8 @@ class TestRk4Reference:
 
 
 def _attempt_from(p, cfg, y0):
-    """attempt_step from a window whose four states are all y0."""
-    w = window_from_points([(i * cfg.dt0, y0) for i in range(4)])
-    return attempt_step(p, w, cfg.dt0, cfg)
+    """attempt_step from four points whose states are all y0."""
+    return attempt_step(p, [(i * cfg.dt0, y0) for i in range(4)], cfg.dt0, cfg)
 
 
 class TestInitialStateCheck:
