@@ -67,18 +67,19 @@ def attempt_step(p: OdeProblem, points: Sequence[tuple[float, Sequence[float]]],
     controller has a single rejection path.  solve_filtered_ie23 runs
     the same arithmetic and accepts where this returns no HALVE.  The
     points are checked first: a count other than 4 raises ValueError, a
-    state without p's dimension DimensionMismatch, times that do not
-    strictly increase NonMonotonicTimes, and k_n <= 0 NonPositiveStep.
+    state without p's dimension DimensionMismatch, times that are not
+    finite and strictly increasing NonMonotonicTimes, and a k_n that is
+    not finite and positive NonPositiveStep.
     """
     if len(points) != 4:
         raise ValueError(f"attempt_step needs 4 (t, y) points, got {len(points)}")
     times = [float(t) for t, _ in points]
     t_nm3, t_nm2, t_nm1, t_n = times
     _, y_nm2, y_nm1, y_n = [initial_state(p, y) for _, y in points]
-    if not t_nm3 < t_nm2 < t_nm1 < t_n:
-        raise NonMonotonicTimes(f"times {times} are not strictly increasing")
-    if not k_n > 0.0:
-        raise NonPositiveStep(f"attempt_step needs a positive step, got {k_n!r}")
+    if not -math.inf < t_nm3 < t_nm2 < t_nm1 < t_n < math.inf:
+        raise NonMonotonicTimes(f"times {times} are not finite and strictly increasing")
+    if not 0.0 < k_n < math.inf:
+        raise NonPositiveStep(f"attempt_step needs a finite positive step, got {k_n!r}")
     k_nm1 = t_n - t_nm1
     k_nm2 = t_nm1 - t_nm2
     k_nm3 = t_nm2 - t_nm3
@@ -108,16 +109,16 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
 
     Startup takes three third-order explicit steps of size dt0 (recorded
     with est = 0); filtering and step control begin once four history
-    points exist.  The candidate step is clamped to [cfg.k_min, k_max] and
-    to the remaining span, and halved on rejection.  The fixed floor
-    cfg.k_min = 1e-12 * span alone ends a halving cascade: a step that
-    falls below it raises MinStepReached.  No attempt starts above the
-    span, so that takes at most 40 halvings.  After a step whose estimate
-    is below tol * k / 2**6 (a fixed divisor) the next step is doubled,
-    provided the doubled step still fits under k_max.  So each
-    accepted step is the one before it times 2**e, integer e <= 1, except
-    that a step clamped to the remaining span t_end - t_n is that span
-    times 2**e, e <= 0.
+    points exist.  The candidate step is clamped to the remaining span and
+    halved on rejection.  The fixed floor cfg.k_min = 1e-12 * span alone
+    ends a halving cascade: a step that falls below it raises
+    MinStepReached.  No attempt starts above the span, so that takes at
+    most 40 halvings.  After a step whose estimate is below tol * k / 2**6
+    (a fixed divisor) the next step is doubled, provided the doubled step
+    still fits under k_max; as dt0 <= k_max, no step exceeds k_max.  So
+    each accepted step is the one before it times 2**e, integer e <= 1,
+    except that a step clamped to the remaining span t_end - t_n is that
+    span times 2**e, e <= 0.
 
     Attempts that produce a non-finite state or estimate are rejected and
     retried at half the step; a non-finite bootstrap state raises
@@ -144,10 +145,6 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     k_nm3, k_nm2, k_nm1 = t_nm2 - t_nm3, t_nm1 - t_nm2, t_n - t_nm1
 
     while t_n < t_edge:
-        if k < k_min:
-            k = k_min
-        if k > k_max:
-            k = k_max
         remaining = cfg.t_end - t_n
         if k > remaining:
             k = remaining

@@ -67,7 +67,8 @@ class SolverConfig:
     of the adaptive method, and may not exceed the span.  k_max caps the
     adaptive step (default max(span / 10, dt0)); the floor k_min is fixed
     at 1e-12 * span.  The adaptive controller's doubling divisor is fixed
-    too (2**6, see adaptive.py).
+    too (2**6, see adaptive.py), and so is the Newton stopping rule of the
+    implicit stage (see newton.py).
     """
 
     tol: float = 1e-3
@@ -75,8 +76,6 @@ class SolverConfig:
     t_begin: float = 0.0
     t_end: float = 1.0
     k_max: Optional[float] = None
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 25
 
     def __post_init__(self):
         span = self.t_end - self.t_begin
@@ -95,9 +94,6 @@ class SolverConfig:
                 f"need k_min < dt0 <= k_max, got {self.k_min!r} / "
                 f"{self.dt0!r} / {self.k_max!r}"
             )
-        if not self.newton_max_iter >= 1:
-            raise ValueError(
-                f"newton_max_iter must be at least 1, got {self.newton_max_iter!r}")
 
     @property
     def span(self) -> float:

@@ -28,6 +28,9 @@ from .errors import NewtonDiverged, NonPositiveStep, SingularLinearSystem
 
 _SQRT_EPS = math.sqrt(2.0 ** -52)
 _PIVOT_FLOOR = 1e-300
+# implicit_euler_stage's stopping rule, the same for every caller
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 25
 
 
 class NewtonOutcome(NamedTuple):
@@ -83,9 +86,10 @@ def _solve_dense(m: list[list[float]], rhs: list[float]) -> list[float]:
     return rhs
 
 
-def _stage_dim1(rhs, jac, t_next: float, k_n: float, yt0: float, y0: float,
-                ntol: float, max_iter: int) -> NewtonOutcome:
+def _stage_dim1(rhs, jac, t_next: float, k_n: float, yt0: float,
+                y0: float) -> NewtonOutcome:
     isfinite = math.isfinite
+    ntol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
     iterations = 0
     while True:
         f = rhs(t_next, (y0,))
@@ -110,9 +114,9 @@ def _stage_dim1(rhs, jac, t_next: float, k_n: float, yt0: float, y0: float,
 
 
 def _stage_dim2(rhs, jac, t_next: float, k_n: float, yt0: float, yt1: float,
-                y0: float, y1: float, ntol: float,
-                max_iter: int) -> NewtonOutcome:
+                y0: float, y1: float) -> NewtonOutcome:
     isfinite = math.isfinite
+    ntol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
     iterations = 0
     while True:
         f = rhs(t_next, (y0, y1))
@@ -171,9 +175,13 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
 
     The iteration starts from y_guess (callers pass the latest accepted
     state) and stops when the residual max-norm falls below
-    newton_tol * (1 + maxnorm(y)).  Each update solves
+    _NEWTON_TOL * (1 + maxnorm(y)); it raises NewtonDiverged after
+    _NEWTON_MAX_ITER updates without that.  Each update solves
     (I - k_n * J) delta = -g with J the problem Jacobian (analytic when
     provided, else forward finite differences).
+
+    cfg is not read.  The parameter stays because perfbench/tracing.py
+    wraps this function with exactly these six arguments.
     """
     if k_n <= 0.0:
         raise NonPositiveStep(f"implicit stage needs a positive step, got {k_n!r}")
@@ -182,14 +190,11 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
     if jac is not None:
         if d == 2:
             return _stage_dim2(p.rhs, jac, t_next, k_n, y_tilde[0], y_tilde[1],
-                               y_guess[0], y_guess[1], cfg.newton_tol,
-                               cfg.newton_max_iter)
+                               y_guess[0], y_guess[1])
         if d == 1:
-            return _stage_dim1(p.rhs, jac, t_next, k_n, y_tilde[0], y_guess[0],
-                               cfg.newton_tol, cfg.newton_max_iter)
+            return _stage_dim1(p.rhs, jac, t_next, k_n, y_tilde[0], y_guess[0])
     rhs = p.rhs
-    ntol = cfg.newton_tol
-    max_iter = cfg.newton_max_iter
+    ntol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
     y = list(y_guess)
     iterations = 0
     while True:

@@ -82,6 +82,14 @@ class TestAttemptStep:
         assert attempt.y_second is None
         assert attempt.y_third is None
 
+    def test_degenerate_beta_becomes_halve(self):
+        # steps (2, 6, 3), oldest first, and k_n = 3 zero beta's denominator
+        points = [(0.0, (1.0,)), (2.0, (1.0,)), (8.0, (1.0,)), (11.0, (1.0,))]
+        attempt = attempt_step(P, points, 3.0, SolverConfig(dt0=1.0, t_end=40.0))
+        assert attempt.verdict is Verdict.HALVE
+        assert attempt.est == math.inf
+        assert attempt.y_second is None
+
 
 class TestAttemptStepPoints:
     CFG = SolverConfig(tol=0.005, dt0=0.01, t_end=2.0)
@@ -102,6 +110,12 @@ class TestAttemptStepPoints:
             attempt_step(P, self._with(2, (0.01, (1.02,))), 0.01, self.CFG)
         with pytest.raises(NonMonotonicTimes):
             attempt_step(P, self._with(0, (math.nan, (1.0,))), 0.01, self.CFG)
+        # infinite times increase, but unchecked they gave a silent HALVE:
+        # est = inf, and y_third = (nan,)
+        with pytest.raises(NonMonotonicTimes):
+            attempt_step(P, self._with(3, (math.inf, (1.03,))), 0.01, self.CFG)
+        with pytest.raises(NonMonotonicTimes):
+            attempt_step(P, self._with(0, (-math.inf, (1.0,))), 0.01, self.CFG)
 
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
     def test_every_state_must_match_the_dimension(self, i):
@@ -111,7 +125,7 @@ class TestAttemptStepPoints:
         with pytest.raises(DimensionMismatch):
             attempt_step(P, self._with(i, (t, y + (7.0,))), 0.01, self.CFG)
 
-    @pytest.mark.parametrize("k_n", [0.0, -0.01, math.nan])
+    @pytest.mark.parametrize("k_n", [0.0, -0.01, math.nan, math.inf])
     def test_step_must_be_positive(self, k_n):
         with pytest.raises(NonPositiveStep):
             attempt_step(P, self.POINTS, k_n, self.CFG)

@@ -122,6 +122,11 @@ class TestConvergenceCommand:
         assert main(["convergence", "--problem", "model",
                      "--steps", "80,40"]) == 2
 
+    @pytest.mark.parametrize("steps", [",", ""])
+    def test_rejects_empty_steps(self, steps, capsys):
+        assert main(["convergence", "--problem", "model", "--steps", steps]) == 2
+        assert "usage error: steps_list must not be empty" in capsys.readouterr().err
+
 
 class TestCompareCommand:
     def test_equal_work_rows(self, capsys):

@@ -6,7 +6,7 @@ from filtered_ie23 import (NewtonDiverged, NonPositiveStep, OdeProblem,
                            SingularLinearSystem, SolverConfig,
                            implicit_euler_stage, quasi_periodic_problem)
 from filtered_ie23.core import maxnorm
-from filtered_ie23.newton import _solve_dense
+from filtered_ie23.newton import _NEWTON_TOL, _solve_dense
 
 CFG = SolverConfig()
 
@@ -27,6 +27,16 @@ def _linear_2d(a, with_jac=True):
     return OdeProblem(2, rhs, (lambda t, y: a) if with_jac else None)
 
 
+def _uncoupled(d, f, df):
+    """d uncoupled copies of y' = f(y), with the diagonal Jacobian df(y).
+    d = 1 and d = 2 take the straight-line paths, d = 3 the generic one."""
+    def jac(t, y):
+        return tuple([tuple([df(c) if i == j else 0.0 for j in range(d)])
+                      for i, c in enumerate(y)])
+
+    return OdeProblem(d, lambda t, y: tuple([f(c) for c in y]), jac)
+
+
 class TestLinearStages:
     def test_scalar_with_jacobian(self):
         # y = y_tilde / (1 - k*lam), and Newton needs one update on a
@@ -34,7 +44,7 @@ class TestLinearStages:
         out = implicit_euler_stage(_linear_1d(2.0), 0.5, 0.1, (1.0,), (1.0,), CFG)
         assert out.y[0] == pytest.approx(1.25, rel=1e-14)
         assert out.iterations <= 2
-        assert out.residual_norm <= CFG.newton_tol * (1.0 + maxnorm(out.y))
+        assert out.residual_norm <= _NEWTON_TOL * (1.0 + maxnorm(out.y))
 
     def test_scalar_finite_difference_jacobian(self):
         out = implicit_euler_stage(_linear_1d(2.0, with_jac=False),
@@ -62,7 +72,7 @@ class TestLinearStages:
         out = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
         f = p.rhs(0.35, out.y)
         residual = maxnorm([out.y[i] - y[i] - 0.05 * f[i] for i in range(4)])
-        assert residual <= CFG.newton_tol * (1.0 + maxnorm(out.y))
+        assert residual <= _NEWTON_TOL * (1.0 + maxnorm(out.y))
         assert residual == pytest.approx(out.residual_norm, abs=1e-15)
 
 
@@ -142,3 +152,42 @@ class TestFailureModes:
                        lambda t, y: ((2.0 * y[0],),))
         with pytest.raises(NewtonDiverged):
             implicit_euler_stage(p, 1.0, 1.0, (1.0,), (1.0,), CFG)
+
+    def test_singular_dense_matrix(self):
+        # k*J = I makes I - k*J vanish on the generic path too
+        ones = (1.0,) * 3
+        with pytest.raises(SingularLinearSystem):
+            implicit_euler_stage(_uncoupled(3, lambda c: c, lambda c: 1.0),
+                                 1.0, 1.0, ones, ones, CFG)
+
+    # the 1-D path of the next two cases is tested above
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nonfinite_rhs_diverges_on_every_path(self, d):
+        ones = (1.0,) * d
+        p = _uncoupled(d, lambda c: math.nan, lambda c: 0.0)
+        with pytest.raises(NewtonDiverged, match="non-finite residual"):
+            implicit_euler_stage(p, 0.5, 0.1, ones, ones, CFG)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rootless_stage_equation_diverges_on_every_path(self, d):
+        ones = (1.0,) * d
+        p = _uncoupled(d, lambda c: c * c, lambda c: 2.0 * c)
+        with pytest.raises(NewtonDiverged, match="no convergence in 25 iterations"):
+            implicit_euler_stage(p, 1.0, 1.0, ones, ones, CFG)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_overflowing_update_diverges(self, d):
+        # a Jacobian of (1 - 2**-52) * I, against an rhs of 0, leaves the
+        # Newton matrix 2**-52 * I: the finite residual 1e300 then sends the
+        # first update to -inf
+        p = _uncoupled(d, lambda c: 0.0, lambda c: 1.0 - 2.0 ** -52)
+        zeros = (0.0,) * d
+        with pytest.raises(NewtonDiverged, match="non-finite iterate"):
+            implicit_euler_stage(p, 1.0, 1.0, (-1e300,) + zeros[1:], zeros, CFG)
+
+    def test_singular_planar_matrix_after_elimination(self):
+        # I - k*J = ((1, 1), (1, 1)): the first pivot is 1, the second 0
+        p = _linear_2d(((0.0, -1.0), (-1.0, 0.0)))
+        with pytest.raises(SingularLinearSystem):
+            implicit_euler_stage(p, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0), CFG)

@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from filtered_ie23 import (DimensionMismatch, Method, NonFiniteState,
-                           NonPositiveStep, OdeProblem, SolverConfig,
-                           attempt_step, model_problem, rk3_step,
+from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
+                           NonFiniteState, NonPositiveStep, OdeProblem,
+                           SolverConfig, attempt_step, model_problem, rk3_step,
                            solve_filtered_ie23, quasi_periodic_problem,
                            solve_ie_pre_2, solve_ie_pre_post_3,
                            solve_rk4_reference, van_der_pol_problem)
@@ -81,6 +81,16 @@ class TestThirdOrderConstant:
         with pytest.raises(ValueError):
             solve_ie_pre_post_3(P, _cfg(0.5, t_end=1.0), (1.0,))
 
+    def test_degenerate_clamped_final_step(self):
+        # after unit steps, a final step r with 3r^3 + 12r^2 + 2r - 6 = 0
+        # zeroes beta's denominator
+        r = 0.6
+        for _ in range(5):
+            r -= (((3.0 * r + 12.0) * r + 2.0) * r - 6.0) / ((9.0 * r + 24.0) * r + 2.0)
+        cfg = SolverConfig(dt0=1.0, t_end=10.0 + r)
+        with pytest.raises(DegenerateBeta):
+            solve_ie_pre_post_3(model_problem(-1.0).problem, cfg, (1.0,))
+
     def test_quasi_periodic_final_state_bits(self):
         # the generic 4-D Newton path, frozen bit for bit
         traj = constant_run(Method.IE_PRE_POST_3, quasi_periodic_problem(),
@@ -130,6 +140,12 @@ class TestRk4Reference:
         assert traj.final_time() == 1.0
         assert list(traj.ks[1:4]) == [0.3] * 3
         assert traj.ks[4] == pytest.approx(0.1, rel=1e-12)
+
+    def test_nonfinite_state_raises(self):
+        # y' = y**2 from 1e200: the first stage overflows
+        p = OdeProblem(1, lambda t, y: (y[0] * y[0],))
+        with pytest.raises(NonFiniteState):
+            solve_rk4_reference(p, _cfg(0.05), (1e200,))
 
     def test_van_der_pol_final_state_bits(self):
         # 3333 steps of 0.003, then a clamped final step of 0.001; a span
