@@ -125,7 +125,8 @@ def _stage_dim2(rhs, jac, t_next: float, k_n: float, yt0: float, yt1: float,
         a0 = abs(g0)
         a1 = abs(g1)
         res = a1 if a1 > a0 else a0
-        if not isfinite(res):
+        # both, not res alone: a NaN a1 loses the comparison above
+        if not (isfinite(a0) and isfinite(a1)):
             raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
         b0 = abs(y0)
         b1 = abs(y1)
@@ -201,7 +202,8 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
         f = rhs(t_next, tuple(y))
         g = [y[i] - y_tilde[i] - k_n * f[i] for i in range(d)]
         res = maxnorm(g)
-        if not math.isfinite(res):
+        # every component, not res alone: max() drops a NaN that is not first
+        if not all_finite(g):
             raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
         if res <= ntol * (1.0 + maxnorm(y)):
             return NewtonOutcome(tuple(y), iterations, res)

@@ -127,8 +127,8 @@ def van_der_pol_problem(mu: float = 1.0) -> ProblemSpec:
     of order mu at the relaxation corners).  Benchmark final times grow
     with mu so each run covers a few periods of the limit cycle.
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
 
     def rhs(t, y, _mu=mu):
         x, v = y

@@ -75,6 +75,14 @@ class TestSolveCommand:
         assert code == 1
         assert "solver failure" in capsys.readouterr().err
 
+    def test_nan_residual_is_a_solver_failure(self, capsys):
+        # mu * (1 - x**2) overflows to -inf at x = 2, and -inf * v is nan at
+        # v = 0: the first implicit stage sees a NaN in component 1 only
+        code = main(["solve", "--problem", "van-der-pol", "--param", "mu=1e308",
+                     "--t1", "0.1", "--method", "ie-pre-2"])
+        assert code == 1
+        assert "non-finite residual" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_unknown_problem(self, capsys):
@@ -90,6 +98,12 @@ class TestUsageErrors:
     def test_malformed_parameter(self, capsys):
         assert main(["solve", "--problem", "model", "--param", "lam"]) == 2
         assert main(["solve", "--problem", "model", "--param", "lam=abc"]) == 2
+
+    @pytest.mark.parametrize("mu", ["0", "inf", "nan"])
+    def test_parameter_out_of_range(self, mu, capsys):
+        assert main(["solve", "--problem", "van-der-pol", "--param", f"mu={mu}",
+                     "--t1", "0.1", "--method", "ie-pre-2"]) == 2
+        assert "mu must be positive and finite" in capsys.readouterr().err
 
     def test_inverted_time_range(self, capsys):
         assert main(["solve", "--problem", "model",

@@ -170,6 +170,18 @@ class TestFailureModes:
             implicit_euler_stage(p, 0.5, 0.1, ones, ones, CFG)
 
     @pytest.mark.parametrize("d", [2, 3])
+    def test_nan_in_one_component_diverges(self, d):
+        # the max-norm of the residual drops a NaN that is not first, so
+        # every component is checked, not only that norm
+        ones = (1.0,) * d
+        jac = _uncoupled(d, lambda c: 0.0, lambda c: 0.0).jacobian
+        for i in range(d):
+            f = tuple([math.nan if c == i else 0.0 for c in range(d)])
+            p = OdeProblem(d, lambda t, y, f=f: f, jac)
+            with pytest.raises(NewtonDiverged, match="non-finite residual"):
+                implicit_euler_stage(p, 0.5, 0.1, ones, ones, CFG)
+
+    @pytest.mark.parametrize("d", [2, 3])
     def test_rootless_stage_equation_diverges_on_every_path(self, d):
         ones = (1.0,) * d
         p = _uncoupled(d, lambda c: c * c, lambda c: 2.0 * c)

@@ -127,5 +127,7 @@ class TestVanDerPol:
         assert van_der_pol_problem(7.0).default_range == (0.0, 50.0)
 
     def test_rejects_nonpositive_mu(self):
-        with pytest.raises(ValueError):
-            van_der_pol_problem(0.0)
+        # a non-finite mu too: mu = inf turns v' into nan at v = 0
+        for mu in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                van_der_pol_problem(mu)

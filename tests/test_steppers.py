@@ -159,6 +159,39 @@ class TestRk4Reference:
         assert traj.ks[-1] == pytest.approx(0.001, rel=1e-12, abs=0)
         assert repr(traj.final_state()) == "(-2.0083407825889332, 0.032907065673611506)"
 
+    # a non-autonomous rhs: a stage evaluated at the wrong time changes bits
+    @staticmethod
+    def _forced(t, y):
+        return (y[1] + math.sin(3.0 * t), -y[0] * math.cos(t) - 0.5 * y[1] * y[1])
+
+    def test_planar_loop_matches_generic_loop_bits(self):
+        # the 4-D problem of two uncoupled copies runs the generic loop;
+        # 33 steps of 0.03 and a clamped final step of 0.01
+        f = self._forced
+        p2 = OdeProblem(2, f)
+        p4 = OdeProblem(4, lambda t, y: f(t, y[:2]) + f(t, y[2:]))
+        cfg = SolverConfig(dt0=0.03, t_end=1.0)
+        planar = solve_rk4_reference(p2, cfg, (1.0, 0.5)).trajectory
+        generic = solve_rk4_reference(p4, cfg, (1.0, 0.5, -0.3, 2.0)).trajectory
+        assert len(planar) == len(generic) == 35
+        assert planar.ks[-1] == pytest.approx(0.01, rel=1e-9)
+        assert list(planar.times) == list(generic.times)
+        assert list(planar.ks) == list(generic.ks)
+        assert planar.states == [s[:2] for s in generic.states]
+
+    def test_planar_nonfinite_second_component_raises(self):
+        # y1' = y1**2 from 1e200 overflows while y0 stays 1
+        p = OdeProblem(2, lambda t, y: (0.0, y[1] * y[1]))
+        with pytest.raises(NonFiniteState):
+            solve_rk4_reference(p, _cfg(0.05), (1.0, 1e200))
+
+    def test_planar_rhs_may_return_a_list(self):
+        f = self._forced
+        cfg = SolverConfig(dt0=0.03, t_end=1.0)
+        runs = [solve_rk4_reference(OdeProblem(2, rhs), cfg, (1.0, 0.5)).trajectory
+                for rhs in (f, lambda t, y: list(f(t, y)))]
+        assert runs[0].states == runs[1].states
+
 
 def _attempt_from(p, cfg, y0):
     """attempt_step from four points whose states are all y0."""
