@@ -95,7 +95,8 @@ def _cmd_solve(args) -> int:
         traj, stats = solve_filtered_ie23(p, cfg, y0)
         print(f"{p.name}: {stats.accepted} accepted, "
               f"{stats.rejected} rejected, {stats.doublings} doublings, "
-              f"k in [{stats.min_k_used:.3e}, {stats.max_k_used:.3e}]")
+              f"k in [{stats.min_k_used:.3e}, {stats.max_k_used:.3e}], "
+              f"{stats.newton_failures} Newton failures")
     else:
         traj = CONSTANT_SOLVERS[_METHODS[args.method]](p, cfg, y0).trajectory
         print(f"{p.name}: {traj.steps_taken} steps of {dt0:g}")

@@ -5,11 +5,18 @@ All formulas act componentwise on state vectors.  Step-size arguments
 follow the naming k_n (candidate step), k_nm1, k_nm2, k_nm3 (the three
 most recent accepted steps, newest first).
 
-Every driver and attempt_step take the curvature of the newest three
-states once per step from `curvature`, then call the unchecked kernel
-(pre_filtered, post_filtered, post_filtered_uniform) on each attempt.
-Each kernel call makes at most one call of its own (_beta_parts), as
-further calls measurably slowed the drivers.
+The constant-step drivers, attempt_step and the adaptive driver's
+generic loop take the curvature of the newest three states once per step
+from `curvature`, then call the unchecked kernel (pre_filtered,
+post_filtered, post_filtered_uniform) on each attempt.  Each kernel call
+makes at most one call of its own (_beta_parts), as further calls
+measurably slowed the drivers.
+
+The adaptive driver's 1-D and 2-D loops (adaptive._loop_dim1 and
+_loop_dim2) inline curvature, pre_filtered and post_filtered with the same
+floating-point operations in the same order.  The generic loop is their
+reference: a change to a formula here must be made there too, and the
+tests compare the two loops bit for bit.
 """
 
 from __future__ import annotations

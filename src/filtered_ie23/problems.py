@@ -26,6 +26,8 @@ class ProblemSpec:
 
 def model_problem(lam: float = 1.0) -> ProblemSpec:
     """Scalar linear test equation y' = lam * y, exact e^(lam t)."""
+    if not -math.inf < lam < math.inf:
+        raise ValueError(f"lam must be finite, got {lam!r}")
 
     def rhs(t, y, _lam=lam):
         return (_lam * y[0],)
@@ -95,6 +97,8 @@ def model_analog_problem(gamma: float = 5.0) -> ProblemSpec:
     t = gamma; larger gamma makes the swing steeper.  The default range
     [0, gamma] covers the full rise and fall.
     """
+    if not -math.inf < gamma < math.inf:
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
 
     def rhs(t, y, _g=gamma):
         return ((_g - 2.0 * t) * y[0],)

@@ -7,7 +7,8 @@ from filtered_ie23 import (DimensionMismatch, MinStepReached, NonFiniteState,
                            NonMonotonicTimes, NonPositiveStep, OdeProblem,
                            SolverConfig, Verdict, alpha_coeff, attempt_step,
                            beta_coeff, curvature, implicit_euler_stage,
-                           model_problem, solve_filtered_ie23)
+                           model_analog_problem, model_problem,
+                           solve_filtered_ie23, van_der_pol_problem)
 from filtered_ie23.steppers import bootstrap
 
 SPEC = model_problem()
@@ -180,22 +181,25 @@ class TestAdaptiveSolve:
     def test_unreachable_region_hits_step_floor(self):
         # rhs turns non-finite just past the bootstrap, so every attempt
         # fails at its one rhs call, and the cascade halves k = 0.01 until
-        # it falls below k_min = 1e-12 * span: 34 attempts
-        attempts = []
-
-        def rhs(t, y):
-            if t > 0.03 + 1e-13:
-                attempts.append(t)
-                return (math.nan,)
-            return (y[0],)
-
-        bad = OdeProblem(1, rhs, lambda t, y: ((1.0,),))
+        # it falls below k_min = 1e-12 * span: 34 attempts, in the 1-D and
+        # 2-D loops and in the generic one (d = 3)
         cfg = SolverConfig(tol=1e-3, dt0=0.01, t_end=1.0)
         k_last = 0.01 / 2.0 ** 34
         assert k_last < cfg.k_min < 2.0 * k_last
-        with pytest.raises(MinStepReached, match=re.escape(f"step fell to {k_last!r}")):
-            solve_filtered_ie23(bad, cfg, (1.0,))
-        assert len(attempts) == 34
+        for d in (1, 2, 3):
+            attempts = []
+
+            def rhs(t, y):
+                if t > 0.03 + 1e-13:
+                    attempts.append(t)
+                    return (math.nan,) * d
+                return y
+
+            identity = [[float(r == c) for c in range(d)] for r in range(d)]
+            bad = OdeProblem(d, rhs, lambda t, y: identity)
+            with pytest.raises(MinStepReached, match=re.escape(f"step fell to {k_last!r}")):
+                solve_filtered_ie23(bad, cfg, (1.0,) * d)
+            assert len(attempts) == 34
 
     def test_bootstrap_must_fit_in_span(self):
         cfg = SolverConfig(tol=1e-3, dt0=0.4, t_end=1.0, k_max=0.5)
@@ -243,3 +247,57 @@ class TestOneKernel:
             assert attempt.est == traj.est[i]
             assert _compose(P, points, k, cfg) == (attempt.y_second,
                                                    attempt.y_third, attempt.est)
+
+
+def _copies(p, n):
+    """n uncoupled copies of p as one problem of dimension n * d, with a
+    block-diagonal Jacobian and p's est_component."""
+    d = p.dimension
+
+    def rhs(t, y):
+        out = []
+        for c in range(n):
+            out.extend(p.rhs(t, y[c * d:(c + 1) * d]))
+        return out
+
+    def jac(t, y):
+        rows = []
+        for c in range(n):
+            for row in p.jacobian(t, y[c * d:(c + 1) * d]):
+                rows.append([0.0] * (c * d) + list(row) + [0.0] * ((n - 1 - c) * d))
+        return rows
+
+    return OdeProblem(n * d, rhs, jac, est_component=p.est_component)
+
+
+class TestStraightLineLoops:
+    # The 1-D and 2-D loops against the generic loop, which runs for copies
+    # of the same problem (d = 3 and 4).  Each case has rejected attempts
+    # and a last step clamped to the end of the span; van der Pol at
+    # mu = 100 recovers from a Newton failure, and the 2-D est_component
+    # None case takes the max over both components.
+    VDP5 = van_der_pol_problem(5.0).problem
+    CASES = {
+        "analog-gamma3": (model_analog_problem(3.0).problem, 3, (1.0,),
+                          2.5e-4, 1e-3, 3.0, 0),
+        "vdp-mu100": (van_der_pol_problem(100.0).problem, 2, (2.0, 0.0),
+                      1e-3, 1e-3, 80.0, 1),
+        "vdp-mu5-max-norm": (OdeProblem(2, VDP5.rhs, VDP5.jacobian), 2, (2.0, 0.0),
+                             3e-3, 1e-3, 12.0, 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_generic_loop_bits(self, case):
+        p, n, y0, tol, dt0, t_end, newton_failures = self.CASES[case]
+        cfg = SolverConfig(tol=tol, dt0=dt0, t_end=t_end)
+        traj, stats = solve_filtered_ie23(p, cfg, y0)
+        ref, ref_stats = solve_filtered_ie23(_copies(p, n), cfg, y0 * n)
+        assert stats.rejected > 0
+        assert stats.newton_failures == newton_failures
+        ratio = math.log2(traj.ks[-1] / traj.ks[-2])
+        assert ratio != round(ratio)     # clamped: off the power-of-two ladder
+        assert list(traj.times) == list(ref.times)
+        assert list(traj.ks) == list(ref.ks)
+        assert list(traj.est) == list(ref.est)
+        assert traj.states == [y[:p.dimension] for y in ref.states]
+        assert stats == ref_stats

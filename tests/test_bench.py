@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -154,6 +156,30 @@ class TestFrozenVanDerPolRuns:
             assert comp.difference == pytest.approx(diff, rel=1e-3)
             # the reference itself must be internally validated
             assert comp.self_convergence < bench.VDP_REFERENCE_RTOL
+
+
+class TestPerfbenchPins:
+    """perfbench/pins.json pins the benchmark's canonical answers bit for
+    bit.  The session fixtures solve the same inputs: analog gamma =
+    1/3/5, model at tol 2.5e-4 and van der Pol at mu = 100."""
+
+    @staticmethod
+    def _signature(run):
+        s = run.stats
+        return [s.accepted, s.rejected, s.doublings, s.newton_failures,
+                s.min_k_used, s.max_k_used, len(run.trajectory),
+                list(run.trajectory.final_state())]
+
+    def test_fixtures_reproduce_the_pins(self, bench_model, bench_analog, bench_vdp):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
+        pins = json.loads(path.read_text(encoding="utf-8"))
+        scalar = {f"model-analog gamma={run.spec.parameters['gamma']!r}": run
+                  for run in bench_analog.value}
+        scalar["model tol=2.5e-4"] = bench_model.value[1]
+        assert {label: self._signature(run) for label, run in scalar.items()} \
+            == pins["scalar-analog"]
+        vdp = {comp.mu: comp.run for comp in bench_vdp.value}
+        assert self._signature(vdp[100.0]) == pins["vdp-stiff"]["van-der-pol mu=100"]
 
 
 class TestVdpReference:

@@ -99,11 +99,18 @@ class TestUsageErrors:
         assert main(["solve", "--problem", "model", "--param", "lam"]) == 2
         assert main(["solve", "--problem", "model", "--param", "lam=abc"]) == 2
 
-    @pytest.mark.parametrize("mu", ["0", "inf", "nan"])
-    def test_parameter_out_of_range(self, mu, capsys):
-        assert main(["solve", "--problem", "van-der-pol", "--param", f"mu={mu}",
+    @pytest.mark.parametrize("problem, param, message", [
+        *[pytest.param("van-der-pol", f"mu={mu}", "mu must be positive and finite",
+                       id=mu) for mu in ("0", "inf", "nan")],
+        *[pytest.param(problem, f"{name}={value}", f"{name} must be finite",
+                       id=f"{name}={value}")
+          for problem, name in (("model", "lam"), ("model-analog", "gamma"))
+          for value in ("nan", "inf", "-inf")],
+    ])
+    def test_parameter_out_of_range(self, problem, param, message, capsys):
+        assert main(["solve", "--problem", problem, "--param", param,
                      "--t1", "0.1", "--method", "ie-pre-2"]) == 2
-        assert "mu must be positive and finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_inverted_time_range(self, capsys):
         assert main(["solve", "--problem", "model",

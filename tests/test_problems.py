@@ -127,7 +127,11 @@ class TestVanDerPol:
         assert van_der_pol_problem(7.0).default_range == (0.0, 50.0)
 
     def test_rejects_nonpositive_mu(self):
-        # a non-finite mu too: mu = inf turns v' into nan at v = 0
-        for mu in (0.0, -1.0, math.inf, math.nan):
+        # a non-finite mu too: mu = inf turns v' into nan at v = 0.  The
+        # linear problems take any finite lam or gamma, and no other.
+        cases = [(van_der_pol_problem, mu) for mu in (0.0, -1.0, math.inf, math.nan)]
+        cases += [(ctor, value) for ctor in (model_problem, model_analog_problem)
+                  for value in (math.inf, -math.inf, math.nan)]
+        for ctor, value in cases:
             with pytest.raises(ValueError):
-                van_der_pol_problem(mu)
+                ctor(value)
