@@ -120,12 +120,13 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     halved on rejection.  The fixed floor cfg.k_min = 1e-12 * span alone
     ends a halving cascade: a step that falls below it raises
     MinStepReached.  No attempt starts above the span, so that takes at
-    most 40 halvings.  After a step whose estimate is below tol * k / 2**6
-    (a fixed divisor) the next step is doubled, provided the doubled step
-    still fits under k_max; as dt0 <= k_max, no step exceeds k_max.  So
-    each accepted step is the one before it times 2**e, integer e <= 1,
-    except that a step clamped to the remaining span t_end - t_n is that
-    span times 2**e, e <= 0.
+    most 40 halvings.  k_min ignores the magnitude of t, so an accepted
+    step with t_n + k == t_n raises MinStepReached too.  After a step
+    whose estimate is below tol * k / 2**6 (a fixed divisor) the next step
+    is doubled, provided the doubled step still fits under k_max; as
+    dt0 <= k_max, no step exceeds k_max.  So each accepted step is the one
+    before it times 2**e, integer e <= 1, except that a step clamped to the
+    remaining span t_end - t_n is that span times 2**e, e <= 0.
 
     Attempts that produce a non-finite state or estimate are rejected and
     retried at half the step; a non-finite bootstrap state raises
@@ -188,7 +189,12 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
                     f"step fell to {k!r} at t={t_n!r} without an acceptable attempt"
                 )
 
-        traj.append(t_next, y_third, est, k)
+        try:
+            traj.append(t_next, y_third, est, k)
+        except NonMonotonicTimes:
+            # an accepted step below the resolution of t leaves t where it was
+            raise MinStepReached(
+                f"step {k!r} is below the resolution of t={t_n!r}") from None
         k_nm3, k_nm2, k_nm1 = k_nm2, k_nm1, t_next - t_n
         y_nm2, y_nm1, y_n = y_nm1, y_n, y_third
         t_n = t_next
@@ -294,7 +300,12 @@ def _loop_dim1(p: OdeProblem, cfg: SolverConfig, traj: Trajectory,
                 )
 
         y_last = (y3,)
-        append(t_next, y_last, est, k)
+        try:
+            append(t_next, y_last, est, k)
+        except NonMonotonicTimes:
+            # an accepted step below the resolution of t leaves t where it was
+            raise MinStepReached(
+                f"step {k!r} is below the resolution of t={t_n!r}") from None
         k_nm3, k_nm2, k_nm1 = k_nm2, k_nm1, t_next - t_n
         y_nm2, y_nm1, y_n = y_nm1, y_n, y3
         t_n = t_next
@@ -402,7 +413,12 @@ def _loop_dim2(p: OdeProblem, cfg: SolverConfig, traj: Trajectory,
                 )
 
         y_last = (y3_0, y3_1)
-        append(t_next, y_last, est, k)
+        try:
+            append(t_next, y_last, est, k)
+        except NonMonotonicTimes:
+            # an accepted step below the resolution of t leaves t where it was
+            raise MinStepReached(
+                f"step {k!r} is below the resolution of t={t_n!r}") from None
         k_nm3, k_nm2, k_nm1 = k_nm2, k_nm1, t_next - t_n
         y_nm2_0, y_nm1_0, y_n0 = y_nm1_0, y_n0, y3_0
         y_nm2_1, y_nm1_1, y_n1 = y_nm1_1, y_n1, y3_1

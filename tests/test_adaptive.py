@@ -201,6 +201,17 @@ class TestAdaptiveSolve:
                 solve_filtered_ie23(bad, cfg, (1.0,) * d)
             assert len(attempts) == 34
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_step_below_resolution_of_t(self, d):
+        # k_min = 1e-12 is far below the spacing of floats near 1e9 (1.2e-7):
+        # the cascade reaches a k with t_n + k == t_n, whose attempt passes,
+        # in the 1-D and 2-D loops and in the generic one (d = 3)
+        p = _copies(P, d)
+        cfg = SolverConfig(tol=1e-9, dt0=1e-3, t_begin=1e9, t_end=1e9 + 1.0)
+        with pytest.raises(MinStepReached,
+                           match=r"step \S+ is below the resolution of t=1000000000\.003"):
+            solve_filtered_ie23(p, cfg, (1.0,) * d)
+
     def test_bootstrap_must_fit_in_span(self):
         cfg = SolverConfig(tol=1e-3, dt0=0.4, t_end=1.0, k_max=0.5)
         with pytest.raises(ValueError):

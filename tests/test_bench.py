@@ -161,7 +161,8 @@ class TestFrozenVanDerPolRuns:
 class TestPerfbenchPins:
     """perfbench/pins.json pins the benchmark's canonical answers bit for
     bit.  The session fixtures solve the same inputs: analog gamma =
-    1/3/5, model at tol 2.5e-4 and van der Pol at mu = 100."""
+    1/3/5, model at tol 2.5e-4 and van der Pol at mu = 100; the
+    constant-step quasi-periodic table is solved here."""
 
     @staticmethod
     def _signature(run):
@@ -170,9 +171,13 @@ class TestPerfbenchPins:
                 s.min_k_used, s.max_k_used, len(run.trajectory),
                 list(run.trajectory.final_state())]
 
-    def test_fixtures_reproduce_the_pins(self, bench_model, bench_analog, bench_vdp):
+    @staticmethod
+    def _pins():
         path = Path(__file__).resolve().parents[1] / "perfbench" / "pins.json"
-        pins = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
+
+    def test_fixtures_reproduce_the_pins(self, bench_model, bench_analog, bench_vdp):
+        pins = self._pins()
         scalar = {f"model-analog gamma={run.spec.parameters['gamma']!r}": run
                   for run in bench_analog.value}
         scalar["model tol=2.5e-4"] = bench_model.value[1]
@@ -180,6 +185,12 @@ class TestPerfbenchPins:
             == pins["scalar-analog"]
         vdp = {comp.mu: comp.run for comp in bench_vdp.value}
         assert self._signature(vdp[100.0]) == pins["vdp-stiff"]["van-der-pol mu=100"]
+
+    def test_quasi_periodic_table_reproduces_the_pin(self):
+        # the generic (d = 4) Newton stage over 15k steps, 1000 to 8000
+        table = convergence_table(Method.IE_PRE_POST_3, QP, [1000, 2000, 4000])
+        assert [[r.steps, r.error, r.ratio, r.order] for r in table.rows] \
+            == self._pins()["constant-step"]["ie-pre-post-3 table base=1000"]
 
 
 class TestVdpReference:

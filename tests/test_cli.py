@@ -75,6 +75,12 @@ class TestSolveCommand:
         assert code == 1
         assert "solver failure" in capsys.readouterr().err
 
+    def test_step_below_resolution_of_t_is_a_solver_failure(self, capsys):
+        code = main(["solve", "--problem", "model", "--t0", "1e12",
+                     "--t1", "1000000000001", "--tol", "1e-9"])
+        assert code == 1
+        assert "is below the resolution of t=1000000000000.015" in capsys.readouterr().err
+
     def test_nan_residual_is_a_solver_failure(self, capsys):
         # mu * (1 - x**2) overflows to -inf at x = 2, and -inf * v is nan at
         # v = 0: the first implicit stage sees a NaN in component 1 only

@@ -1,12 +1,15 @@
 import math
+import sys
+import threading
 
 import pytest
 
 from filtered_ie23 import (NewtonDiverged, NonPositiveStep, OdeProblem,
                            SingularLinearSystem, SolverConfig,
                            implicit_euler_stage, quasi_periodic_problem)
+from filtered_ie23 import newton
 from filtered_ie23.core import maxnorm
-from filtered_ie23.newton import _NEWTON_TOL, _solve_dense
+from filtered_ie23.newton import _NEWTON_TOL, _factor, _substitute
 
 CFG = SolverConfig()
 
@@ -35,6 +38,15 @@ def _uncoupled(d, f, df):
                       for i, c in enumerate(y)])
 
     return OdeProblem(d, lambda t, y: tuple([f(c) for c in y]), jac)
+
+
+# a 3-D problem whose Jacobian has a zero middle row and column, started
+# from a middle component of -0.0
+ZERO_COLUMN = OdeProblem(
+    3, lambda t, y: (-y[0] * y[0], 0.0, -y[2] ** 3),
+    lambda t, y: ((-2.0 * y[0], 0.0, 0.0), (0.0, 0.0, 0.0),
+                  (0.0, 0.0, -3.0 * y[2] ** 2)))
+ZERO_START = (1.0, -0.0, 1.0)
 
 
 class TestLinearStages:
@@ -88,16 +100,8 @@ class TestNonlinearStage:
         # the 3-D stage builds I - k*J entry by entry; a 0.0 Jacobian entry
         # off the diagonal must stay +0.0 there, since the solve carries its
         # sign into the update of the middle component, whose guess is -0.0
-        def rhs(t, y):
-            return (-y[0] * y[0], 0.0, -y[2] ** 3)
-
-        def jac(t, y):
-            return ((-2.0 * y[0], 0.0, 0.0), (0.0, 0.0, 0.0),
-                    (0.0, 0.0, -3.0 * y[2] ** 2))
-
-        start = (1.0, -0.0, 1.0)
-        y = implicit_euler_stage(OdeProblem(3, rhs, jac), 0.1, 0.1, start,
-                                 start, CFG).y
+        y = implicit_euler_stage(ZERO_COLUMN, 0.1, 0.1, ZERO_START,
+                                 ZERO_START, CFG).y
         assert math.copysign(1.0, y[1]) == 1.0
 
     def test_time_only_rhs_matches_closed_form(self):
@@ -111,18 +115,145 @@ class TestNonlinearStage:
         assert out.iterations <= 2
 
 
-class TestSolveDense:
+class TestFactorSubstitute:
     def test_first_of_tied_pivots_wins(self):
         row0, row1 = [2.0, 1.0], [-2.0, 3.0]
         m = [row0, row1]
-        assert _solve_dense(m, [1.0, 2.0]) == [0.125, 0.75]
+        assert _substitute(_factor(m), [1.0, 2.0]) == [0.125, 0.75]
         assert m[0] is row0 and m[1] is row1    # no swap on a tie
 
     def test_tie_below_a_smaller_pivot(self):
         row0, row1, row2 = [1.0, 2.0, 0.0], [3.0, 0.0, 1.0], [-3.0, 1.0, 1.0]
         m = [row0, row1, row2]
-        assert _solve_dense(m, [3.0, 4.0, -1.0]) == [1.0, 1.0, 1.0]
+        assert _substitute(_factor(m), [3.0, 4.0, -1.0]) == [1.0, 1.0, 1.0]
         assert m[0] is row1
+
+
+class TestPlanCache:
+    """The generic stage reuses its last factorization of I - k*J while
+    k and J repeat; a reused one must give a fresh solve's bits."""
+
+    @pytest.fixture(autouse=True)
+    def _cleared_slot(self, monkeypatch):
+        monkeypatch.setattr(newton, "_plan_slot", (None, None))
+
+    def test_warm_slot_gives_the_cold_outcome(self, monkeypatch):
+        p = quasi_periodic_problem().problem
+        y = p.exact(0.3)
+        cold = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
+        warm = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
+        monkeypatch.setattr(newton, "_plan_slot", (None, None))
+        again = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
+        assert cold == warm == again
+        assert newton._plan_slot[0] == (0.05, 4, p.jacobian(0.35, y))
+
+    def test_mutated_jacobian_list_misses(self, monkeypatch):
+        # one list, changed in place and returned by every call: a key on
+        # the object would reuse the first J's factorization, and give a
+        # different answer from a jac that returns a fresh list
+        jm = [[0.0] * 3 for _ in range(3)]
+
+        def mutated(t, y):
+            for i in range(3):
+                jm[i][i] = -2.0 * y[i]
+            return jm
+
+        def fresh(t, y):
+            return [[-2.0 * y[i] if i == j else 0.0 for j in range(3)]
+                    for i in range(3)]
+
+        def rhs(t, y):
+            return tuple([-c * c for c in y])
+
+        start = (1.0, 2.0, 3.0)
+        outcomes = []
+        for jac in (mutated, fresh):
+            monkeypatch.setattr(newton, "_plan_slot", (None, None))
+            outcomes.append(implicit_euler_stage(OdeProblem(3, rhs, jac), 0.1,
+                                                 0.1, start, start, CFG))
+        assert outcomes[0].iterations >= 3
+        assert outcomes[0] == outcomes[1]
+
+    def test_singular_matrix_is_not_stored(self):
+        ones = (1.0,) * 3
+        singular = _uncoupled(3, lambda c: c, lambda c: 1.0)
+        for _ in range(2):
+            with pytest.raises(SingularLinearSystem):
+                implicit_euler_stage(singular, 1.0, 1.0, ones, ones, CFG)
+        assert newton._plan_slot == (None, None)
+        # k = 0.5 leaves I - k*J = I/2, so y = y_tilde + 0.5 y gives 2 y_tilde
+        out = implicit_euler_stage(singular, 1.0, 0.5, ones, ones, CFG)
+        assert out.y == (2.0, 2.0, 2.0)
+
+    def test_dimension_is_part_of_the_key(self, monkeypatch):
+        # one 4x4 Jacobian serves a 3-D and a 4-D problem; the 3-D stage
+        # reads its top-left 3x3 block and must not reuse the 4-D plan
+        big = ((-1.0, 0.5, 0.0, 0.25), (0.0, -2.0, 0.5, 0.0),
+               (0.25, 0.0, -3.0, 0.5), (0.5, 0.25, 0.0, -4.0))
+
+        def linear(d):
+            def rhs(t, y):
+                return tuple([sum(big[i][j] * y[j] for j in range(d))
+                              for i in range(d)])
+            return OdeProblem(d, rhs, lambda t, y: big)
+
+        ones = (1.0,) * 4
+        implicit_euler_stage(linear(4), 1.0, 0.1, ones, ones, CFG)
+        warm = implicit_euler_stage(linear(3), 1.0, 0.1, ones[:3], ones[:3], CFG)
+        monkeypatch.setattr(newton, "_plan_slot", (None, None))
+        cold = implicit_euler_stage(linear(3), 1.0, 0.1, ones[:3], ones[:3], CFG)
+        assert warm == cold
+
+    def test_threads_sharing_the_slot_get_their_own_solves(self):
+        # two ks over four threads: the slot changes hands between one
+        # thread's lookup and its use, and a thread also hits plans another
+        # stored; every outcome must still be the one a thread gets alone
+        a = ((-1.0, 2.0, 0.5), (0.25, -3.0, 1.0), (1.0, 0.5, -2.0))
+        p = OdeProblem(3, lambda t, y: tuple([sum(a[i][j] * y[j] for j in range(3))
+                                              for i in range(3)]),
+                       lambda t, y: a)
+        ones = (1.0, 1.0, 1.0)
+        ks = [0.01, 0.02, 0.01, 0.02]
+        alone = [implicit_euler_stage(p, 1.0, k, ones, ones, CFG) for k in ks]
+        wrong = []
+
+        def work(i):
+            for _ in range(300):
+                if implicit_euler_stage(p, 1.0, ks[i], ones, ones, CFG) != alone[i]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_positive_zero_survives_a_hit_on_negative_zeros(self, monkeypatch):
+        # test_zero_jacobian_entries_keep_positive_zero, right after a stage
+        # whose stored J held -0.0 where that test's first J holds 0.0: the
+        # keys are equal, so that first update reuses the stored plan
+        negative = ((-2.0, -0.0, -0.0), (-0.0, -0.0, -0.0), (-0.0, -0.0, -3.0))
+        linear = OdeProblem(3, lambda t, y: (-2.0 * y[0], -0.0, -3.0 * y[2]),
+                            lambda t, y: negative)
+        implicit_euler_stage(linear, 0.1, 0.1, ZERO_START, ZERO_START, CFG)
+        stored = newton._plan_slot[0]
+        assert stored == (0.1, 3, ZERO_COLUMN.jacobian(0.1, ZERO_START))
+        assert math.copysign(1.0, stored[2][0][1]) == -1.0
+        factored = []
+        factor = newton._factor
+        monkeypatch.setattr(newton, "_factor",
+                            lambda m: factored.append(1) or factor(m))
+        out = implicit_euler_stage(ZERO_COLUMN, 0.1, 0.1, ZERO_START,
+                                   ZERO_START, CFG)
+        assert len(factored) == out.iterations - 1
+        assert math.copysign(1.0, out.y[1]) == 1.0
 
 
 class TestFailureModes:
