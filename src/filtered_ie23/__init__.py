@@ -17,8 +17,7 @@ Entry points:
   convergence_table     constant-step refinement study
 """
 
-from .adaptive import (AdaptiveRunStats, StepAttempt, Verdict, attempt_step,
-                       solve_filtered_ie23)
+from .adaptive import AdaptiveRunStats, solve_filtered_ie23
 from .bench import (BenchRun, ConvergenceReport, ConvergenceRow, VdpComparison,
                     adaptive_run, analog_benchmark_runs,
                     compare_adaptive_constant, constant_run, convergence_table,
@@ -29,7 +28,7 @@ from .core import OdeProblem, SolverConfig, Trajectory
 from .errors import (DegenerateBeta, DimensionMismatch, MinStepReached,
                      NewtonDiverged, NonFiniteState, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem, SolverError)
-from .filters import alpha_coeff, beta_coeff, beta_oracle, curvature
+from .filters import beta_coeff, curvature
 from .newton import NewtonOutcome, implicit_euler_stage
 from .problems import (ProblemSpec, make_problem, model_analog_problem,
                        model_problem, quasi_periodic_problem,
@@ -45,10 +44,9 @@ __all__ = [
     "Method", "MinStepReached", "NewtonDiverged",
     "NewtonOutcome", "NonFiniteState", "NonMonotonicTimes",
     "NonPositiveStep", "OdeProblem", "ProblemSpec", "SingularLinearSystem",
-    "SolverConfig", "SolverError", "StepAttempt", "Trajectory",
-    "VdpComparison", "Verdict", "adaptive_run", "alpha_coeff",
-    "analog_benchmark_runs", "attempt_step",
-    "beta_coeff", "beta_oracle", "compare_adaptive_constant",
+    "SolverConfig", "SolverError", "Trajectory", "VdpComparison",
+    "adaptive_run", "analog_benchmark_runs", "beta_coeff",
+    "compare_adaptive_constant",
     "constant_run", "convergence_table", "curvature", "emit_csv",
     "implicit_euler_stage", "make_problem", "model_analog_problem",
     "model_benchmark_runs", "model_problem",

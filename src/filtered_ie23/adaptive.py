@@ -16,13 +16,11 @@ with the state in float locals, and give the generic loop's bits.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .core import (OdeProblem, SolverConfig, Trajectory, Vector, all_finite,
-                   initial_state)
+from .core import OdeProblem, SolverConfig, Trajectory, all_finite
 from .errors import (MinStepReached, NewtonDiverged, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem)
 from .filters import (_DEGENERACY_RTOL, curvature, post_filtered,
@@ -37,23 +35,6 @@ from .steppers import bootstrap, rk3_step  # noqa: F401
 _DOUBLING_DIVISOR = 64.0
 
 
-class Verdict(enum.Enum):
-    ACCEPT = "accept"
-    HALVE = "halve"
-    ACCEPT_AND_DOUBLE = "accept-and-double"
-
-
-@dataclass(frozen=True)
-class StepAttempt:
-    """Outcome of evaluating one candidate step from a given history."""
-
-    k_n: float
-    y_second: Optional[Vector]
-    y_third: Optional[Vector]
-    est: float
-    verdict: Verdict
-
-
 @dataclass
 class AdaptiveRunStats:
     accepted: int = 0
@@ -62,52 +43,6 @@ class AdaptiveRunStats:
     min_k_used: float = math.inf
     max_k_used: float = 0.0
     newton_failures: int = 0
-
-
-def attempt_step(p: OdeProblem, points: Sequence[tuple[float, Sequence[float]]],
-                 k_n: float, cfg: SolverConfig) -> StepAttempt:
-    """Evaluate one candidate step of size k_n from the four most recent
-    accepted (t, y) points, oldest first, without committing to it.
-
-    Solver-level failures (Newton divergence, degenerate post-filter)
-    yield verdict HALVE with est = inf rather than raising, so the
-    controller has a single rejection path.  solve_filtered_ie23 runs
-    the same arithmetic and accepts where this returns no HALVE.  The
-    points are checked first: a count other than 4 raises ValueError, a
-    state without p's dimension DimensionMismatch, times that are not
-    finite and strictly increasing NonMonotonicTimes, and a k_n that is
-    not finite and positive NonPositiveStep.
-    """
-    if len(points) != 4:
-        raise ValueError(f"attempt_step needs 4 (t, y) points, got {len(points)}")
-    times = [float(t) for t, _ in points]
-    t_nm3, t_nm2, t_nm1, t_n = times
-    _, y_nm2, y_nm1, y_n = [initial_state(p, y) for _, y in points]
-    if not -math.inf < t_nm3 < t_nm2 < t_nm1 < t_n < math.inf:
-        raise NonMonotonicTimes(f"times {times} are not finite and strictly increasing")
-    if not 0.0 < k_n < math.inf:
-        raise NonPositiveStep(f"attempt_step needs a finite positive step, got {k_n!r}")
-    k_nm1 = t_n - t_nm1
-    k_nm2 = t_nm1 - t_nm2
-    k_nm3 = t_nm2 - t_nm3
-    kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
-    y_tilde = pre_filtered(k_n, k_nm1, k_nm2, y_n, kappa_prev)
-    try:
-        y_second = implicit_euler_stage(p, t_n + k_n, k_n, y_tilde, y_n, cfg).y
-    except (NewtonDiverged, SingularLinearSystem):
-        return StepAttempt(k_n, None, None, math.inf, Verdict.HALVE)
-    filtered = post_filtered(k_n, k_nm1, k_nm2, k_nm3, y_nm1, y_n,
-                             kappa_prev, y_second, p.est_component)
-    if filtered is None:
-        return StepAttempt(k_n, None, None, math.inf, Verdict.HALVE)
-    y_third, est = filtered
-    if not (est <= cfg.tol * k_n and all_finite(y_third)):
-        verdict = Verdict.HALVE
-    elif est < cfg.tol * k_n / _DOUBLING_DIVISOR:
-        verdict = Verdict.ACCEPT_AND_DOUBLE
-    else:
-        verdict = Verdict.ACCEPT
-    return StepAttempt(k_n, y_second, y_third, est, verdict)
 
 
 def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,

@@ -241,8 +241,11 @@ def read_csv(path) -> Trajectory:
             raise ValueError(f"unrecognized trajectory header: {header!r}")
         d = len(header) - 3
         traj = Trajectory(d)
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"line {lineno} has {len(parts)} fields, "
+                                 f"the header {len(header)}")
             traj.append(float(parts[0]),
                         tuple(float(v) for v in parts[1:1 + d]),
                         float(parts[1 + d]), float(parts[2 + d]))

@@ -5,10 +5,10 @@ All formulas act componentwise on state vectors.  Step-size arguments
 follow the naming k_n (candidate step), k_nm1, k_nm2, k_nm3 (the three
 most recent accepted steps, newest first).
 
-The constant-step drivers, attempt_step and the adaptive driver's
-generic loop take the curvature of the newest three states once per step
-from `curvature`, then call the unchecked kernel (pre_filtered,
-post_filtered, post_filtered_uniform) on each attempt.  Each kernel call
+The constant-step drivers and the adaptive driver's generic loop take the
+curvature of the newest three states once per step from `curvature`,
+then call the unchecked kernel (pre_filtered, post_filtered,
+post_filtered_uniform) on each attempt.  Each kernel call
 makes at most one call of its own (_beta_parts), as further calls
 measurably slowed the drivers.
 
@@ -21,7 +21,6 @@ tests compare the two loops bit for bit.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import Vector
@@ -60,7 +59,7 @@ def pre_filtered(k_n: float, k_nm1: float, k_nm2: float, y_n: Sequence[float],
                  kappa_prev: Sequence[float]) -> Vector:
     """The state handed to the implicit stage: y_n with half the
     alpha-scaled trailing curvature kappa_prev removed."""
-    half_a = 0.5 * (k_n * k_n / (k_nm1 * k_nm2))    # alpha_coeff, inlined
+    half_a = 0.5 * (k_n * k_n / (k_nm1 * k_nm2))    # alpha: 1 on a uniform grid
     return tuple([y_n[i] - half_a * kappa_prev[i] for i in range(len(y_n))])
 
 
@@ -121,20 +120,13 @@ def curvature(k_prev: float, k_cur: float,
                   for i in range(len(y_mid))])
 
 
-def alpha_coeff(k_n: float, k_nm1: float, k_nm2: float) -> float:
-    """Pre-filter gain; 1 on a uniform grid."""
-    if k_n <= 0.0 or k_nm1 <= 0.0 or k_nm2 <= 0.0:
-        raise NonPositiveStep("alpha_coeff needs positive steps")
-    return k_n * k_n / (k_nm1 * k_nm2)
-
-
 def beta_coeff(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
     """Post-filter gain for one candidate step.
 
     Closed form chosen so the complete step (pre-filter, implicit stage,
     post-filter) is exact on cubic data for any positive step history;
-    see beta_oracle for the defining equation.  On a uniform grid the
-    ratio reduces to 5/11.
+    the oracle in tests/oracles.py solves that defining equation in exact
+    arithmetic.  On a uniform grid the ratio reduces to 5/11.
 
     Raises DegenerateBeta when the denominator is too close to zero, in
     which case the caller is expected to retry with a different k_n.
@@ -148,33 +140,3 @@ def beta_coeff(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
             f"({k_n!r}, {k_nm1!r}, {k_nm2!r}, {k_nm3!r})"
         )
     return num / den
-
-
-def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
-    """Numerical oracle for beta_coeff: solve the cubic-exactness equation.
-
-    Lay out the grid t0..t4 implied by the four steps, put y = t^3 on it,
-    run the pre-filter and the (y-independent) implicit stage for the last
-    step, and choose beta so the post-filtered value lands exactly on
-    t4^3.  The condition is linear in beta; return its root.  The whole
-    construction is rational in the steps, so it is evaluated in exact
-    Fraction arithmetic and carries no rounding error of its own.
-    """
-    if min(k_n, k_nm1, k_nm2, k_nm3) <= 0.0:
-        raise NonPositiveStep("beta_oracle needs positive steps")
-    kn, k1, k2, k3 = (Fraction(k) for k in (k_n, k_nm1, k_nm2, k_nm3))
-    t1 = k3
-    t2 = t1 + k2
-    t3 = t2 + k1
-    t4 = t3 + kn
-    y1, y2, y3 = t1 ** 3, t2 ** 3, t3 ** 3
-
-    kappa_prev = (2 * k2 * y3 - 2 * (k2 + k1) * y2 + 2 * k1 * y1) / (k2 + k1)
-    y_tilde = y3 - kn * kn * kappa_prev / (2 * k1 * k2)
-    # implicit stage with rhs f(t) = 3 t^2 (y-independent, so exact)
-    y_ie = y_tilde + 3 * kn * t4 * t4
-    kappa_cur = (2 * k1 * y_ie - 2 * (k1 + kn) * y3 + 2 * kn * y2) / (k1 + kn)
-    dk = kappa_cur - kappa_prev
-    if dk == 0:
-        raise DegenerateBeta("curvature difference vanishes on cubic data")
-    return float((y_ie - t4 ** 3) / dk)

@@ -14,11 +14,11 @@ import time
 
 import pytest
 
-from filtered_ie23 import (DegenerateBeta, Method, adaptive_run, alpha_coeff,
-                           beta_coeff, beta_oracle, constant_run,
-                           convergence_table, curvature, model_problem,
-                           quasi_periodic_problem)
+from filtered_ie23 import (DegenerateBeta, Method, adaptive_run, beta_coeff,
+                           constant_run, convergence_table, curvature,
+                           model_problem, quasi_periodic_problem)
 from filtered_ie23.filters import post_filtered, pre_filtered
+from oracles import beta_oracle
 
 MODEL = model_problem()
 QP = quasi_periodic_problem()
@@ -80,7 +80,9 @@ def test_03_uniform_grid_coefficient_identities():
     worst = 0.0
     for _ in range(100):
         k = 10.0 ** rng.uniform(-3.0, 3.0)
-        worst = max(worst, abs(alpha_coeff(k, k, k) - 1.0))
+        # pre_filtered at y_n = 0 and kappa_prev = -2 returns alpha exactly
+        alpha = pre_filtered(k, k, k, (0.0,), (-2.0,))[0]
+        worst = max(worst, abs(alpha - 1.0))
         beta = beta_coeff(k, k, k, k)
         worst = max(worst, abs(beta - 5.0 / 11.0) / (5.0 / 11.0))
     assert worst <= 1e-14

@@ -3,21 +3,14 @@ import re
 
 import pytest
 
-from filtered_ie23 import (DimensionMismatch, MinStepReached, NonFiniteState,
-                           NonMonotonicTimes, NonPositiveStep, OdeProblem,
-                           SolverConfig, Verdict, alpha_coeff, attempt_step,
-                           beta_coeff, curvature, implicit_euler_stage,
-                           model_analog_problem, model_problem,
-                           solve_filtered_ie23, van_der_pol_problem)
-from filtered_ie23.steppers import bootstrap
+from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
+                           SolverConfig, beta_coeff, curvature,
+                           implicit_euler_stage, model_analog_problem,
+                           model_problem, solve_filtered_ie23,
+                           van_der_pol_problem)
 
 SPEC = model_problem()
 P = SPEC.problem
-
-
-def _window():
-    """The four bootstrap points of the model problem, as (t, y) pairs."""
-    return list(zip(*bootstrap(P, 0.0, (1.0,), 0.01)))
 
 
 def _compose(p, points, k, cfg):
@@ -26,7 +19,7 @@ def _compose(p, points, k, cfg):
     (t_nm3, _), (t_nm2, y_nm2), (t_nm1, y_nm1), (t_n, y_n) = points
     k_nm1, k_nm2, k_nm3 = t_n - t_nm1, t_nm1 - t_nm2, t_nm2 - t_nm3
     kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
-    half_a = 0.5 * alpha_coeff(k, k_nm1, k_nm2)
+    half_a = 0.5 * (k * k / (k_nm1 * k_nm2))
     y_tilde = tuple([y_n[i] - half_a * kappa_prev[i] for i in range(len(y_n))])
     y_second = implicit_euler_stage(p, t_n + k, k, y_tilde, y_n, cfg).y
     kappa_cur = curvature(k_nm1, k, y_nm1, y_n, y_second)
@@ -35,107 +28,6 @@ def _compose(p, points, k, cfg):
                      for i in range(len(y_second))])
     est = max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])
     return y_second, y_third, est
-
-
-class TestAttemptStep:
-    def test_matches_manual_composition_exactly(self):
-        w = _window()
-        k = 0.01
-        cfg = SolverConfig(tol=0.005, dt0=0.01, t_end=2.0)
-        attempt = attempt_step(P, w, k, cfg)
-        y_second, y_third, est = _compose(P, w, k, cfg)
-
-        assert attempt.k_n == k
-        assert attempt.y_second == y_second
-        assert attempt.y_third == y_third
-        assert attempt.est == est
-        assert attempt.est > 0.0
-
-    def test_verdict_thresholds(self):
-        w = _window()
-        k = 0.01
-        probe = attempt_step(P, w, k, SolverConfig(tol=1.0, dt0=0.01, t_end=2.0))
-        rate = probe.est / k
-
-        halve = attempt_step(P, w, k, SolverConfig(tol=0.5 * rate, dt0=0.01, t_end=2.0))
-        accept = attempt_step(P, w, k, SolverConfig(tol=2.0 * rate, dt0=0.01, t_end=2.0))
-        double = attempt_step(P, w, k, SolverConfig(tol=128.0 * rate, dt0=0.01, t_end=2.0))
-        assert halve.verdict is Verdict.HALVE
-        assert accept.verdict is Verdict.ACCEPT
-        assert double.verdict is Verdict.ACCEPT_AND_DOUBLE
-
-    def test_doubling_verdict_ignores_step_ceiling(self):
-        # the attempt is advisory: the driver, not attempt_step, enforces
-        # that a doubled step stays under k_max
-        w = _window()
-        cfg = SolverConfig(tol=1e6, dt0=0.01, t_end=2.0, k_max=0.01)
-        assert attempt_step(P, w, 0.01, cfg).verdict is Verdict.ACCEPT_AND_DOUBLE
-
-    def test_stage_failure_becomes_halve(self):
-        def rhs(t, y):
-            return (math.nan,) if t > 0.035 else (y[0],)
-
-        bad = OdeProblem(1, rhs, lambda t, y: ((1.0,),))
-        attempt = attempt_step(bad, _window(), 0.01,
-                               SolverConfig(tol=0.005, dt0=0.01, t_end=2.0))
-        assert attempt.verdict is Verdict.HALVE
-        assert attempt.est == math.inf
-        assert attempt.y_second is None
-        assert attempt.y_third is None
-
-    def test_degenerate_beta_becomes_halve(self):
-        # steps (2, 6, 3), oldest first, and k_n = 3 zero beta's denominator
-        points = [(0.0, (1.0,)), (2.0, (1.0,)), (8.0, (1.0,)), (11.0, (1.0,))]
-        attempt = attempt_step(P, points, 3.0, SolverConfig(dt0=1.0, t_end=40.0))
-        assert attempt.verdict is Verdict.HALVE
-        assert attempt.est == math.inf
-        assert attempt.y_second is None
-
-
-class TestAttemptStepPoints:
-    CFG = SolverConfig(tol=0.005, dt0=0.01, t_end=2.0)
-    POINTS = [(0.0, (1.0,)), (0.01, (1.01,)), (0.02, (1.02,)), (0.03, (1.03,))]
-
-    def _with(self, i, point):
-        points = list(self.POINTS)
-        points[i] = point
-        return points
-
-    def test_needs_exactly_four_points(self):
-        for points in (self.POINTS[:2], self.POINTS[:3], self.POINTS + [(0.04, (1.04,))]):
-            with pytest.raises(ValueError, match="4"):
-                attempt_step(P, points, 0.01, self.CFG)
-
-    def test_times_must_strictly_increase(self):
-        with pytest.raises(NonMonotonicTimes):
-            attempt_step(P, self._with(2, (0.01, (1.02,))), 0.01, self.CFG)
-        with pytest.raises(NonMonotonicTimes):
-            attempt_step(P, self._with(0, (math.nan, (1.0,))), 0.01, self.CFG)
-        # infinite times increase, but unchecked they gave a silent HALVE:
-        # est = inf, and y_third = (nan,)
-        with pytest.raises(NonMonotonicTimes):
-            attempt_step(P, self._with(3, (math.inf, (1.03,))), 0.01, self.CFG)
-        with pytest.raises(NonMonotonicTimes):
-            attempt_step(P, self._with(0, (-math.inf, (1.0,))), 0.01, self.CFG)
-
-    @pytest.mark.parametrize("i", [0, 1, 2, 3])
-    def test_every_state_must_match_the_dimension(self, i):
-        # unchecked, a 2-D y_nm2 (i = 1) gave a silent HALVE read from its
-        # first component, and a 2-D y_nm1 (i = 2) a bare IndexError
-        t, y = self.POINTS[i]
-        with pytest.raises(DimensionMismatch):
-            attempt_step(P, self._with(i, (t, y + (7.0,))), 0.01, self.CFG)
-
-    @pytest.mark.parametrize("k_n", [0.0, -0.01, math.nan, math.inf])
-    def test_step_must_be_positive(self, k_n):
-        with pytest.raises(NonPositiveStep):
-            attempt_step(P, self.POINTS, k_n, self.CFG)
-
-    def test_int_points_give_the_float_result(self):
-        ints = [(0, (0,)), (1, (1,)), (2, (2,)), (3, (3,))]
-        floats = [(0.0, (0.0,)), (1.0, (1.0,)), (2.0, (2.0,)), (3.0, (3.0,))]
-        cfg = SolverConfig(tol=0.005, dt0=1.0, t_end=40.0)
-        assert attempt_step(P, ints, 1, cfg) == attempt_step(P, floats, 1.0, cfg)
 
 
 class TestAdaptiveSolve:
@@ -237,27 +129,58 @@ class TestDoublingGuard:
         assert stats.doublings == 2
         assert stats.max_k_used > 0.39
 
+    def test_benchmark_runs_follow_the_doubling_rule(self, all_bench_runs):
+        # the driver doubles after exactly the accepted steps whose estimate
+        # is below tol*k / 2**6 and whose doubled step fits under k_max, and
+        # a step grows, by at most 2x, only after such a step
+        for run in all_bench_runs:
+            cfg, traj = run.cfg, run.trajectory
+            ks, est = traj.ks, traj.est
+            wants = [i >= 4 and est[i] < cfg.tol * ks[i] / 64.0
+                     and 2.0 * ks[i] <= cfg.k_max for i in range(len(traj))]
+            assert run.stats.doublings == sum(wants), run.label
+            for i in range(4, len(traj)):
+                assert ks[i] <= 2.0 * ks[i - 1], (run.label, i)
+                assert ks[i] <= ks[i - 1] or wants[i - 1], (run.label, i)
+
+
+class TestDegenerateBeta:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_driver_rejects_a_degenerate_final_step(self, d):
+        # after unit steps, a final step r with 3r^3 + 12r^2 + 2r - 6 = 0
+        # zeroes beta's denominator.  The state is constant, so est = 0 on
+        # every attempt, and the one rejection is that degenerate beta: the
+        # driver halves r and takes r/2 twice, doubling after each, in the
+        # 1-D and 2-D loops and in the generic one (d = 3)
+        r = 0.6
+        for _ in range(5):
+            r -= (((3.0 * r + 12.0) * r + 2.0) * r - 6.0) / ((9.0 * r + 24.0) * r + 2.0)
+        zeros = [[0.0] * d for _ in range(d)]
+        const = OdeProblem(d, lambda t, y: (0.0,) * d, lambda t, y: zeros)
+        cfg = SolverConfig(tol=1e-3, dt0=1.0, t_end=10.0 + r, k_max=1.0)
+        traj, stats = solve_filtered_ie23(const, cfg, (1.0,) * d)
+        assert (stats.accepted, stats.rejected, stats.doublings) == (9, 1, 2)
+        assert stats.newton_failures == 0
+        assert traj.ks[-2] == 0.5 * (cfg.t_end - 10.0)
+        assert traj.final_time() == pytest.approx(cfg.t_end, abs=1e-13)
+        assert traj.final_state() == (1.0,) * d
+
 
 class TestOneKernel:
     @pytest.mark.parametrize("tol, dt0", [(5e-3, 1e-2), (2.5e-4, 1e-3)])
-    def test_attempt_step_replays_every_accepted_row(self, tol, dt0):
-        # the driver and attempt_step share the filter kernel: handing
-        # attempt_step the four rows before each accepted step and that
-        # row's k reproduces the row bit for bit.  The public formulas,
-        # composed by hand, give the same bits on these non-uniform
-        # histories too.
+    def test_composed_formulas_replay_every_accepted_row(self, tol, dt0):
+        # the public formulas, composed by hand from the four rows before
+        # each accepted step and that row's k, reproduce the driver's row
+        # bit for bit on these non-uniform histories
         cfg = SolverConfig(tol=tol, dt0=dt0, t_end=2.0)
         traj, _ = solve_filtered_ie23(P, cfg, (1.0,))
         for i in range(4, len(traj)):
             points = [(traj.times[j], traj.state(j)) for j in range(i - 4, i)]
             k = traj.ks[i]
-            attempt = attempt_step(P, points, k, cfg)
-            assert attempt.verdict is not Verdict.HALVE
-            assert traj.times[i - 1] + attempt.k_n == traj.times[i]
-            assert attempt.y_third == traj.state(i)
-            assert attempt.est == traj.est[i]
-            assert _compose(P, points, k, cfg) == (attempt.y_second,
-                                                   attempt.y_third, attempt.est)
+            _, y_third, est = _compose(P, points, k, cfg)
+            assert traj.times[i - 1] + k == traj.times[i]
+            assert y_third == traj.state(i)
+            assert est == traj.est[i]
 
 
 def _copies(p, n):

@@ -239,3 +239,12 @@ class TestCsv:
         path.write_text("time,y0,est,k\n0.0,1.0,0.0,0.0\n")
         with pytest.raises(ValueError):
             read_csv(path)
+
+    @pytest.mark.parametrize("row", ["0.1,1.0,0.0", "0.1,1.0,0.0,0.1,7.0"])
+    def test_read_rejects_a_row_of_the_wrong_length(self, tmp_path, row):
+        # a short row used to raise a bare IndexError, and a long one lost
+        # its extra field silently
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"t,y0,est,k\n0.0,1.0,0.0,0.0\n{row}\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_csv(path)

@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from filtered_ie23 import (DegenerateBeta, NonPositiveStep,
-                           SolverConfig, alpha_coeff, attempt_step,
-                           beta_coeff, beta_oracle, curvature, model_problem)
+from filtered_ie23 import (DegenerateBeta, NonPositiveStep, beta_coeff,
+                           curvature)
 from filtered_ie23.filters import (_beta_parts, post_filtered,
                                    post_filtered_uniform, pre_filtered)
-from filtered_ie23.steppers import bootstrap
+from oracles import beta_oracle
 
 UNIFORM_BETA = 5.0 / 11.0
 
@@ -34,18 +33,20 @@ class TestCurvature:
             curvature(1.0, -1.0, (0.0,), (0.0,), (0.0,))
 
 
+def _alpha(k_n, k_nm1, k_nm2):
+    """alpha, read off the pre-filter: y_n = 0 and kappa_prev = -2 give
+    -0.5 * alpha * -2 = alpha, exactly."""
+    return pre_filtered(k_n, k_nm1, k_nm2, (0.0,), (-2.0,))[0]
+
+
 class TestAlpha:
     def test_uniform_grid_gain_is_one(self):
         for k in (1e-3, 0.25, 1.0, 7.5):
-            assert alpha_coeff(k, k, k) == 1.0
+            assert _alpha(k, k, k) == 1.0
 
     def test_quadratic_in_candidate_step(self):
-        assert alpha_coeff(2.0, 1.0, 1.0) == 4.0
-        assert alpha_coeff(1.0, 2.0, 2.0) == 0.25
-
-    def test_rejects_nonpositive_steps(self):
-        with pytest.raises(NonPositiveStep):
-            alpha_coeff(1.0, 0.0, 1.0)
+        assert _alpha(2.0, 1.0, 1.0) == 4.0
+        assert _alpha(1.0, 2.0, 2.0) == 0.25
 
 
 class TestBeta:
@@ -107,14 +108,6 @@ class TestFilters:
     def test_degenerate_beta_gives_none(self):
         assert post_filtered(3.0, 3.0, 6.0, 2.0, Y_NM1, Y_N, KAPPA_PREV,
                              (27.0, -22.0), None) is None
-
-    def test_filters_ignore_oldest_window_slot(self):
-        # the oldest slot enters a step only through its time (k_nm3)
-        p = model_problem().problem
-        points = list(zip(*bootstrap(p, 0.0, (1.0,), 0.01)))
-        shifted = [(points[0][0], (99.0,))] + points[1:]
-        cfg = SolverConfig(tol=0.005, dt0=0.01, t_end=2.0)
-        assert attempt_step(p, shifted, 0.01, cfg) == attempt_step(p, points, 0.01, cfg)
 
 
 class TestErrorEstimate:

@@ -5,7 +5,7 @@ import pytest
 
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
                            NonFiniteState, NonPositiveStep, OdeProblem,
-                           SolverConfig, attempt_step, model_problem, rk3_step,
+                           SolverConfig, model_problem, rk3_step,
                            solve_filtered_ie23, quasi_periodic_problem,
                            solve_ie_pre_2, solve_ie_pre_post_3,
                            solve_rk4_reference, van_der_pol_problem)
@@ -193,14 +193,9 @@ class TestRk4Reference:
         assert runs[0].states == runs[1].states
 
 
-def _attempt_from(p, cfg, y0):
-    """attempt_step from four points whose states are all y0."""
-    return attempt_step(p, [(i * cfg.dt0, y0) for i in range(4)], cfg.dt0, cfg)
-
-
 class TestInitialStateCheck:
     SOLVERS = [solve_filtered_ie23, solve_ie_pre_2, solve_ie_pre_post_3,
-               solve_rk4_reference, _attempt_from]
+               solve_rk4_reference]
 
     @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("y0", [(1.0, 99.0), ()])
