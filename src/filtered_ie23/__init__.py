@@ -28,7 +28,7 @@ from .core import OdeProblem, SolverConfig, Trajectory
 from .errors import (DegenerateBeta, DimensionMismatch, MinStepReached,
                      NewtonDiverged, NonFiniteState, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem, SolverError)
-from .filters import beta_coeff, curvature
+from .filters import curvature
 from .newton import NewtonOutcome, implicit_euler_stage
 from .problems import (ProblemSpec, make_problem, model_analog_problem,
                        model_problem, quasi_periodic_problem,
@@ -45,8 +45,7 @@ __all__ = [
     "NewtonOutcome", "NonFiniteState", "NonMonotonicTimes",
     "NonPositiveStep", "OdeProblem", "ProblemSpec", "SingularLinearSystem",
     "SolverConfig", "SolverError", "Trajectory", "VdpComparison",
-    "adaptive_run", "analog_benchmark_runs", "beta_coeff",
-    "compare_adaptive_constant",
+    "adaptive_run", "analog_benchmark_runs", "compare_adaptive_constant",
     "constant_run", "convergence_table", "curvature", "emit_csv",
     "implicit_euler_stage", "make_problem", "model_analog_problem",
     "model_benchmark_runs", "model_problem",

@@ -150,13 +150,13 @@ def _loop_dim1(p: OdeProblem, cfg: SolverConfig, traj: Trajectory,
     """solve_filtered_ie23's loop after the bootstrap, for one component.
 
     The generic loop with the state held in float locals and the filter
-    kernel written out: curvature, alpha, _beta_parts with its degeneracy
-    test, beta, the post-filter, the estimate and the finiteness test,
-    each with the same floating-point operations in the same order as
-    filters.py, so the trajectory and stats are bit-identical.  Factors
-    that depend on the history alone are formed once per step, each the
-    very product the kernel forms.  Every attempt still calls the
-    module-global implicit_euler_stage with the generic loop's arguments.
+    kernel written out: curvature, alpha, _beta with its degeneracy test,
+    the post-filter, the estimate and the finiteness test, each with the
+    same floating-point operations in the same order as filters.py, so
+    the trajectory and stats are bit-identical.  Factors that depend on
+    the history alone are formed once per step, each the very product the
+    kernel forms.  Every attempt still calls the module-global
+    implicit_euler_stage with the generic loop's arguments.
 
     What this and _loop_dim2 save, on a 2-CPU Xeon under CPython 3.11
     (perfbench --seconds 35, 10 alternating process pairs, medians of
@@ -190,7 +190,7 @@ def _loop_dim1(p: OdeProblem, cfg: SolverConfig, traj: Trajectory,
         s = k_nm1 + k_nm2
         two_k1 = 2.0 * k_nm1
         kappa = 2.0 * k_nm2 / s * y_n - 2.0 * y_nm1 + two_k1 / s * y_nm2
-        # the history's share of alpha and of _beta_parts
+        # the history's share of alpha and of _beta
         k12 = k_nm1 * k_nm2
         k1k1 = k_nm1 * k_nm1
         two_k2k2 = 2.0 * k_nm2 * k_nm2
@@ -290,7 +290,7 @@ def _loop_dim2(p: OdeProblem, cfg: SolverConfig, traj: Trajectory,
         w_prev = two_k1 / s
         kappa0 = w_next * y_n0 - 2.0 * y_nm1_0 + w_prev * y_nm2_0
         kappa1 = w_next * y_n1 - 2.0 * y_nm1_1 + w_prev * y_nm2_1
-        # the history's share of alpha and of _beta_parts
+        # the history's share of alpha and of _beta
         k12 = k_nm1 * k_nm2
         k1k1 = k_nm1 * k_nm1
         two_k2k2 = 2.0 * k_nm2 * k_nm2

@@ -237,16 +237,18 @@ def read_csv(path) -> Trajectory:
     """Parse a file written by emit_csv back into a Trajectory."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if header[:1] != ["t"] or header[-2:] != ["est", "k"]:
-            raise ValueError(f"unrecognized trajectory header: {header!r}")
         d = len(header) - 3
+        if header[:1] != ["t"] or header[-2:] != ["est", "k"] or d < 1:
+            raise ValueError(f"unrecognized trajectory header: {header!r}")
         traj = Trajectory(d)
         for lineno, line in enumerate(fh, start=2):
             parts = line.split(",")
             if len(parts) != len(header):
                 raise ValueError(f"line {lineno} has {len(parts)} fields, "
                                  f"the header {len(header)}")
-            traj.append(float(parts[0]),
-                        tuple(float(v) for v in parts[1:1 + d]),
-                        float(parts[1 + d]), float(parts[2 + d]))
+            try:
+                row = [float(v) for v in parts]
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            traj.append(row[0], tuple(row[1:1 + d]), row[1 + d], row[2 + d])
     return traj

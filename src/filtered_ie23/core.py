@@ -48,6 +48,8 @@ class OdeProblem:
 def initial_state(p: OdeProblem, y0: Sequence[float]) -> Vector:
     """y0 as a tuple of floats, checked against p's dimension and
     est_component; every solver starts from it."""
+    if p.dimension < 1:
+        raise DimensionMismatch(f"{p.name!r} has dimension {p.dimension!r}, need at least 1")
     y = tuple([float(c) for c in y0])
     if len(y) != p.dimension:
         raise DimensionMismatch(f"y0 has {len(y)} components, {p.name!r} has {p.dimension}")

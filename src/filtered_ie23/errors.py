@@ -1,8 +1,10 @@
 """Exception types raised by the integrators.
 
-The step-attempt failures (NewtonDiverged, DegenerateBeta,
+The Newton failures of a step attempt (NewtonDiverged,
 SingularLinearSystem) are recoverable inside the adaptive driver, which
-reacts by halving the candidate step.  The remaining errors abort a solve.
+reacts by halving the candidate step; it rejects a degenerate post-filter
+coefficient the same way, without an exception.  The remaining errors,
+DegenerateBeta included, abort a solve.
 """
 
 
@@ -24,7 +26,9 @@ class DimensionMismatch(SolverError):
 
 class DegenerateBeta(SolverError):
     """The post-filter denominator is too close to zero for the current
-    step-size history; the attempt cannot be completed at this step."""
+    step-size history.  Raised by the constant-step ie-pre-post-3 method at
+    a clamped final step, which it cannot shorten; the adaptive driver
+    halves such a step instead."""
 
 
 class NewtonDiverged(SolverError):

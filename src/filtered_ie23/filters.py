@@ -7,10 +7,9 @@ most recent accepted steps, newest first).
 
 The constant-step drivers and the adaptive driver's generic loop take the
 curvature of the newest three states once per step from `curvature`,
-then call the unchecked kernel (pre_filtered, post_filtered,
-post_filtered_uniform) on each attempt.  Each kernel call
-makes at most one call of its own (_beta_parts), as further calls
-measurably slowed the drivers.
+then call the kernel (pre_filtered, post_filtered, post_filtered_uniform)
+on each attempt.  post_filtered is composed of _beta, curvature and
+_estimate, so each formula exists once here.
 
 The adaptive driver's 1-D and 2-D loops (adaptive._loop_dim1 and
 _loop_dim2) inline curvature, pre_filtered and post_filtered with the same
@@ -24,7 +23,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .core import Vector
-from .errors import DegenerateBeta, NonPositiveStep
+from .errors import NonPositiveStep
 
 # Relative floor for the post-filter denominator.  The denominator is a
 # homogeneous degree-4 polynomial of the four steps, so the floor must be
@@ -33,9 +32,16 @@ from .errors import DegenerateBeta, NonPositiveStep
 _DEGENERACY_RTOL = 1e-12
 
 
-def _beta_parts(k_n: float, k_nm1: float, k_nm2: float,
-                k_nm3: float) -> tuple[float, float, bool]:
-    """beta's numerator and denominator, and whether the latter is degenerate."""
+def _beta(k_n: float, k_nm1: float, k_nm2: float,
+          k_nm3: float) -> Optional[float]:
+    """Post-filter gain for one candidate step, or None when its
+    denominator is too close to zero for this step history.
+
+    Closed form chosen so the complete step (pre-filter, implicit stage,
+    post-filter) is exact on cubic data for any positive step history;
+    the oracle in tests/oracles.py solves that defining equation in exact
+    arithmetic.  On a uniform grid the ratio reduces to 5/11.
+    """
     ksum = k_n + k_nm1
     num = k_n * k_n * ksum * (2.0 * k_n + 2.0 * k_nm1 + k_nm2)
     den = 2.0 * k_nm1 * (
@@ -45,7 +51,9 @@ def _beta_parts(k_n: float, k_nm1: float, k_nm2: float,
         + 3.0 * k_nm3 * (k_n - k_nm2) * ksum
     )
     scale = max(k_n, k_nm1, k_nm2, k_nm3) ** 4
-    return num, den, abs(den) < _DEGENERACY_RTOL * max(scale, abs(num))
+    if abs(den) < _DEGENERACY_RTOL * max(scale, abs(num)):
+        return None
+    return num / den
 
 
 def _estimate(y_second: Sequence[float], y_third: Sequence[float],
@@ -69,22 +77,13 @@ def post_filtered(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float,
                   component: Optional[int]) -> Optional[tuple[Vector, float]]:
     """The third-order value of a step whose implicit stage gave y_second,
     and the embedded estimate; None when beta is degenerate at k_n."""
-    num, den, degenerate = _beta_parts(k_n, k_nm1, k_nm2, k_nm3)
-    if degenerate:
+    beta = _beta(k_n, k_nm1, k_nm2, k_nm3)
+    if beta is None:
         return None
-    beta = num / den
-    # curvature(k_nm1, k_n, y_nm1, y_n, y_second), fused into the filter
-    s = k_n + k_nm1
-    w_next = 2.0 * k_nm1 / s
-    w_prev = 2.0 * k_n / s
-    y_third = tuple([
-        y_second[i] - beta * (
-            (w_next * y_second[i] - 2.0 * y_n[i] + w_prev * y_nm1[i]) - kappa_prev[i])
-        for i in range(len(y_second))
-    ])
-    if component is not None:                        # _estimate, inlined
-        return y_third, abs(y_third[component] - y_second[component])
-    return y_third, max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])
+    kappa = curvature(k_nm1, k_n, y_nm1, y_n, y_second)
+    y_third = tuple([y_second[i] - beta * (kappa[i] - kappa_prev[i])
+                     for i in range(len(y_second))])
+    return y_third, _estimate(y_second, y_third, component)
 
 
 def post_filtered_uniform(y_nm2: Sequence[float], y_nm1: Sequence[float],
@@ -118,25 +117,3 @@ def curvature(k_prev: float, k_cur: float,
     w_prev = 2.0 * k_cur / s
     return tuple([w_next * y_next[i] - 2.0 * y_mid[i] + w_prev * y_prev[i]
                   for i in range(len(y_mid))])
-
-
-def beta_coeff(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
-    """Post-filter gain for one candidate step.
-
-    Closed form chosen so the complete step (pre-filter, implicit stage,
-    post-filter) is exact on cubic data for any positive step history;
-    the oracle in tests/oracles.py solves that defining equation in exact
-    arithmetic.  On a uniform grid the ratio reduces to 5/11.
-
-    Raises DegenerateBeta when the denominator is too close to zero, in
-    which case the caller is expected to retry with a different k_n.
-    """
-    if min(k_n, k_nm1, k_nm2, k_nm3) <= 0.0:
-        raise NonPositiveStep("beta_coeff needs positive steps")
-    num, den, degenerate = _beta_parts(k_n, k_nm1, k_nm2, k_nm3)
-    if degenerate:
-        raise DegenerateBeta(
-            f"post-filter denominator {den!r} vanishes for steps "
-            f"({k_n!r}, {k_nm1!r}, {k_nm2!r}, {k_nm3!r})"
-        )
-    return num / den

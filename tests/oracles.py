@@ -6,7 +6,7 @@ from filtered_ie23 import DegenerateBeta, NonPositiveStep
 
 
 def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
-    """Numerical oracle for beta_coeff: solve the cubic-exactness equation.
+    """Numerical oracle for filters._beta: solve the cubic-exactness equation.
 
     Lay out the grid t0..t4 implied by the four steps, put y = t^3 on it,
     run the pre-filter and the (y-independent) implicit stage for the last

@@ -4,10 +4,10 @@ import re
 import pytest
 
 from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
-                           SolverConfig, beta_coeff, curvature,
-                           implicit_euler_stage, model_analog_problem,
-                           model_problem, solve_filtered_ie23,
-                           van_der_pol_problem)
+                           SolverConfig, curvature, implicit_euler_stage,
+                           model_analog_problem, model_problem,
+                           solve_filtered_ie23, van_der_pol_problem)
+from filtered_ie23.filters import _beta
 
 SPEC = model_problem()
 P = SPEC.problem
@@ -23,7 +23,7 @@ def _compose(p, points, k, cfg):
     y_tilde = tuple([y_n[i] - half_a * kappa_prev[i] for i in range(len(y_n))])
     y_second = implicit_euler_stage(p, t_n + k, k, y_tilde, y_n, cfg).y
     kappa_cur = curvature(k_nm1, k, y_nm1, y_n, y_second)
-    beta = beta_coeff(k, k_nm1, k_nm2, k_nm3)
+    beta = _beta(k, k_nm1, k_nm2, k_nm3)
     y_third = tuple([y_second[i] - beta * (kappa_cur[i] - kappa_prev[i])
                      for i in range(len(y_second))])
     est = max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])

@@ -236,9 +236,11 @@ class TestCsv:
 
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bogus.csv"
-        path.write_text("time,y0,est,k\n0.0,1.0,0.0,0.0\n")
-        with pytest.raises(ValueError):
-            read_csv(path)
+        # a header with no state column used to give a dimension-0 trajectory
+        for text in ("time,y0,est,k\n0.0,1.0,0.0,0.0\n", "t,est,k\n0.0,0.0,0.0\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="unrecognized trajectory header"):
+                read_csv(path)
 
     @pytest.mark.parametrize("row", ["0.1,1.0,0.0", "0.1,1.0,0.0,0.1,7.0"])
     def test_read_rejects_a_row_of_the_wrong_length(self, tmp_path, row):
@@ -247,4 +249,10 @@ class TestCsv:
         path = tmp_path / "ragged.csv"
         path.write_text(f"t,y0,est,k\n0.0,1.0,0.0,0.0\n{row}\n")
         with pytest.raises(ValueError, match="line 3"):
+            read_csv(path)
+
+    def test_read_names_the_line_of_a_field_that_is_not_a_number(self, tmp_path):
+        path = tmp_path / "garbled.csv"
+        path.write_text("t,y0,est,k\n0.0,1.0,0.0,0.0\n0.1,abc,0.0,0.1\n")
+        with pytest.raises(ValueError, match="line 3: .*'abc'"):
             read_csv(path)

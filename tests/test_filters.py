@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from filtered_ie23 import (DegenerateBeta, NonPositiveStep, beta_coeff,
-                           curvature)
-from filtered_ie23.filters import (_beta_parts, post_filtered,
-                                   post_filtered_uniform, pre_filtered)
+from filtered_ie23 import DegenerateBeta, NonPositiveStep, curvature
+from filtered_ie23.filters import (_beta, post_filtered, post_filtered_uniform,
+                                   pre_filtered)
 from oracles import beta_oracle
 
 UNIFORM_BETA = 5.0 / 11.0
@@ -52,24 +51,19 @@ class TestAlpha:
 class TestBeta:
     def test_uniform_grid_value(self):
         for k in (0.5, 1.0, 2.0):
-            assert beta_coeff(k, k, k, k) == UNIFORM_BETA
-            # the numerator/denominator pair is 10k^4 / 22k^4
-            assert _beta_parts(k, k, k, k) == (10.0 * k ** 4, 22.0 * k ** 4, False)
+            assert _beta(k, k, k, k) == UNIFORM_BETA
 
     def test_known_offgrid_values(self):
         # doubling after three uniform steps, and halving after three
-        assert beta_coeff(2.0, 1.0, 1.0, 1.0) == pytest.approx(3.0 / 5.0, rel=1e-14)
-        assert beta_coeff(0.5, 1.0, 1.0, 1.0) == pytest.approx(-6.0 / 13.0, rel=1e-14)
+        assert _beta(2.0, 1.0, 1.0, 1.0) == pytest.approx(3.0 / 5.0, rel=1e-14)
+        assert _beta(0.5, 1.0, 1.0, 1.0) == pytest.approx(-6.0 / 13.0, rel=1e-14)
 
     def test_degenerate_history_raises(self):
-        with pytest.raises(DegenerateBeta):
-            beta_coeff(3.0, 3.0, 6.0, 2.0)
+        assert _beta(3.0, 3.0, 6.0, 2.0) is None
         with pytest.raises(DegenerateBeta):
             beta_oracle(3.0, 3.0, 6.0, 2.0)
 
     def test_rejects_nonpositive_steps(self):
-        with pytest.raises(NonPositiveStep):
-            beta_coeff(1.0, 1.0, -1.0, 1.0)
         with pytest.raises(NonPositiveStep):
             beta_oracle(1.0, 1.0, 1.0, 0.0)
 
@@ -80,7 +74,7 @@ class TestBeta:
         for steps in [(1.3, 0.7, 1.9, 0.4), (0.01, 0.02, 0.04, 0.04),
                       (5.0, 2.5, 2.5, 5.0)]:
             want = beta_oracle(*steps)
-            got = beta_coeff(*steps)
+            got = _beta(*steps)
             assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -137,3 +131,87 @@ class TestUniformClosedForm:
             for a, b in zip(general[0], uniform[0]):
                 assert abs(a - b) <= ulps
             assert abs(general[1] - uniform[1]) <= ulps
+
+
+# One step of the kernel is linear in (y_{n-2}, y_{n-1}, y_n) in two limits
+# of y' = lambda*y with z = lambda*k: at z = 0 the implicit stage returns
+# y_tilde, and as z -> -inf it returns 0.  Fed the three unit vectors as the
+# components of one state, the kernel returns the map's last row directly.
+UNIT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _step_map(k_n, k_nm1, k_nm2, k_nm3, stiff):
+    y_nm2, y_nm1, y_n = UNIT
+    kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
+    y_tilde = pre_filtered(k_n, k_nm1, k_nm2, y_n, kappa_prev)
+    y_second = (0.0, 0.0, 0.0) if stiff else y_tilde
+    y_third, _ = post_filtered(k_n, k_nm1, k_nm2, k_nm3, y_nm1, y_n,
+                               kappa_prev, y_second, None)
+    return (UNIT[1], UNIT[2], y_third)
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(a[i][m] * b[m][j] for m in range(3)) for j in range(3))
+                 for i in range(3))
+
+
+def _roots(coeffs):
+    """Durand-Kerner roots of the monic polynomial coeffs, highest first."""
+    n = len(coeffs) - 1
+
+    def poly(x):
+        return sum(c * x ** (n - i) for i, c in enumerate(coeffs))
+
+    z = [(0.4 + 0.9j) ** i for i in range(n)]
+    for _ in range(200):
+        new = []
+        for i, zi in enumerate(z):
+            den = 1.0
+            for j, zj in enumerate(z):
+                if j != i:
+                    den *= zi - zj
+            new.append(zi - poly(zi) / den)
+        z = new
+    return z
+
+
+def _radius_per_step(pattern, stiff):
+    """Spectral radius, per step, of the kernel's map over one period of a
+    repeated step pattern; at z = 0 the constant mode (root 1) is dropped."""
+    period = len(pattern)
+    m = UNIT
+    for j in range(period):
+        steps = [pattern[(j - i) % period] for i in range(4)]   # k_n .. k_nm3
+        m = _matmul(_step_map(*steps, stiff), m)
+    # characteristic polynomial x^3 - c1 x^2 + c2 x - c3
+    c1 = m[0][0] + m[1][1] + m[2][2]
+    c2 = sum(m[i][i] * m[j][j] - m[i][j] * m[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+    c3 = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+          - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+          + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    coeffs = [1.0, -c1, c2, -c3]
+    if not stiff:
+        # constants pass through unchanged, so x = 1 is a root; divide it out
+        q1 = 1.0 - c1
+        q0 = c2 + q1
+        assert abs(q0 - c3) < 1e-12
+        coeffs = [1.0, q1, q0]
+    return max(abs(r) for r in _roots(coeffs)) ** (1.0 / period)
+
+
+class TestStepPatternStability:
+    """Growth per step of the third-order value on repeated step patterns.
+
+    A radius above 1 means the pattern amplifies: uniform steps and
+    (k, 2k) damp in both limits, (k, k, 2k, 2k) and (2k, k, k) do not.
+    """
+
+    @pytest.mark.parametrize("pattern, nonstiff, stiff", [
+        ((1.0,), 0.426, 0.968),
+        ((1.0, 2.0), 0.418, 0.977),
+        ((1.0, 1.0, 2.0, 2.0), 1.436, 1.706),
+        ((2.0, 1.0, 1.0), 1.072, 1.980),
+    ])
+    def test_spectral_radius(self, pattern, nonstiff, stiff):
+        assert _radius_per_step(pattern, stiff=False) == pytest.approx(nonstiff, abs=1e-3)
+        assert _radius_per_step(pattern, stiff=True) == pytest.approx(stiff, abs=1e-3)

@@ -1,7 +1,9 @@
-"""Every import in the package is used, and every export resolves.
+"""Every import in the package is used, every private name is read, and
+every export resolves.
 
-No linter runs with the tests, so this stdlib-ast check is what catches an
-import left behind when the code that used it is deleted.  Exempt are
+No linter runs with the tests, so these stdlib-ast checks are what catch an
+import left behind when the code that used it is deleted, and a private
+helper that only the tests keep alive.  Exempt from the import check are
 `from __future__` imports, the names `__init__.py` re-exports through
 `__all__`, and lines marked `# noqa: F401`.
 """
@@ -50,6 +52,53 @@ def test_the_check_sees_an_unused_import():
               "x = all_finite(math.pi)\n")
     assert _unused_imports(source, set()) == [(2, "os"), (4, "Vector")]
     assert _unused_imports(source, {"os"}) == [(4, "Vector")]
+
+
+def _unread_private_names(sources):
+    """Module-level names with one leading underscore that no module reads,
+    as a Name load, an attribute or a from-import, as (module, name)."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [(module, name) for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return sorted(unread)
+
+
+def test_every_private_name_is_read():
+    sources = {module: (PACKAGE / module).read_text() for module in MODULES}
+    assert _unread_private_names(sources) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a.py": ("__all__ = ['f']\n_SCALE = 2.0\n_LIMIT: float = 1.0\n"
+                 "def _parts(x):\n    return x\n"
+                 "def _helper(x):\n    return x\n"
+                 "class _Kept:\n    pass\n"
+                 "def f(x):\n    return _parts(x) * _SCALE\n"),
+        "b.py": "from .a import _Kept\n",
+    }
+    assert _unread_private_names(sources) == [("a.py", "_LIMIT"), ("a.py", "_helper")]
 
 
 def test_every_export_resolves_once():

@@ -210,6 +210,14 @@ class TestInitialStateCheck:
         with pytest.raises(DimensionMismatch):
             solver(bad, _cfg(0.05), (1.0,))
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_dimension_zero(self, solver):
+        # the adaptive and filtered solvers used to fail on an empty max(),
+        # and the RK4 reference returned empty states
+        empty = OdeProblem(0, lambda t, y: ())
+        with pytest.raises(DimensionMismatch, match="dimension 0"):
+            solver(empty, _cfg(0.05), ())
+
 
 def test_nonfinite_startup_raises():
     bad = OdeProblem(1, lambda t, y: (math.nan,))
