@@ -11,6 +11,7 @@ from typing import Callable, Optional, Sequence
 
 from .adaptive import AdaptiveRunStats, solve_filtered_ie23
 from .core import SolverConfig, Trajectory, Vector
+from .errors import NonMonotonicTimes
 from .problems import (ProblemSpec, make_problem, model_analog_problem,
                        quasi_periodic_problem, van_der_pol_problem)
 from .steppers import (ConstantStepRun, Method, solve_ie_pre_2,
@@ -248,7 +249,7 @@ def read_csv(path) -> Trajectory:
                                  f"the header {len(header)}")
             try:
                 row = [float(v) for v in parts]
-            except ValueError as exc:
+                traj.append(row[0], tuple(row[1:1 + d]), row[1 + d], row[2 + d])
+            except (ValueError, NonMonotonicTimes) as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            traj.append(row[0], tuple(row[1:1 + d]), row[1 + d], row[2 + d])
     return traj

@@ -71,10 +71,11 @@ def _fd_jacobian(p: OdeProblem, t: float, y: list[float], f0: Sequence[float]):
     d = p.dimension
     cols = []
     for i in range(d):
-        h = _SQRT_EPS * (1.0 + abs(y[i]))
-        y[i] += h
+        yi = y[i]
+        h = _SQRT_EPS * (1.0 + abs(yi))
+        y[i] = yi + h
         fi = p.rhs(t, tuple(y))
-        y[i] -= h
+        y[i] = yi       # (yi + h) - h need not round back to yi
         cols.append([(fi[r] - f0[r]) / h for r in range(d)])
     # column-major -> row-major
     return [[cols[c][r] for c in range(d)] for r in range(d)]

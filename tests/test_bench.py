@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from filtered_ie23 import (Method, OdeProblem, adaptive_run,
+from filtered_ie23 import (Method, OdeProblem, Trajectory, adaptive_run,
                            compare_adaptive_constant, constant_run,
                            convergence_table, emit_csv, make_problem,
                            quasi_periodic_problem, read_csv)
@@ -228,6 +228,18 @@ class TestCsv:
         assert back.est == traj.est
         assert back.ks == traj.ks
 
+    def test_round_trip_across_block_moves(self, tmp_path):
+        traj = Trajectory(2)
+        for i in range(1537):    # three full blocks of 512 rows and one more
+            traj.append(i / 3.0, (math.sin(i), -1.0 / (i + 1)), i * 1e-17, 1.0 / 3.0)
+        path = tmp_path / "long.csv"
+        emit_csv(traj, path)
+        back = read_csv(path)
+        for column in ("times", "est", "ks"):
+            assert getattr(back, column).tobytes() == getattr(traj, column).tobytes()
+        assert back.states == traj.states
+        assert back.state(-513) == traj.state(1024)
+
     def test_header_layout(self, tmp_path):
         path = tmp_path / "traj.csv"
         emit_csv(self._traj(), path)
@@ -249,6 +261,13 @@ class TestCsv:
         path = tmp_path / "ragged.csv"
         path.write_text(f"t,y0,est,k\n0.0,1.0,0.0,0.0\n{row}\n")
         with pytest.raises(ValueError, match="line 3"):
+            read_csv(path)
+
+    def test_read_names_the_line_of_a_time_that_does_not_advance(self, tmp_path):
+        # a repeated time used to raise NonMonotonicTimes, with no line
+        path = tmp_path / "repeated.csv"
+        path.write_text("t,y0,est,k\n0.0,1.0,0.0,0.0\n0.1,1.1,0.0,0.1\n0.1,1.2,0.0,0.1\n")
+        with pytest.raises(ValueError, match="line 4: time 0.1 does not advance past 0.1"):
             read_csv(path)
 
     def test_read_names_the_line_of_a_field_that_is_not_a_number(self, tmp_path):

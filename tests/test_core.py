@@ -1,10 +1,14 @@
 import dataclasses
 import math
+import random
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from filtered_ie23 import NonMonotonicTimes, SolverConfig, Trajectory
-from filtered_ie23.core import all_finite, maxnorm
+from filtered_ie23 import (DimensionMismatch, NonMonotonicTimes, SolverConfig,
+                           Trajectory)
+from filtered_ie23.core import _BLOCK, all_finite, maxnorm
 
 
 class TestSolverConfig:
@@ -108,6 +112,114 @@ class TestTrajectory:
         assert traj.final_error(exact) == 0.5
         assert traj.final_error(exact, component=0) == 0.0
         assert traj.final_error(exact, component=1) == 0.5
+
+    def test_state_of_the_wrong_length_raises(self):
+        # a short state used to shift every later row: state(0) read
+        # (1.0, 2.0) and state(1) read (3.0,)
+        traj = Trajectory(2)
+        traj.append(0.0, (1.0,), 0.0, 0.0)
+        traj.append(1.0, (2.0, 3.0), 0.0, 1.0)
+        assert len(traj) == 2
+        for read in (lambda: traj.state(0), lambda: traj.times, traj.final_state):
+            with pytest.raises(DimensionMismatch, match="2 pending rows hold 3"):
+                read()
+
+    def test_state_of_the_wrong_length_raises_at_the_block_move(self):
+        traj = Trajectory(1)
+        for i in range(_BLOCK - 1):
+            traj.append(float(i), (1.0,), 0.0, 0.0)
+        with pytest.raises(DimensionMismatch):
+            traj.append(float(_BLOCK), (1.0, 2.0), 0.0, 0.0)
+
+    def test_a_failed_move_changes_no_column(self):
+        traj = self._sample()
+        stored = [bytes(traj.times), bytes(traj.est), bytes(traj.ks),
+                  bytes(array("d", [c for y in traj.states for c in y]))]
+        traj.append(2.0, (4.0, -4.0), 0.0, 1.0)
+        traj.append(3.0, (5.0, -5.0), "not a float", 1.0)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                traj.times
+        columns = (traj._times, traj._est, traj._ks, traj._flat)
+        assert [bytes(c) for c in columns] == stored
+        assert len(traj) == 5
+
+
+# values whose bits a careless copy could change
+SPECIAL = [0.0, -0.0, 5e-324, -1.7976931348623157e308, math.inf, -math.inf,
+           math.nan, 1.1288584381185864e-07]
+
+
+def _rows(seed, n, d):
+    """n rows of dimension d with strictly increasing times."""
+    rng = random.Random(seed)
+    value = lambda: rng.choice(SPECIAL) if rng.random() < 0.2 else rng.uniform(-1e3, 1e3)
+    t, rows = rng.uniform(-10.0, 10.0), []
+    for _ in range(n):
+        t += rng.choice([1e-9, 0.25, rng.uniform(0.0, 1.0) or 1.0])
+        rows.append((t, tuple([value() for _ in range(d)]), value(), value()))
+    return rows
+
+
+def _bits(values):
+    return array("d", values).tobytes()
+
+
+def _assert_matches(traj, rows, d):
+    """Every reader of traj against the row-by-row reference, bit for bit."""
+    n = len(rows)
+    assert len(traj) == n
+    assert traj.steps_taken == max(0, n - 1)
+    assert traj.times.tobytes() == _bits([r[0] for r in rows])
+    assert traj.est.tobytes() == _bits([r[2] for r in rows])
+    assert traj.ks.tobytes() == _bits([r[3] for r in rows])
+    flat = _bits([c for r in rows for c in r[1]])
+    assert _bits([c for y in traj.states for c in y]) == flat
+    # state(-n) ... state(-1), then state(0) ... state(n - 1)
+    assert _bits([c for i in range(-n, n) for c in traj.state(i)]) == flat * 2
+    if n:
+        assert _bits([traj.final_time()]) == _bits([rows[-1][0]])
+        assert _bits(traj.final_state()) == _bits(rows[-1][1])
+        zero = lambda t: (0.0,) * d
+        assert _bits([traj.final_error(zero, component=d - 1)]) == _bits([abs(rows[-1][1][-1])])
+    else:
+        assert traj.final_state() == ()
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1])
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(seed=st.integers(0, 2**32),
+       reads=st.lists(st.one_of(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+                                st.integers(0, 3 * _BLOCK + 1)), max_size=3))
+def test_block_moves_keep_every_row(d, n, seed, reads):
+    # reads part-way through move the pending rows early; no read, or a
+    # read at any row count, must leave the same rows
+    rows = _rows(seed, n, d)
+    traj = Trajectory(d)
+    for i, (t, y, est, k) in enumerate(rows):
+        if i in reads:
+            _assert_matches(traj, rows[:i], d)
+        traj.append(t, y, est, k)
+    _assert_matches(traj, rows, d)
+
+
+def test_a_slotted_subclass_sees_every_append():
+    # the pattern perfbench/tracing.py uses to count and time appends
+    class Counted(Trajectory):
+        __slots__ = ()
+        calls = 0
+
+        def append(self, t, y, est, k):
+            Counted.calls += 1
+            Trajectory.append(self, t, y, est, k)
+
+    rows = _rows(7, 3 * _BLOCK + 1, 2)
+    traj = Counted(2)
+    for row in rows:
+        traj.append(*row)
+    assert Counted.calls == len(rows)
+    _assert_matches(traj, rows, 2)
 
 
 def test_maxnorm():

@@ -9,7 +9,7 @@ from filtered_ie23 import (NewtonDiverged, NonPositiveStep, OdeProblem,
                            implicit_euler_stage, quasi_periodic_problem)
 from filtered_ie23 import newton
 from filtered_ie23.core import maxnorm
-from filtered_ie23.newton import _NEWTON_TOL, _factor, _substitute
+from filtered_ie23.newton import _NEWTON_TOL, _fd_jacobian, _factor, _substitute
 
 CFG = SolverConfig()
 
@@ -77,6 +77,15 @@ class TestLinearStages:
                                    (1.0, -1.0), (1.0, -1.0), CFG)
         assert out.y[0] == pytest.approx(1.2 / 1.84, rel=1e-8)
         assert out.y[1] == pytest.approx(-1.0 / 1.84, rel=1e-8)
+
+    def test_finite_difference_leaves_the_iterate_unmoved(self):
+        # y[i] += h; y[i] -= h brought 1e-20 back as 9.998959244540999e-21
+        # and 1.1288584381185864e-07 as 1.1288584381185863e-07
+        p = _linear_2d(((-1.0, 2.0), (1.0, -3.0)), with_jac=False)
+        for start in ([1e-20, 1.1288584381185864e-07], [-0.0, 5e-324], [-3.5, 1e300]):
+            y = list(start)
+            _fd_jacobian(p, 0.0, y, p.rhs(0.0, tuple(y)))
+            assert [c.hex() for c in y] == [c.hex() for c in start]
 
     def test_dimension_four_residual_contract(self):
         p = quasi_periodic_problem().problem
