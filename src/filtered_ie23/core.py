@@ -201,9 +201,11 @@ class Trajectory:
 
     def state(self, i: int) -> Vector:
         self._move()
+        n = len(self._times)
+        if not -n <= i < n:
+            raise IndexError(f"row {i!r} is not in [-{n}, {n})")
         d = self.dimension
-        if i < 0:
-            i += len(self._times)
+        i %= n
         return tuple(self._flat[i * d:(i + 1) * d])
 
     @property

@@ -4,13 +4,14 @@ Solves y = y_tilde + k * f(t_next, y) for y.  The linear systems are tiny
 (dimension <= 4 for every bundled problem), so a dense hand-rolled solve
 with partial pivoting is used; no array library is involved.
 
-Dimensions 1 and 2 get straight-line fast paths because the adaptive
-benchmarks spend millions of attempts there.  Those paths perform the same
-floating-point operations in the same order as the generic code, so results
-are bit-identical either way.  What they save, on a 2-CPU Xeon under
-CPython 3.11 over 3 alternating process pairs: with the generic path alone
-the adaptive analog gamma = 1/3/5 runs took 3.72-4.20 s against 1.97-2.23 s,
-and van der Pol mu = 10 on [0, 50] took 2.27-2.55 s against 0.88-1.13 s.
+With an analytic Jacobian, dimensions 1 and 2 take written-out branches of
+implicit_euler_stage on float locals, because the adaptive benchmarks spend
+millions of attempts there.  They make the generic elimination's float
+operations in the same order, so they give its bits.  With the generic path
+alone the analog gamma = 1/3/5 runs took 3.72-4.20 s against 1.97-2.23 s,
+and van der Pol mu = 10 on [0, 50] 2.27-2.55 s against 0.88-1.13 s.  Inline
+rather than in helper functions, a stage runs one Python frame: scalar-analog
+wall_s fell from 0.625 to 0.596 s (BENCH_16.json); 2-CPU Xeon, CPython 3.11.
 
 The generic path factors I - k*J (_factor) apart from the solve with it
 (_substitute), and reuses its last factorization while k and J repeat
@@ -31,13 +32,14 @@ row on the 4-D path of the constant-step methods.
 
 from __future__ import annotations
 
-import math
+from math import isfinite, sqrt
 from typing import NamedTuple, Sequence
 
 from .core import OdeProblem, SolverConfig, Vector, all_finite, maxnorm
-from .errors import NewtonDiverged, NonPositiveStep, SingularLinearSystem
+from .errors import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
+                     SingularLinearSystem)
 
-_SQRT_EPS = math.sqrt(2.0 ** -52)
+_SQRT_EPS = sqrt(2.0 ** -52)
 _PIVOT_FLOOR = 1e-300
 # implicit_euler_stage's stopping rule, the same for every caller
 _NEWTON_TOL = 1e-10
@@ -133,89 +135,6 @@ def _substitute(plan, rhs: list[float]) -> list[float]:
     return rhs
 
 
-def _stage_dim1(rhs, jac, t_next: float, k_n: float, yt0: float,
-                y0: float) -> NewtonOutcome:
-    isfinite = math.isfinite
-    ntol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
-    iterations = 0
-    while True:
-        f = rhs(t_next, (y0,))
-        g0 = y0 - yt0 - k_n * f[0]
-        res = abs(g0)
-        if not isfinite(res):
-            raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
-        if res <= ntol * (1.0 + abs(y0)):
-            return NewtonOutcome((y0,), iterations, res)
-        if iterations >= max_iter:
-            raise NewtonDiverged(
-                f"no convergence in {max_iter} iterations at t={t_next!r} "
-                f"(residual {res!r})"
-            )
-        m00 = 1.0 - k_n * jac(t_next, (y0,))[0][0]
-        if abs(m00) < _PIVOT_FLOOR:
-            raise SingularLinearSystem("Newton matrix is numerically singular")
-        y0 += (-g0) / m00
-        iterations += 1
-        if not isfinite(y0):
-            raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")
-
-
-def _stage_dim2(rhs, jac, t_next: float, k_n: float, yt0: float, yt1: float,
-                y0: float, y1: float) -> NewtonOutcome:
-    isfinite = math.isfinite
-    ntol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
-    iterations = 0
-    while True:
-        f = rhs(t_next, (y0, y1))
-        g0 = y0 - yt0 - k_n * f[0]
-        g1 = y1 - yt1 - k_n * f[1]
-        a0 = abs(g0)
-        a1 = abs(g1)
-        res = a1 if a1 > a0 else a0
-        # both, not res alone: a NaN a1 loses the comparison above
-        if not (isfinite(a0) and isfinite(a1)):
-            raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
-        b0 = abs(y0)
-        b1 = abs(y1)
-        ynorm = b1 if b1 > b0 else b0
-        if res <= ntol * (1.0 + ynorm):
-            return NewtonOutcome((y0, y1), iterations, res)
-        if iterations >= max_iter:
-            raise NewtonDiverged(
-                f"no convergence in {max_iter} iterations at t={t_next!r} "
-                f"(residual {res!r})"
-            )
-        j = jac(t_next, (y0, y1))
-        jr = j[0]
-        m00 = 1.0 - k_n * jr[0]
-        m01 = 0.0 - k_n * jr[1]
-        jr = j[1]
-        m10 = 0.0 - k_n * jr[0]
-        m11 = 1.0 - k_n * jr[1]
-        r0 = -g0
-        r1 = -g1
-        # partial pivoting on column 0, then one elimination step
-        if abs(m10) > abs(m00):
-            m00, m10 = m10, m00
-            m01, m11 = m11, m01
-            r0, r1 = r1, r0
-        if abs(m00) < _PIVOT_FLOOR:
-            raise SingularLinearSystem("Newton matrix is numerically singular")
-        factor = m10 * (1.0 / m00)
-        if factor != 0.0:
-            m11 -= factor * m01
-            r1 -= factor * r0
-        if abs(m11) < _PIVOT_FLOOR:
-            raise SingularLinearSystem("Newton matrix is numerically singular")
-        d1 = r1 / m11
-        d0 = (r0 - m01 * d1) / m00
-        y0 += d0
-        y1 += d1
-        iterations += 1
-        if not (isfinite(y0) and isfinite(y1)):
-            raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")
-
-
 def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
                          y_tilde: Sequence[float], y_guess: Sequence[float],
                          cfg: SolverConfig) -> NewtonOutcome:
@@ -228,6 +147,8 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
     (I - k_n * J) delta = -g with J the problem Jacobian (analytic when
     provided, else forward finite differences); for d >= 3 the
     elimination of I - k_n * J is reused while k_n and J repeat.
+    y_tilde and y_guess must have p.dimension components each, else
+    DimensionMismatch.
 
     cfg is not read.  The parameter stays because perfbench/tracing.py
     wraps this function with exactly these six arguments.
@@ -236,17 +157,95 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
     if k_n <= 0.0:
         raise NonPositiveStep(f"implicit stage needs a positive step, got {k_n!r}")
     d = p.dimension
-    jac = p.jacobian
-    if jac is not None:
-        if d == 2:
-            return _stage_dim2(p.rhs, jac, t_next, k_n, y_tilde[0], y_tilde[1],
-                               y_guess[0], y_guess[1])
-        if d == 1:
-            return _stage_dim1(p.rhs, jac, t_next, k_n, y_tilde[0], y_guess[0])
     rhs = p.rhs
-    ntol, max_iter = _NEWTON_TOL, _NEWTON_MAX_ITER
-    y = list(y_guess)
+    jac = p.jacobian
     iterations = 0
+    # Outcomes are built with tuple.__new__, as NamedTuple's _make does: an
+    # equal object without the Python-level __new__ and its frame.
+    if d == 1 and jac is not None:
+        try:
+            yt0, = y_tilde
+            y0, = y_guess
+        except ValueError:
+            raise DimensionMismatch(
+                f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}") from None
+        while True:
+            f = rhs(t_next, (y0,))
+            g0 = y0 - yt0 - k_n * f[0]
+            res = abs(g0)
+            if not isfinite(res):
+                raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
+            if res <= _NEWTON_TOL * (1.0 + abs(y0)):
+                return tuple.__new__(NewtonOutcome, ((y0,), iterations, res))
+            if iterations >= _NEWTON_MAX_ITER:
+                raise NewtonDiverged(
+                    f"no convergence in {_NEWTON_MAX_ITER} iterations at "
+                    f"t={t_next!r} (residual {res!r})")
+            m00 = 1.0 - k_n * jac(t_next, (y0,))[0][0]
+            if abs(m00) < _PIVOT_FLOOR:
+                raise SingularLinearSystem("Newton matrix is numerically singular")
+            y0 += (-g0) / m00
+            iterations += 1
+            if not isfinite(y0):
+                raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")
+    if d == 2 and jac is not None:
+        try:
+            yt0, yt1 = y_tilde
+            y0, y1 = y_guess
+        except ValueError:
+            raise DimensionMismatch(
+                f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}") from None
+        while True:
+            f = rhs(t_next, (y0, y1))
+            g0 = y0 - yt0 - k_n * f[0]
+            g1 = y1 - yt1 - k_n * f[1]
+            a0 = abs(g0)
+            a1 = abs(g1)
+            res = a1 if a1 > a0 else a0
+            # both, not res alone: a NaN a1 loses the comparison above
+            if not (isfinite(a0) and isfinite(a1)):
+                raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
+            b0 = abs(y0)
+            b1 = abs(y1)
+            if res <= _NEWTON_TOL * (1.0 + (b1 if b1 > b0 else b0)):
+                return tuple.__new__(NewtonOutcome, ((y0, y1), iterations, res))
+            if iterations >= _NEWTON_MAX_ITER:
+                raise NewtonDiverged(
+                    f"no convergence in {_NEWTON_MAX_ITER} iterations at "
+                    f"t={t_next!r} (residual {res!r})")
+            j = jac(t_next, (y0, y1))
+            jr = j[0]
+            m00 = 1.0 - k_n * jr[0]
+            m01 = 0.0 - k_n * jr[1]
+            jr = j[1]
+            m10 = 0.0 - k_n * jr[0]
+            m11 = 1.0 - k_n * jr[1]
+            r0 = -g0
+            r1 = -g1
+            # partial pivoting on column 0, then one elimination step
+            if abs(m10) > abs(m00):
+                m00, m10 = m10, m00
+                m01, m11 = m11, m01
+                r0, r1 = r1, r0
+            if abs(m00) < _PIVOT_FLOOR:
+                raise SingularLinearSystem("Newton matrix is numerically singular")
+            factor = m10 * (1.0 / m00)
+            if factor != 0.0:
+                m11 -= factor * m01
+                r1 -= factor * r0
+            if abs(m11) < _PIVOT_FLOOR:
+                raise SingularLinearSystem("Newton matrix is numerically singular")
+            d1 = r1 / m11
+            d0 = (r0 - m01 * d1) / m00
+            y0 += d0
+            y1 += d1
+            iterations += 1
+            if not (isfinite(y0) and isfinite(y1)):
+                raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")
+    if len(y_tilde) != d or len(y_guess) != d:
+        raise DimensionMismatch(
+            f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}")
+    y = list(y_guess)
     while True:
         f = rhs(t_next, tuple(y))
         g = [y[i] - y_tilde[i] - k_n * f[i] for i in range(d)]
@@ -254,13 +253,12 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
         # every component, not res alone: max() drops a NaN that is not first
         if not all_finite(g):
             raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
-        if res <= ntol * (1.0 + maxnorm(y)):
-            return NewtonOutcome(tuple(y), iterations, res)
-        if iterations >= max_iter:
+        if res <= _NEWTON_TOL * (1.0 + maxnorm(y)):
+            return tuple.__new__(NewtonOutcome, (tuple(y), iterations, res))
+        if iterations >= _NEWTON_MAX_ITER:
             raise NewtonDiverged(
-                f"no convergence in {max_iter} iterations at t={t_next!r} "
-                f"(residual {res!r})"
-            )
+                f"no convergence in {_NEWTON_MAX_ITER} iterations at "
+                f"t={t_next!r} (residual {res!r})")
         jm = jac(t_next, tuple(y)) if jac is not None \
             else _fd_jacobian(p, t_next, y, f)
         # the matrix is built from the key's copy of J, so that a plan

@@ -1,8 +1,11 @@
-"""Exact-arithmetic oracles that the tests pin the package's formulas to."""
+"""Oracles that the tests pin the package's formulas to: exact-arithmetic
+ones, and the generic Newton elimination as a reference stage."""
 
 from fractions import Fraction
 
-from filtered_ie23 import DegenerateBeta, NonPositiveStep
+from filtered_ie23 import DegenerateBeta, NewtonDiverged, NonPositiveStep
+from filtered_ie23.core import all_finite, maxnorm
+from filtered_ie23.newton import _NEWTON_MAX_ITER, _NEWTON_TOL, _factor, _substitute
 
 
 def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
@@ -33,3 +36,31 @@ def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
     if dk == 0:
         raise DegenerateBeta("curvature difference vanishes on cubic data")
     return float((y_ie - t4 ** 3) / dk)
+
+
+def reference_stage(p, t_next, k_n, y_tilde, y_guess):
+    """implicit_euler_stage by the generic path's elimination alone: the
+    same residual, stopping rule and failures, with the analytic Jacobian,
+    a fresh _factor of I - k_n*J for every update and no plan reuse.
+    Returns (y, iterations, residual_norm)."""
+    d = p.dimension
+    y = list(y_guess)
+    iterations = 0
+    while True:
+        f = p.rhs(t_next, tuple(y))
+        g = [y[i] - y_tilde[i] - k_n * f[i] for i in range(d)]
+        res = maxnorm(g)
+        if not all_finite(g):
+            raise NewtonDiverged("non-finite residual")
+        if res <= _NEWTON_TOL * (1.0 + maxnorm(y)):
+            return tuple(y), iterations, res
+        if iterations >= _NEWTON_MAX_ITER:
+            raise NewtonDiverged("no convergence")
+        jm = p.jacobian(t_next, tuple(y))
+        m = [[(1.0 if r == c else 0.0) - k_n * jm[r][c] for c in range(d)]
+             for r in range(d)]
+        delta = _substitute(_factor(m), [-gi for gi in g])
+        y = [y[i] + delta[i] for i in range(d)]
+        iterations += 1
+        if not all_finite(y):
+            raise NewtonDiverged("non-finite iterate")

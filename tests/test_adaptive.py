@@ -4,9 +4,11 @@ import re
 import pytest
 
 from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
-                           SolverConfig, curvature, implicit_euler_stage,
-                           model_analog_problem, model_problem,
-                           solve_filtered_ie23, van_der_pol_problem)
+                           SolverConfig, SolverError, curvature,
+                           implicit_euler_stage, model_analog_problem,
+                           model_problem, solve_filtered_ie23,
+                           van_der_pol_problem)
+from filtered_ie23 import adaptive
 from filtered_ie23.filters import _beta
 
 SPEC = model_problem()
@@ -235,3 +237,38 @@ class TestStraightLineLoops:
         assert list(traj.est) == list(ref.est)
         assert traj.states == [y[:p.dimension] for y in ref.states]
         assert stats == ref_stats
+
+
+# y' = 100 sin(y): two attempts whose Newton iteration fails, recovered
+SINE = OdeProblem(1, lambda t, y: (100.0 * math.sin(y[0]),),
+                  lambda t, y: ((100.0 * math.cos(y[0]),),))
+VDP100 = van_der_pol_problem(100.0).problem
+
+
+@pytest.mark.parametrize("p, y0, tol, dt0, t_end", [
+    (SINE, (1.0,), 1e-2, 0.05, 2.0),
+    (VDP100, (2.0, 0.0), 1e-3, 1e-3, 80.0),
+    (_copies(VDP100, 2), (2.0, 0.0) * 2, 1e-3, 1e-3, 80.0),
+], ids=["d1", "d2", "d4"])
+def test_every_attempt_calls_the_module_stage(monkeypatch, p, y0, tol, dt0, t_end):
+    # perfbench/tracing.py counts and times attempts by rebinding this
+    # global, as here: a loop that reached Newton another way would escape it
+    stage = adaptive.implicit_euler_stage
+    calls, raised, returned = [0], [0], []
+
+    def counted(p, t_next, k_n, y_tilde, y_guess, cfg):
+        calls[0] += 1
+        try:
+            out = stage(p, t_next, k_n, y_tilde, y_guess, cfg)
+        except SolverError:
+            raised[0] += 1
+            raise
+        returned.append((out.y, out.iterations, out.residual_norm))
+        return out
+
+    monkeypatch.setattr(adaptive, "implicit_euler_stage", counted)
+    _, stats = solve_filtered_ie23(p, SolverConfig(tol=tol, dt0=dt0, t_end=t_end), y0)
+    assert stats.newton_failures > 0
+    assert calls[0] == stats.accepted + stats.rejected
+    assert raised[0] == stats.newton_failures
+    assert len(returned) == calls[0] - raised[0]

@@ -183,7 +183,11 @@ def _assert_matches(traj, rows, d):
         zero = lambda t: (0.0,) * d
         assert _bits([traj.final_error(zero, component=d - 1)]) == _bits([abs(rows[-1][1][-1])])
     else:
-        assert traj.final_state() == ()
+        with pytest.raises(IndexError):
+            traj.final_state()
+    for i in (-n - 1, n, n + 100):
+        with pytest.raises(IndexError):
+            traj.state(i)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])

@@ -3,13 +3,17 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from filtered_ie23 import (NewtonDiverged, NonPositiveStep, OdeProblem,
-                           SingularLinearSystem, SolverConfig,
-                           implicit_euler_stage, quasi_periodic_problem)
+from filtered_ie23 import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
+                           OdeProblem, SingularLinearSystem, SolverConfig,
+                           SolverError, implicit_euler_stage,
+                           quasi_periodic_problem)
 from filtered_ie23 import newton
 from filtered_ie23.core import maxnorm
 from filtered_ie23.newton import _NEWTON_TOL, _fd_jacobian, _factor, _substitute
+
+from oracles import reference_stage
 
 CFG = SolverConfig()
 
@@ -32,7 +36,7 @@ def _linear_2d(a, with_jac=True):
 
 def _uncoupled(d, f, df):
     """d uncoupled copies of y' = f(y), with the diagonal Jacobian df(y).
-    d = 1 and d = 2 take the straight-line paths, d = 3 the generic one."""
+    d = 1 and d = 2 take the written-out branches, d = 3 the generic path."""
     def jac(t, y):
         return tuple([tuple([df(c) if i == j else 0.0 for j in range(d)])
                       for i, c in enumerate(y)])
@@ -343,3 +347,114 @@ class TestFailureModes:
         p = _linear_2d(((0.0, -1.0), (-1.0, 0.0)))
         with pytest.raises(SingularLinearSystem):
             implicit_euler_stage(p, 1.0, 1.0, (1.0, 1.0), (1.0, 1.0), CFG)
+
+
+class TestStateLengths:
+    # every path refuses a state that is too long, whose extra component
+    # it would drop or carry into y, and one that is too short
+    A = ((-1.0, 2.0), (1.0, -3.0))
+    CASES = {
+        "1-D long": (_linear_1d(2.0), (1.0, 9.0), (1.0, 9.0)),
+        "1-D empty guess": (_linear_1d(2.0), (1.0,), ()),
+        "2-D long": (_linear_2d(A), (1.0, -1.0, 9.0), (1.0, -1.0, 9.0)),
+        "2-D short tilde": (_linear_2d(A), (1.0,), (1.0, -1.0)),
+        "generic long": (quasi_periodic_problem().problem, (1.0, 0.0, 0.0, 0.0, 9.0),
+                         (1.0, 0.0, 0.0, 0.0, 9.0)),
+        "generic short": (quasi_periodic_problem().problem, (1.0, 0.0, 0.0),
+                          (1.0, 0.0, 0.0)),
+        "finite differences long guess": (_linear_1d(2.0, with_jac=False), (1.0,),
+                                          (1.0, 9.0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raises_dimension_mismatch(self, case):
+        p, y_tilde, y_guess = self.CASES[case]
+        with pytest.raises(DimensionMismatch, match=(
+                f"stage needs {p.dimension} components, "
+                f"got {len(y_tilde)} and {len(y_guess)}")):
+            implicit_euler_stage(p, 0.5, 0.1, y_tilde, y_guess, CFG)
+
+
+def _vec(d, s):
+    return st.tuples(*[s] * d)
+
+
+@st.composite
+def _stages(draw):
+    """(kind, problem, k, y_tilde, y_guess): a 1-D or 2-D stage with an
+    analytic Jacobian.  linear and nonlinear stages mostly converge;
+    singular ones make I - k*J exactly singular, at the first pivot or
+    after the elimination; diverging ones have no real root or a NaN
+    right-hand side."""
+    d = draw(st.sampled_from([1, 2]))
+    kind = draw(st.sampled_from(["linear", "nonlinear", "singular", "diverging"]))
+    small = st.floats(-0.1, 0.1)
+    big = st.floats(0.5, 10.0).flatmap(lambda v: st.sampled_from([v, -v]))
+    k = draw(st.floats(1e-6, 10.0))
+    y_tilde = draw(_vec(d, st.floats(-10.0, 10.0)))
+    y_guess = draw(_vec(d, st.floats(-10.0, 10.0)))
+    if kind == "linear" or kind == "singular":
+        if kind == "linear":
+            a = draw(_vec(d, _vec(d, st.floats(-50.0, 50.0))))
+        else:
+            k = 2.0 ** -draw(st.integers(0, 20))
+            inv = 1.0 / k
+            a = ((inv, 0.0), (0.0, inv)) if d == 1 or draw(st.booleans()) \
+                else ((0.0, -inv), (-inv, 0.0))
+            a = tuple([row[:d] for row in a[:d]])
+            # far from any guess, so that the first residual is not 0
+            y_tilde, y_guess = draw(_vec(d, big)), draw(_vec(d, small))
+        b = draw(_vec(d, st.floats(-5.0, 5.0)))
+
+        def rhs(t, y):
+            return tuple([sum(a[i][j] * y[j] for j in range(d)) + b[i] for i in range(d)])
+
+        return kind, OdeProblem(d, rhs, lambda t, y: a), k, y_tilde, y_guess
+    if kind == "nonlinear":
+        a = draw(_vec(d, st.floats(-5.0, 5.0)))
+        c = draw(_vec(d, st.floats(-5.0, 5.0)))
+
+        def rhs(t, y):
+            return tuple([a[i] * y[i] * y[i] + c[i] * y[(i + 1) % d] for i in range(d)])
+
+        def jac(t, y):
+            return tuple([tuple([(2.0 * a[i] * y[i] if i == j else 0.0)
+                                 + (c[i] if j == (i + 1) % d else 0.0)
+                                 for j in range(d)]) for i in range(d)])
+
+        return kind, OdeProblem(d, rhs, jac), k, y_tilde, y_guess
+    if draw(st.booleans()):
+        # y - y_tilde - k*c*y**2 = 0 has no real root when 4*k*c*y_tilde > 1
+        c = draw(st.floats(1.0, 10.0))
+        k = draw(st.floats(0.5, 2.0))
+        y_tilde = draw(_vec(d, st.floats(1.0, 10.0)))
+        p = _uncoupled(d, lambda v: c * v * v, lambda v: 2.0 * c * v)
+    else:
+        nan_at = draw(st.integers(0, d - 1))
+        f = tuple([math.nan if i == nan_at else 0.0 for i in range(d)])
+        p = OdeProblem(d, lambda t, y: f, lambda t, y: ((0.0,) * d,) * d)
+    return kind, p, k, y_tilde, y_guess
+
+
+def _outcome(stage, *args):
+    """A stage's result as bits, or the type of the error it raised."""
+    try:
+        y, iterations, residual_norm = stage(*args)
+    except SolverError as exc:
+        return type(exc)
+    return [c.hex() for c in y], iterations, residual_norm.hex()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_stages())
+# tied pivots, |1 - k*a00| == |k*a10|: the first row must stay the pivot
+@example(("linear", _linear_2d(((0.0, 1.5), (1.0, -4.9))), 1.0, (7.5, 3.7), (0.3, -0.7)))
+def test_written_out_branches_match_the_generic_elimination(case):
+    kind, p, k, y_tilde, y_guess = case
+    got = _outcome(implicit_euler_stage, p, 0.5, k, y_tilde, y_guess, CFG)
+    assert got == _outcome(reference_stage, p, 0.5, k, y_tilde, y_guess)
+    if kind == "singular":
+        assert got is SingularLinearSystem
+    elif kind == "diverging":
+        # an iterate can land where 1 - 2*k*c*y is exactly 0
+        assert got in (NewtonDiverged, SingularLinearSystem)
