@@ -5,17 +5,19 @@ All formulas act componentwise on state vectors.  Step-size arguments
 follow the naming k_n (candidate step), k_nm1, k_nm2, k_nm3 (the three
 most recent accepted steps, newest first).
 
-The constant-step drivers and the adaptive driver's generic loop take the
-curvature of the newest three states once per step from `curvature`,
-then call the kernel (pre_filtered, post_filtered, post_filtered_uniform)
-on each attempt.  post_filtered is composed of _beta, curvature and
-_estimate, so each formula exists once here.
+Each formula exists once here.  The constant-step drivers take the
+curvature of the newest three states once per step from `curvature`, then
+call the kernel (pre_filtered, then post_filtered or
+post_filtered_uniform) on each step.  post_filtered takes beta from its
+caller, who computes it once per attempt: _beta here, or the adaptive
+loop's inlined copy of it.
 
-The adaptive driver's 1-D and 2-D loops (adaptive._loop_dim1 and
-_loop_dim2) inline curvature, pre_filtered and post_filtered with the same
-floating-point operations in the same order.  The generic loop is their
-reference: a change to a formula here must be made there too, and the
-tests compare the two loops bit for bit.
+The adaptive loop (adaptive.solve_filtered_ie23) calls curvature,
+pre_filtered and post_filtered for three or more components.  For one and
+two it writes them out on float locals, with the same floating-point
+operations in the same order, and it inlines _beta for every dimension.
+The functions here are the reference: a change to a formula here must be
+made there too, and the tests compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -71,15 +73,12 @@ def pre_filtered(k_n: float, k_nm1: float, k_nm2: float, y_n: Sequence[float],
     return tuple([y_n[i] - half_a * kappa_prev[i] for i in range(len(y_n))])
 
 
-def post_filtered(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float,
+def post_filtered(beta: float, k_n: float, k_nm1: float,
                   y_nm1: Sequence[float], y_n: Sequence[float],
                   kappa_prev: Sequence[float], y_second: Sequence[float],
-                  component: Optional[int]) -> Optional[tuple[Vector, float]]:
+                  component: Optional[int]) -> tuple[Vector, float]:
     """The third-order value of a step whose implicit stage gave y_second,
-    and the embedded estimate; None when beta is degenerate at k_n."""
-    beta = _beta(k_n, k_nm1, k_nm2, k_nm3)
-    if beta is None:
-        return None
+    and the embedded estimate; beta is _beta of the step's history."""
     kappa = curvature(k_nm1, k_n, y_nm1, y_n, y_second)
     y_third = tuple([y_second[i] - beta * (kappa[i] - kappa_prev[i])
                      for i in range(len(y_second))])

@@ -147,8 +147,8 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
     (I - k_n * J) delta = -g with J the problem Jacobian (analytic when
     provided, else forward finite differences); for d >= 3 the
     elimination of I - k_n * J is reused while k_n and J repeat.
-    y_tilde and y_guess must have p.dimension components each, else
-    DimensionMismatch.
+    y_tilde and y_guess must have p.dimension components each, and
+    p.dimension must be at least 1, else DimensionMismatch.
 
     cfg is not read.  The parameter stays because perfbench/tracing.py
     wraps this function with exactly these six arguments.
@@ -242,7 +242,7 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
             iterations += 1
             if not (isfinite(y0) and isfinite(y1)):
                 raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")
-    if len(y_tilde) != d or len(y_guess) != d:
+    if d < 1 or len(y_tilde) != d or len(y_guess) != d:
         raise DimensionMismatch(
             f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}")
     y = list(y_guess)

@@ -17,8 +17,8 @@ from typing import Iterator, Sequence
 from .core import (OdeProblem, SolverConfig, Trajectory, Vector, all_finite,
                    initial_state)
 from .errors import DegenerateBeta, NonFiniteState, NonPositiveStep
-from .filters import (curvature, post_filtered, post_filtered_uniform,
-                      pre_filtered)
+from .filters import (_beta, curvature, post_filtered,
+                      post_filtered_uniform, pre_filtered)
 from .newton import implicit_euler_stage
 
 
@@ -123,11 +123,11 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
             y_next, est = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second,
                                                 p.est_component)
         else:
-            filtered = post_filtered(k, dt, dt, dt, y_nm1, y_n, kappa_prev,
-                                     y_second, p.est_component)
-            if filtered is None:
+            beta = _beta(k, dt, dt, dt)
+            if beta is None:
                 raise DegenerateBeta(f"post-filter degenerate at final step {k!r}, dt {dt!r}")
-            y_next, est = filtered
+            y_next, est = post_filtered(beta, k, dt, y_nm1, y_n, kappa_prev,
+                                        y_second, p.est_component)
         traj.append(t_next, y_next, est, k)
         y_nm2, y_nm1, y_n = y_nm1, y_n, y_next
         t_prev = t_next

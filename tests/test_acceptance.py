@@ -143,8 +143,9 @@ def test_05_polynomial_exactness():
             if power == 2:
                 worst2 = max(worst2, abs(y_stage[0] - t4 ** 2) / t4 ** 2)
             else:
-                y_third, _ = post_filtered(kn, k_nm1, k_nm2, k_nm3, y_nm1, y_n,
-                                           kappa_prev, y_stage, None)
+                y_third, _ = post_filtered(_beta(kn, k_nm1, k_nm2, k_nm3), kn,
+                                           k_nm1, y_nm1, y_n, kappa_prev, y_stage,
+                                           None)
                 worst3 = max(worst3, abs(y_third[0] - t4 ** 3) / t4 ** 3)
     elapsed = time.perf_counter() - t0
     assert worst2 <= 1e-12, f"quadratic reproduction off by {worst2:.3e}"

@@ -1,13 +1,16 @@
+import dataclasses
+import hashlib
 import math
 import re
+import struct
 
 import pytest
 
 from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
                            SolverConfig, SolverError, curvature,
                            implicit_euler_stage, model_analog_problem,
-                           model_problem, solve_filtered_ie23,
-                           van_der_pol_problem)
+                           model_problem, quasi_periodic_problem,
+                           solve_filtered_ie23, van_der_pol_problem)
 from filtered_ie23 import adaptive
 from filtered_ie23.filters import _beta
 
@@ -30,6 +33,37 @@ def _compose(p, points, k, cfg):
                      for i in range(len(y_second))])
     est = max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])
     return y_second, y_third, est
+
+
+def _copies(p, n):
+    """n uncoupled copies of p as one problem of dimension n * d, with a
+    block-diagonal Jacobian and p's est_component."""
+    d = p.dimension
+
+    def rhs(t, y):
+        out = []
+        for c in range(n):
+            out.extend(p.rhs(t, y[c * d:(c + 1) * d]))
+        return out
+
+    def jac(t, y):
+        rows = []
+        for c in range(n):
+            for row in p.jacobian(t, y[c * d:(c + 1) * d]):
+                rows.append([0.0] * (c * d) + list(row) + [0.0] * ((n - 1 - c) * d))
+        return rows
+
+    return OdeProblem(n * d, rhs, jac, est_component=p.est_component)
+
+
+VDP5 = van_der_pol_problem(5.0).problem
+# (problem, y0, t_end) for d = 1, 2 and 3, each with est_component None,
+# as _compose's max-norm estimate needs
+KERNEL_CASES = {
+    "model": (P, (1.0,), 2.0),
+    "vdp-mu5-max-norm": (OdeProblem(2, VDP5.rhs, VDP5.jacobian), (2.0, 0.0), 12.0),
+    "analog-gamma3-copies3": (_copies(model_analog_problem(3.0).problem, 3), (1.0,) * 3, 3.0),
+}
 
 
 class TestAdaptiveSolve:
@@ -75,8 +109,8 @@ class TestAdaptiveSolve:
     def test_unreachable_region_hits_step_floor(self):
         # rhs turns non-finite just past the bootstrap, so every attempt
         # fails at its one rhs call, and the cascade halves k = 0.01 until
-        # it falls below k_min = 1e-12 * span: 34 attempts, in the 1-D and
-        # 2-D loops and in the generic one (d = 3)
+        # it falls below k_min = 1e-12 * span: 34 attempts, with the d = 1
+        # and d = 2 kernels and with the generic one (d = 3)
         cfg = SolverConfig(tol=1e-3, dt0=0.01, t_end=1.0)
         k_last = 0.01 / 2.0 ** 34
         assert k_last < cfg.k_min < 2.0 * k_last
@@ -99,7 +133,7 @@ class TestAdaptiveSolve:
     def test_step_below_resolution_of_t(self, d):
         # k_min = 1e-12 is far below the spacing of floats near 1e9 (1.2e-7):
         # the cascade reaches a k with t_n + k == t_n, whose attempt passes,
-        # in the 1-D and 2-D loops and in the generic one (d = 3)
+        # with the d = 1 and d = 2 kernels and with the generic one (d = 3)
         p = _copies(P, d)
         cfg = SolverConfig(tol=1e-9, dt0=1e-3, t_begin=1e9, t_end=1e9 + 1.0)
         with pytest.raises(MinStepReached,
@@ -152,8 +186,8 @@ class TestDegenerateBeta:
         # after unit steps, a final step r with 3r^3 + 12r^2 + 2r - 6 = 0
         # zeroes beta's denominator.  The state is constant, so est = 0 on
         # every attempt, and the one rejection is that degenerate beta: the
-        # driver halves r and takes r/2 twice, doubling after each, in the
-        # 1-D and 2-D loops and in the generic one (d = 3)
+        # driver halves r and takes r/2 twice, doubling after each, with
+        # the d = 1 and d = 2 kernels and with the generic one (d = 3)
         r = 0.6
         for _ in range(5):
             r -= (((3.0 * r + 12.0) * r + 2.0) * r - 6.0) / ((9.0 * r + 24.0) * r + 2.0)
@@ -169,56 +203,43 @@ class TestDegenerateBeta:
 
 
 class TestOneKernel:
-    @pytest.mark.parametrize("tol, dt0", [(5e-3, 1e-2), (2.5e-4, 1e-3)])
-    def test_composed_formulas_replay_every_accepted_row(self, tol, dt0):
+    # The loop inlines beta for every dimension, and the d = 1 and d = 2
+    # kernels on float locals; the d >= 3 kernel calls filters.py
+    @pytest.mark.parametrize("case, tol, dt0", [
+        pytest.param(case, tol, dt0,
+                     id=f"{tol}-{dt0}" if case == "model" else f"{case}-{tol}-{dt0}")
+        for case in KERNEL_CASES for tol, dt0 in [(5e-3, 1e-2), (2.5e-4, 1e-3)]])
+    def test_composed_formulas_replay_every_accepted_row(self, case, tol, dt0):
         # the public formulas, composed by hand from the four rows before
         # each accepted step and that row's k, reproduce the driver's row
         # bit for bit on these non-uniform histories
-        cfg = SolverConfig(tol=tol, dt0=dt0, t_end=2.0)
-        traj, _ = solve_filtered_ie23(P, cfg, (1.0,))
+        p, y0, t_end = KERNEL_CASES[case]
+        cfg = SolverConfig(tol=tol, dt0=dt0, t_end=t_end)
+        traj, _ = solve_filtered_ie23(p, cfg, y0)
         for i in range(4, len(traj)):
             points = [(traj.times[j], traj.state(j)) for j in range(i - 4, i)]
             k = traj.ks[i]
-            _, y_third, est = _compose(P, points, k, cfg)
+            _, y_third, est = _compose(p, points, k, cfg)
             assert traj.times[i - 1] + k == traj.times[i]
             assert y_third == traj.state(i)
             assert est == traj.est[i]
 
 
-def _copies(p, n):
-    """n uncoupled copies of p as one problem of dimension n * d, with a
-    block-diagonal Jacobian and p's est_component."""
-    d = p.dimension
-
-    def rhs(t, y):
-        out = []
-        for c in range(n):
-            out.extend(p.rhs(t, y[c * d:(c + 1) * d]))
-        return out
-
-    def jac(t, y):
-        rows = []
-        for c in range(n):
-            for row in p.jacobian(t, y[c * d:(c + 1) * d]):
-                rows.append([0.0] * (c * d) + list(row) + [0.0] * ((n - 1 - c) * d))
-        return rows
-
-    return OdeProblem(n * d, rhs, jac, est_component=p.est_component)
-
-
 class TestStraightLineLoops:
-    # The 1-D and 2-D loops against the generic loop, which runs for copies
-    # of the same problem (d = 3 and 4).  Each case has rejected attempts
+    # The loop's written-out d = 1 and d = 2 kernels against its generic
+    # kernel, which runs for copies of the same problem (d = 3 and 4) and
+    # calls curvature, pre_filtered and post_filtered.  Beta is the loop's
+    # one inlined copy on every branch, so these runs do not check it
+    # against _beta; TestOneKernel does.  Each case has rejected attempts
     # and a last step clamped to the end of the span; van der Pol at
     # mu = 100 recovers from a Newton failure, and the 2-D est_component
     # None case takes the max over both components.
-    VDP5 = van_der_pol_problem(5.0).problem
     CASES = {
         "analog-gamma3": (model_analog_problem(3.0).problem, 3, (1.0,),
                           2.5e-4, 1e-3, 3.0, 0),
         "vdp-mu100": (van_der_pol_problem(100.0).problem, 2, (2.0, 0.0),
                       1e-3, 1e-3, 80.0, 1),
-        "vdp-mu5-max-norm": (OdeProblem(2, VDP5.rhs, VDP5.jacobian), 2, (2.0, 0.0),
+        "vdp-mu5-max-norm": (KERNEL_CASES["vdp-mu5-max-norm"][0], 2, (2.0, 0.0),
                              3e-3, 1e-3, 12.0, 0),
     }
 
@@ -243,6 +264,45 @@ class TestStraightLineLoops:
 SINE = OdeProblem(1, lambda t, y: (100.0 * math.sin(y[0]),),
                   lambda t, y: ((100.0 * math.cos(y[0]),),))
 VDP100 = van_der_pol_problem(100.0).problem
+
+
+def _digest(traj, stats):
+    """sha256 of every row as little-endian doubles (t, state, est, k),
+    then the run's statistics."""
+    h = hashlib.sha256()
+    row = struct.Struct(f"<{traj.dimension + 3}d")
+    for i in range(len(traj)):
+        h.update(row.pack(traj.times[i], *traj.state(i), traj.est[i], traj.ks[i]))
+    h.update(repr(dataclasses.astuple(stats)).encode())
+    return h.hexdigest()
+
+
+class TestFrozenDigests:
+    # Every row of these adaptive runs, bit for bit.  No rhs calls a libm
+    # function, so the digests hold wherever IEEE doubles round to nearest.
+    QP = quasi_periodic_problem()
+    CASES = {
+        "model-tol2.5e-4": (P, (1.0,), 2.5e-4, 1e-3, 2.0,
+                            "740814797bbeb02da40491f72b121206bf3d1e7601d557bd06b11cb2cbd9423a"),
+        "analog-gamma3": (model_analog_problem(3.0).problem, (1.0,), 2.5e-4, 1e-3, 3.0,
+                          "07e216e13071d3d51062f2ca30a20548e74b482bb047297b7b19b3410e386f15"),
+        "vdp-mu100": (VDP100, (2.0, 0.0), 1e-3, 1e-3, 80.0,
+                      "0857a130e1f194ccd38a71f8899a01e4ca10230d993e9440de17f49d7cfc9e3d"),
+        "vdp-mu5-max-norm": (KERNEL_CASES["vdp-mu5-max-norm"][0],
+                             (2.0, 0.0), 3e-3, 1e-3, 12.0,
+                             "3677c51b25087d6a590304d9c768cd2ce6e70f23911e146d6482e32d74f23667"),
+        "quasi-periodic": (QP.problem, QP.default_initial_state, 7.5e-3, 0.01, 20.0,
+                           "dd5127fcfec72c0e00d0fabec6c01c463cd3cce748b8e33fdb8640440bd98c28"),
+        "analog-gamma3-copies3": (KERNEL_CASES["analog-gamma3-copies3"][0], (1.0,) * 3,
+                                  2.5e-4, 1e-3, 3.0,
+                                  "cd6596ab6fec9689f25bb3a65557c09784a085920e5691f16464d19b5ae1e6b7"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest(self, case):
+        p, y0, tol, dt0, t_end, digest = self.CASES[case]
+        traj, stats = solve_filtered_ie23(p, SolverConfig(tol=tol, dt0=dt0, t_end=t_end), y0)
+        assert _digest(traj, stats) == digest
 
 
 @pytest.mark.parametrize("p, y0, tol, dt0, t_end", [

@@ -85,8 +85,8 @@ KAPPA_PREV = curvature(1.0, 1.0, Y_NM2, Y_NM1, Y_N)
 
 
 def _post_filtered(y_second, component=None):
-    return post_filtered(1.0, 1.0, 1.0, 1.0, Y_NM1, Y_N, KAPPA_PREV, y_second,
-                         component)
+    return post_filtered(_beta(1.0, 1.0, 1.0, 1.0), 1.0, 1.0, Y_NM1, Y_N, KAPPA_PREV,
+                         y_second, component)
 
 
 class TestFilters:
@@ -98,10 +98,6 @@ class TestFilters:
         # y_second = (27, -22) gives kappa_cur = (13, -22) against
         # kappa_prev = (2, 0), and beta = 5/11 moves it by (-5, 10)
         assert _post_filtered((27.0, -22.0))[0] == (22.0, -12.0)
-
-    def test_degenerate_beta_gives_none(self):
-        assert post_filtered(3.0, 3.0, 6.0, 2.0, Y_NM1, Y_N, KAPPA_PREV,
-                             (27.0, -22.0), None) is None
 
 
 class TestErrorEstimate:
@@ -125,7 +121,8 @@ class TestUniformClosedForm:
             y_nm2, y_nm1, y_n, y_second = (
                 tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(4))
             kappa_prev = curvature(k, k, y_nm2, y_nm1, y_n)
-            general = post_filtered(k, k, k, k, y_nm1, y_n, kappa_prev, y_second, None)
+            general = post_filtered(_beta(k, k, k, k), k, k, y_nm1, y_n, kappa_prev,
+                                    y_second, None)
             uniform = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second, None)
             ulps = 4 * math.ulp(8.0 * max(map(abs, y_nm2 + y_nm1 + y_n + y_second)))
             for a, b in zip(general[0], uniform[0]):
@@ -145,8 +142,8 @@ def _step_map(k_n, k_nm1, k_nm2, k_nm3, stiff):
     kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
     y_tilde = pre_filtered(k_n, k_nm1, k_nm2, y_n, kappa_prev)
     y_second = (0.0, 0.0, 0.0) if stiff else y_tilde
-    y_third, _ = post_filtered(k_n, k_nm1, k_nm2, k_nm3, y_nm1, y_n,
-                               kappa_prev, y_second, None)
+    y_third, _ = post_filtered(_beta(k_n, k_nm1, k_nm2, k_nm3), k_n, k_nm1,
+                               y_nm1, y_n, kappa_prev, y_second, None)
     return (UNIT[1], UNIT[2], y_third)
 
 

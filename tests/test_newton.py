@@ -351,7 +351,8 @@ class TestFailureModes:
 
 class TestStateLengths:
     # every path refuses a state that is too long, whose extra component
-    # it would drop or carry into y, and one that is too short
+    # it would drop or carry into y, and one that is too short; the generic
+    # path refuses a problem of dimension 0, whose states are empty
     A = ((-1.0, 2.0), (1.0, -3.0))
     CASES = {
         "1-D long": (_linear_1d(2.0), (1.0, 9.0), (1.0, 9.0)),
@@ -364,6 +365,7 @@ class TestStateLengths:
                           (1.0, 0.0, 0.0)),
         "finite differences long guess": (_linear_1d(2.0, with_jac=False), (1.0,),
                                           (1.0, 9.0)),
+        "dimension 0": (OdeProblem(0, lambda t, y: ()), (), ()),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
