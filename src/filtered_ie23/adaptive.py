@@ -22,9 +22,12 @@ What the written-out kernels save, on a 2-CPU Xeon under CPython 3.11
 (perfbench --seconds 35, 10 alternating process pairs, medians of
 probe-rescaled seconds): with the reference kernel the scalar-analog
 solves took 1.31 s against 0.63 s, and the vdp-stiff ones 1.38 s
-against 0.85 s, faster in 10 of 10 pairs each.  They were first written
-as two more copies of the whole loop; folding those into this one loop
-cost no more than the machine's noise (BENCH_17.json).
+against 0.85 s, faster in 10 of 10 pairs each (BENCH_11.json).  They
+were first written as two more copies of the whole loop.  Folded into
+this one loop, with the d <= 2 history kept in float locals rather than
+unpacked each step, they read 0.593 -> 0.598 s on scalar-analog (+0.8%,
+faster in 5 of 10 pairs) and 0.832 -> 0.818 s on vdp-stiff
+(BENCH_17.json).
 """
 
 from __future__ import annotations

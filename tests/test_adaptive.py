@@ -203,8 +203,9 @@ class TestDegenerateBeta:
 
 
 class TestOneKernel:
-    # The loop inlines beta for every dimension, and the d = 1 and d = 2
-    # kernels on float locals; the d >= 3 kernel calls filters.py
+    # The loop inlines beta for every dimension and writes the d = 1 and
+    # d = 2 kernels out on float locals; the d >= 3 kernel calls filters.py.
+    # A replay from _beta and curvature checks each of them.
     @pytest.mark.parametrize("case, tol, dt0", [
         pytest.param(case, tol, dt0,
                      id=f"{tol}-{dt0}" if case == "model" else f"{case}-{tol}-{dt0}")
