@@ -234,9 +234,5 @@ class Trajectory:
         return max(abs(a - b) for a, b in zip(y, ref))
 
 
-def maxnorm(v: Sequence[float]) -> float:
-    return max(map(abs, v))
-
-
 def all_finite(v: Sequence[float]) -> bool:
     return all(map(math.isfinite, v))

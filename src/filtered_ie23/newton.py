@@ -1,41 +1,28 @@
-"""Newton iteration for the implicit Euler stage equation.
+"""Newton iteration for the implicit Euler stage equation y = y_tilde +
+k * f(t_next, y), with a dense hand-rolled solve with partial pivoting: the
+systems are tiny (d <= 4 in every bundled problem).  With an analytic
+Jacobian, d = 1 and d = 2 take written-out branches on float locals with the
+generic elimination's float operations in the same order, so with its bits.
 
-Solves y = y_tilde + k * f(t_next, y) for y.  The linear systems are tiny
-(dimension <= 4 for every bundled problem), so a dense hand-rolled solve
-with partial pivoting is used; no array library is involved.
-
-With an analytic Jacobian, dimensions 1 and 2 take written-out branches of
-implicit_euler_stage on float locals, because the adaptive benchmarks spend
-millions of attempts there.  They make the generic elimination's float
-operations in the same order, so they give its bits.  With the generic path
-alone the analog gamma = 1/3/5 runs took 3.72-4.20 s against 1.97-2.23 s,
-and van der Pol mu = 10 on [0, 50] 2.27-2.55 s against 0.88-1.13 s.  Inline
-rather than in helper functions, a stage runs one Python frame: scalar-analog
-wall_s fell from 0.625 to 0.596 s (BENCH_16.json); 2-CPU Xeon, CPython 3.11.
-
-The generic path factors I - k*J (_factor) apart from the solve with it
-(_substitute), and reuses its last factorization while k and J repeat
-(see _plan_slot), with the bits of a fresh one.  With a constant Jacobian
-at a constant step that is every stage but the first: the quasi-periodic
-table of perfbench's constant-step workload (1000 to 8000 steps) factors
-4 times in 14,988 stages, and the adaptive quasi-periodic benchmark run
-106 times in 2,049 (a 94.8% hit share).  A finite-difference Jacobian
-moves with y and never hits; vdp-stiff and scalar-analog never take this
-path.  On constant-step, wall_s fell from 0.500 to 0.423 s (medians of 10
-alternating 35 s pairs, faster in 10), on a 2-CPU Xeon under CPython 3.11.
-
-_factor finds its pivot with an explicit `>` loop rather than
-max(..., key=...): it makes the same comparisons in the same order, so the
-first row of maximal magnitude still wins a tie, without a lambda call per
-row on the 4-D path of the constant-step methods.
+The generic path (d >= 3) reuses its last factorization of I - k*J while k
+and J repeat (_plan_slot); a jac that returns the stored J itself hits on
+identity, with no key built.  A miss solves with _substitute; the first reuse
+of a plan writes out U's rows, from which every later hit replays the solve
+inline without range loops, so a miss pays nothing for them.  The stage has
+no comprehension: one that reads the stage's locals makes them cells, which
+every call creates on every path; 5 cells cost the d = 1 stage about 0.12 us.
+Medians of 10 alternating 35 s perfbench pairs (2-CPU Xeon, CPython 3.11):
+the reuse took constant-step wall_s from 0.500 to 0.423 s (BENCH_12.json),
+and this stage from 0.409 to 0.359 s (BENCH_18.json).
 """
 
 from __future__ import annotations
 
 from math import isfinite, sqrt
+from operator import add, is_
 from typing import NamedTuple, Sequence
 
-from .core import OdeProblem, SolverConfig, Vector, all_finite, maxnorm
+from .core import OdeProblem, SolverConfig, Vector
 from .errors import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
                      SingularLinearSystem)
 
@@ -45,21 +32,17 @@ _PIVOT_FLOOR = 1e-300
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 25
 
-# The generic stage's last factorization of I - k*J, as (key, plan) with
-# key = (k, d, J as tuples), reused while the key repeats.  A hit gives the
-# bits of a fresh _factor:
-# - the key holds values, not the Jacobian object, so a jac that mutates
-#   and returns one list misses once its values change;
-# - d is in the key because the matrix reads only J's first d rows and
-#   columns;
-# - equal J gives an identical matrix even where entries differ only in
-#   the sign of zero: with k > 0, 0.0 - k*(+-0.0) and 1.0 - k*(+-0.0) do
-#   not depend on that sign;
-# - a singular matrix raises in _factor and is never stored;
-# - the slot is replaced by one tuple assignment and _substitute does not
-#   change a plan, so under threads or a nested solve a stored plan whose
-#   key matches is correct, whichever call stored it.
-_plan_slot: tuple = (None, None)
+# The generic stage's last factorization of I - k*J, as (key, plan, replay)
+# with key = (k, d, J as tuples) and replay None until the plan's first
+# reuse.  A hit gives the bits of a fresh _factor: the key holds J's values,
+# so a jac that mutates and returns one list misses once they change, and J
+# itself only as an exact tuple of exact tuples, whose rows cannot change;
+# the matrix reads only J's first d rows and columns, hence d; with k > 0,
+# 0.0 - k*(+-0.0) and 1.0 - k*(+-0.0) do not depend on the sign of the zero;
+# a singular matrix raises in _factor and is never stored.  The slot is
+# replaced by one tuple assignment and nothing in it changes, so under
+# threads or a nested solve a stored plan whose key matches is correct.
+_plan_slot: tuple = (None, None, None)
 
 
 class NewtonOutcome(NamedTuple):
@@ -69,28 +52,27 @@ class NewtonOutcome(NamedTuple):
 
 
 def _fd_jacobian(p: OdeProblem, t: float, y: list[float], f0: Sequence[float]):
-    """Forward finite-difference Jacobian columns, increment sqrt(eps)*(1+|y_i|)."""
-    d = p.dimension
+    """Forward finite-difference Jacobian rows, increment sqrt(eps)*(1+|y_i|)."""
     cols = []
-    for i in range(d):
-        yi = y[i]
+    for i, yi in enumerate(y):
         h = _SQRT_EPS * (1.0 + abs(yi))
         y[i] = yi + h
         fi = p.rhs(t, tuple(y))
         y[i] = yi       # (yi + h) - h need not round back to yi
-        cols.append([(fi[r] - f0[r]) / h for r in range(d)])
-    # column-major -> row-major
-    return [[cols[c][r] for c in range(d)] for r in range(d)]
+        cols.append([(fi[r] - f0[r]) / h for r in range(len(y))])
+    return [list(row) for row in zip(*cols)]
 
 
 def _factor(m: list[list[float]]):
-    """Gaussian elimination with partial pivoting on m alone, in place.
-
-    Returns the plan _substitute replays: per column the pivot row and the
-    nonzero multipliers, and m, whose upper triangle is then U.
-    """
+    """Gaussian elimination with partial pivoting on m alone, in place; the
+    first row of maximal magnitude wins a tie.  Returns the plan (updates,
+    order, m): each update of the right-hand side as (i, factor, j) for
+    rhs[i] -= factor * rhs[j], with rows named by their index before the
+    swaps; the row order after the swaps, or None; and m, whose upper
+    triangle is then U."""
     d = len(m)
-    elim = []
+    order = list(range(d))
+    updates = []
     for col in range(d):
         piv, best = col, abs(m[col][col])
         for r in range(col + 1, d):
@@ -101,30 +83,27 @@ def _factor(m: list[list[float]]):
             raise SingularLinearSystem("Newton matrix is numerically singular")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
+            order[col], order[piv] = order[piv], order[col]
         pivot_row = m[col]
         inv = 1.0 / pivot_row[col]
-        pairs = []
         for r in range(col + 1, d):
             row = m[r]
             factor = row[col] * inv
             if factor != 0.0:
                 for c in range(col + 1, d):
                     row[c] -= factor * pivot_row[c]
-                pairs.append((r, factor))
-        elim.append((col, piv, pairs))
-    return elim, m
+                updates.append((order[r], factor, order[col]))
+    return updates, (None if order == sorted(order) else order), m
 
 
 def _substitute(plan, rhs: list[float]) -> list[float]:
-    """Solve with a plan from _factor, in place: the elimination's row
-    swaps and updates of rhs, then back substitution."""
-    elim, m = plan
-    for col, piv, pairs in elim:
-        if piv != col:
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        rhs_col = rhs[col]
-        for r, factor in pairs:
-            rhs[r] -= factor * rhs_col
+    """Solve with a plan from _factor: the elimination's updates of rhs,
+    its row swaps, then back substitution."""
+    updates, order, m = plan
+    for i, factor, j in updates:
+        rhs[i] -= factor * rhs[j]
+    if order:
+        rhs = list(map(rhs.__getitem__, order))
     d = len(rhs)
     for r in range(d - 1, -1, -1):
         acc = rhs[r]
@@ -140,18 +119,14 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
                          cfg: SolverConfig) -> NewtonOutcome:
     """Solve the stage equation y - y_tilde - k_n * f(t_next, y) = 0.
 
-    The iteration starts from y_guess (callers pass the latest accepted
-    state) and stops when the residual max-norm falls below
-    _NEWTON_TOL * (1 + maxnorm(y)); it raises NewtonDiverged after
-    _NEWTON_MAX_ITER updates without that.  Each update solves
-    (I - k_n * J) delta = -g with J the problem Jacobian (analytic when
-    provided, else forward finite differences); for d >= 3 the
-    elimination of I - k_n * J is reused while k_n and J repeat.
-    y_tilde and y_guess must have p.dimension components each, and
-    p.dimension must be at least 1, else DimensionMismatch.
-
-    cfg is not read.  The parameter stays because perfbench/tracing.py
-    wraps this function with exactly these six arguments.
+    Newton's iteration starts from y_guess (callers pass the latest accepted
+    state), stops once max |g_i| <= _NEWTON_TOL * (1 + max |y_i|) for the
+    residual g, and raises NewtonDiverged after _NEWTON_MAX_ITER updates
+    without that.  Each update solves (I - k_n * J) delta = -g, with J
+    analytic when provided, else forward finite differences; for d >= 3 the
+    elimination is reused while k_n and J repeat.  y_tilde and y_guess need
+    p.dimension >= 1 components each, else DimensionMismatch.  cfg is not
+    read: perfbench/tracing.py wraps this function with these six arguments.
     """
     global _plan_slot
     if k_n <= 0.0:
@@ -245,36 +220,63 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
     if d < 1 or len(y_tilde) != d or len(y_guess) != d:
         raise DimensionMismatch(
             f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}")
-    y = list(y_guess)
+    y = tuple(y_guess)
     while True:
-        f = rhs(t_next, tuple(y))
-        g = [y[i] - y_tilde[i] - k_n * f[i] for i in range(d)]
-        res = maxnorm(g)
+        f = rhs(t_next, y)
+        # -g, the solve's right-hand side; k_n * f[i] - (y[i] - y_tilde[i])
+        # would give +0.0 where -g is -0.0
+        b = []
+        for i in range(d):
+            b.append(-(y[i] - y_tilde[i] - k_n * f[i]))
+        res = max(map(abs, b))
         # every component, not res alone: max() drops a NaN that is not first
-        if not all_finite(g):
+        if not all(map(isfinite, b)):
             raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
-        if res <= _NEWTON_TOL * (1.0 + maxnorm(y)):
-            return tuple.__new__(NewtonOutcome, (tuple(y), iterations, res))
+        # a finite residual means a finite y, and then 1 + max|y_i| >= 1
+        if res <= _NEWTON_TOL or res <= _NEWTON_TOL * (1.0 + max(map(abs, y))):
+            return tuple.__new__(NewtonOutcome, (y, iterations, res))
         if iterations >= _NEWTON_MAX_ITER:
             raise NewtonDiverged(
                 f"no convergence in {_NEWTON_MAX_ITER} iterations at "
                 f"t={t_next!r} (residual {res!r})")
-        jm = jac(t_next, tuple(y)) if jac is not None \
-            else _fd_jacobian(p, t_next, y, f)
-        # the matrix is built from the key's copy of J, so that a plan
-        # always belongs to its key, even if jac changes jm later
-        jt = tuple(map(tuple, jm))
-        key = (k_n, d, jt)
-        stored, plan = _plan_slot
-        if stored != key:
-            # not -k_n * jr[c] off the diagonal: that turns a 0.0 entry into -0.0
-            m = [[(1.0 if r == c else 0.0) - k_n * jr[c] for c in range(d)]
-                 for r, jr in zip(range(d), jt)]
-            plan = _factor(m)
-            _plan_slot = (key, plan)
-        delta = _substitute(plan, [-gi for gi in g])
-        for i in range(d):
-            y[i] += delta[i]
+        jm = jac(t_next, y) if jac is not None \
+            else _fd_jacobian(p, t_next, list(y), f)
+        key, plan, replay = _plan_slot
+        if key is None or key[2] is not jm or key[0] != k_n or key[1] != d:
+            jt = tuple(map(tuple, jm))   # the matrix's J: jac may change jm later
+            if key != (k_n, d, jt):
+                # not -k_n * jr[c] off the diagonal: that turns a 0.0 entry into -0.0
+                m = []
+                for r, jr in zip(range(d), jt):
+                    row = []
+                    for c in range(d):
+                        row.append((1.0 if r == c else 0.0) - k_n * jr[c])
+                    m.append(row)
+                plan = _factor(m)
+                replay = None
+                _plan_slot = ((k_n, d, jt), plan, None)
+            elif replay is None:
+                # the plan's first reuse: U's rows as (r, ((c, U[r][c]) for c > r), U[r][r])
+                replay = [(r, list(enumerate(row))[r + 1:], row[r])
+                          for r, row in enumerate(plan[2])][::-1]
+                if type(jm) is tuple and all(map(is_, jm, jt)):
+                    jt = jm     # rows that cannot change: hit on identity
+                _plan_slot = ((k_n, d, jt), plan, replay)
+        if replay is None:
+            b = _substitute(plan, b)
+        else:
+            # _substitute, with U's rows from the replay, last first
+            updates, order, _ = plan
+            for i, factor, j in updates:
+                b[i] -= factor * b[j]
+            if order:
+                b = list(map(b.__getitem__, order))
+            for r, upper, diag in replay:
+                acc = b[r]
+                for c, u in upper:
+                    acc -= u * b[c]
+                b[r] = acc / diag
+        y = tuple(map(add, y, b))
         iterations += 1
-        if not all_finite(y):
+        if not all(map(isfinite, y)):
             raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")

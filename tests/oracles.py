@@ -4,8 +4,13 @@ ones, and the generic Newton elimination as a reference stage."""
 from fractions import Fraction
 
 from filtered_ie23 import DegenerateBeta, NewtonDiverged, NonPositiveStep
-from filtered_ie23.core import all_finite, maxnorm
+from filtered_ie23.core import all_finite
 from filtered_ie23.newton import _NEWTON_MAX_ITER, _NEWTON_TOL, _factor, _substitute
+
+
+def maxnorm(v):
+    """The max-norm that the stage's stopping rule reads, max |v_i|."""
+    return max(map(abs, v))
 
 
 def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:

@@ -1,9 +1,10 @@
-"""Every import in the package is used, every private name is read, and
-every export resolves.
+"""Every import in the package is used, every private or unexported name
+is read, and every export resolves.
 
 No linter runs with the tests, so these stdlib-ast checks are what catch an
-import left behind when the code that used it is deleted, and a private
-helper that only the tests keep alive.  Exempt from the import check are
+import left behind when the code that used it is deleted, and a helper that
+only the tests keep alive: a private one, or a public one that `__all__`
+does not export.  Exempt from the import check are
 `from __future__` imports, the names `__init__.py` re-exports through
 `__all__`, and lines marked `# noqa: F401`.
 """
@@ -54,9 +55,9 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(source, {"os"}) == [(4, "Vector")]
 
 
-def _unread_private_names(sources):
-    """Module-level names with one leading underscore that no module reads,
-    as a Name load, an attribute or a from-import, as (module, name)."""
+def _unread_names(sources, wanted):
+    """Module-level names for which wanted(name) holds and that no module
+    reads, as a Name load, an attribute or a from-import, as (module, name)."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -79,14 +80,29 @@ def _unread_private_names(sources):
             else:
                 continue
             unread += [(module, name) for name in names
-                       if name.startswith("_") and not name.startswith("__")
-                       and name not in read]
+                       if wanted(name) and name not in read]
     return sorted(unread)
 
 
+def _unread_private_names(sources):
+    """Names with one leading underscore that nothing reads."""
+    return _unread_names(
+        sources, lambda name: name.startswith("_") and not name.startswith("__"))
+
+
+def _unread_public_names(sources, exported):
+    """Names without a leading underscore, outside `exported`, that nothing
+    reads: a helper whose last caller left the package."""
+    return _unread_names(
+        sources, lambda name: not name.startswith("_") and name not in exported)
+
+
+def _package_sources():
+    return {module: (PACKAGE / module).read_text() for module in MODULES}
+
+
 def test_every_private_name_is_read():
-    sources = {module: (PACKAGE / module).read_text() for module in MODULES}
-    assert _unread_private_names(sources) == []
+    assert _unread_private_names(_package_sources()) == []
 
 
 def test_the_check_sees_an_unread_private_name():
@@ -99,6 +115,24 @@ def test_the_check_sees_an_unread_private_name():
         "b.py": "from .a import _Kept\n",
     }
     assert _unread_private_names(sources) == [("a.py", "_LIMIT"), ("a.py", "_helper")]
+
+
+def test_every_unexported_public_name_is_read():
+    # a public name that __all__ leaves out exists for the package itself,
+    # so src/ must read it; tests alone do not keep it alive
+    assert _unread_public_names(_package_sources(), set(filtered_ie23.__all__)) == []
+
+
+def test_the_check_sees_an_unread_public_name():
+    sources = {
+        "a.py": ("SCALE = 2.0\nLIMIT: float = 1.0\n"
+                 "def parts(x):\n    return x\n"
+                 "def helper(x):\n    return x\n"
+                 "def f(x):\n    return parts(x) * SCALE\n"
+                 "def g(x):\n    return x\n"),
+        "b.py": "from .a import g\n",
+    }
+    assert _unread_public_names(sources, {"f"}) == [("a.py", "LIMIT"), ("a.py", "helper")]
 
 
 def test_every_export_resolves_once():

@@ -8,12 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from filtered_ie23 import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
                            OdeProblem, SingularLinearSystem, SolverConfig,
                            SolverError, implicit_euler_stage,
-                           quasi_periodic_problem)
+                           quasi_periodic_problem, solve_filtered_ie23)
 from filtered_ie23 import newton
-from filtered_ie23.core import maxnorm
 from filtered_ie23.newton import _NEWTON_TOL, _fd_jacobian, _factor, _substitute
 
-from oracles import reference_stage
+from oracles import maxnorm, reference_stage
 
 CFG = SolverConfig()
 
@@ -148,14 +147,14 @@ class TestPlanCache:
 
     @pytest.fixture(autouse=True)
     def _cleared_slot(self, monkeypatch):
-        monkeypatch.setattr(newton, "_plan_slot", (None, None))
+        monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
 
     def test_warm_slot_gives_the_cold_outcome(self, monkeypatch):
         p = quasi_periodic_problem().problem
         y = p.exact(0.3)
         cold = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
         warm = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
-        monkeypatch.setattr(newton, "_plan_slot", (None, None))
+        monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
         again = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
         assert cold == warm == again
         assert newton._plan_slot[0] == (0.05, 4, p.jacobian(0.35, y))
@@ -181,7 +180,7 @@ class TestPlanCache:
         start = (1.0, 2.0, 3.0)
         outcomes = []
         for jac in (mutated, fresh):
-            monkeypatch.setattr(newton, "_plan_slot", (None, None))
+            monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
             outcomes.append(implicit_euler_stage(OdeProblem(3, rhs, jac), 0.1,
                                                  0.1, start, start, CFG))
         assert outcomes[0].iterations >= 3
@@ -193,7 +192,7 @@ class TestPlanCache:
         for _ in range(2):
             with pytest.raises(SingularLinearSystem):
                 implicit_euler_stage(singular, 1.0, 1.0, ones, ones, CFG)
-        assert newton._plan_slot == (None, None)
+        assert newton._plan_slot == (None, None, None)
         # k = 0.5 leaves I - k*J = I/2, so y = y_tilde + 0.5 y gives 2 y_tilde
         out = implicit_euler_stage(singular, 1.0, 0.5, ones, ones, CFG)
         assert out.y == (2.0, 2.0, 2.0)
@@ -211,9 +210,13 @@ class TestPlanCache:
             return OdeProblem(d, rhs, lambda t, y: big)
 
         ones = (1.0,) * 4
-        implicit_euler_stage(linear(4), 1.0, 0.1, ones, ones, CFG)
+        # twice: the first reuse keys the plan on big itself, so the 3-D
+        # stage below meets it on identity as well as on value
+        for _ in range(2):
+            implicit_euler_stage(linear(4), 1.0, 0.1, ones, ones, CFG)
+        assert newton._plan_slot[0][2] is big
         warm = implicit_euler_stage(linear(3), 1.0, 0.1, ones[:3], ones[:3], CFG)
-        monkeypatch.setattr(newton, "_plan_slot", (None, None))
+        monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
         cold = implicit_euler_stage(linear(3), 1.0, 0.1, ones[:3], ones[:3], CFG)
         assert warm == cold
 
@@ -267,6 +270,60 @@ class TestPlanCache:
                                    ZERO_START, CFG)
         assert len(factored) == out.iterations - 1
         assert math.copysign(1.0, out.y[1]) == 1.0
+
+
+class TestArrayJacobians:
+    """A jac that returns numpy arrays takes the generic path's value key:
+    every stage and run must give the bits of a jac that returns fresh
+    tuples of tuples, whether it returns a new ndarray, a tuple of ndarray
+    rows, or one ndarray changed in place."""
+
+    A = ((-2.0, 1.0, 0.0), (0.5, -3.0, 0.25), (0.0, 0.0, -1.0))
+
+    def _rows(self, t, y, cubic):
+        # f = (1 + t)*A*y, less y_i**3/3 for the cubic problem; J is
+        # s*A with s = 1.5 before t = 0.6 and 1.75 after, less diag(y_i**2),
+        # so the linear problem's stages reuse a plan until t passes 0.6 or
+        # k changes, and Newton's iteration still converges
+        s = 1.5 if t < 0.6 else 1.75
+        return [[s * v - (y[i] * y[i] if cubic and i == j else 0.0)
+                 for j, v in enumerate(row)] for i, row in enumerate(self.A)]
+
+    def _outcomes(self, jac):
+        out = []
+        for cubic in (False, True):
+            def rhs(t, y):
+                a = self.A
+                return tuple([(1.0 + t) * sum(a[i][c] * y[c] for c in range(3))
+                              - (y[i] ** 3 / 3.0 if cubic else 0.0) for i in range(3)])
+
+            p = OdeProblem(3, rhs, lambda t, y: jac(t, y, cubic))
+            start, guess = (1.0, -0.5, 0.25), (0.5, 0.5, 0.5)
+            newton._plan_slot = (None, None, None)
+            out += [_outcome(implicit_euler_stage, p, t, k, start, guess, CFG)
+                    for t, k in [(0.5, 0.1)] * 3 + [(0.75, 0.1), (0.75, 0.2)]]
+            cfg = SolverConfig(tol=1e-4, dt0=1e-3, t_end=0.7)
+            traj, stats = solve_filtered_ie23(p, cfg, start)
+            out += [[c.hex() for c in y] for y in traj.states] + [stats]
+        return out
+
+    @pytest.mark.parametrize("form", ["ndarray", "ndarray rows", "ndarray changed in place"])
+    def test_outcomes_of_fresh_tuples(self, form):
+        np = pytest.importorskip("numpy")
+        buffer = np.zeros((3, 3))
+
+        def array_jac(t, y, cubic):
+            rows = np.array(self._rows(t, y, cubic))
+            if form == "ndarray rows":
+                return tuple(rows)
+            if form == "ndarray changed in place":
+                buffer[...] = rows
+                return buffer
+            return rows
+
+        want = self._outcomes(
+            lambda t, y, cubic: tuple(map(tuple, self._rows(t, y, cubic))))
+        assert self._outcomes(array_jac) == want
 
 
 class TestFailureModes:
@@ -381,37 +438,81 @@ def _vec(d, s):
     return st.tuples(*[s] * d)
 
 
+def _signed_zeros_or(s):
+    return st.sampled_from([0.0, -0.0]) | s
+
+
 @st.composite
 def _stages(draw):
-    """(kind, problem, k, y_tilde, y_guess): a 1-D or 2-D stage with an
-    analytic Jacobian.  linear and nonlinear stages mostly converge;
-    singular ones make I - k*J exactly singular, at the first pivot or
-    after the elimination; diverging ones have no real root or a NaN
-    right-hand side."""
-    d = draw(st.sampled_from([1, 2]))
+    """(kind, problem, k, y_tilde, y_guess): a stage of dimension 1 to 4
+    with an analytic Jacobian; d <= 2 take the written-out branches and
+    d >= 3 the generic path.  States may hold -0.0.  linear and nonlinear
+    stages mostly converge; on the generic path they return J as one tuple
+    of tuples per value, fresh lists or one list changed in place, and
+    linear ones may have zero Jacobian rows.  singular ones make I - k*J
+    exactly singular, at the first pivot or after the elimination;
+    diverging ones have no real root or a NaN right-hand side."""
+    d = draw(st.sampled_from([1, 2, 3, 4]))
     kind = draw(st.sampled_from(["linear", "nonlinear", "singular", "diverging"]))
     small = st.floats(-0.1, 0.1)
     big = st.floats(0.5, 10.0).flatmap(lambda v: st.sampled_from([v, -v]))
     k = draw(st.floats(1e-6, 10.0))
-    y_tilde = draw(_vec(d, st.floats(-10.0, 10.0)))
-    y_guess = draw(_vec(d, st.floats(-10.0, 10.0)))
+    y_tilde = draw(_vec(d, _signed_zeros_or(st.floats(-10.0, 10.0))))
+    y_guess = draw(_vec(d, _signed_zeros_or(st.floats(-10.0, 10.0))))
+    form = draw(st.sampled_from(["tuple", "list", "mutated"])) if d > 2 else "tuple"
+    shared = [[0.0] * d for _ in range(d)]
+    tuples = {}
+
+    def as_form(rows):
+        """J as the drawn form: one tuple of tuples per value of J, fresh
+        lists, or one list of lists changed in place."""
+        if form == "list":
+            return rows
+        if form == "tuple":
+            rows = tuple(map(tuple, rows))
+            return tuples.setdefault(rows, rows)
+        for row, new in zip(shared, rows):
+            row[:] = new
+        return shared
+
     if kind == "linear" or kind == "singular":
         if kind == "linear":
-            a = draw(_vec(d, _vec(d, st.floats(-50.0, 50.0))))
+            a = draw(_vec(d, _vec(d, _signed_zeros_or(st.floats(-50.0, 50.0)))))
+            zero_rows = draw(st.sets(st.integers(0, d - 1), max_size=d - 1))
+            a = tuple([(0.0,) * d if i in zero_rows else row for i, row in enumerate(a)])
+
+            def j_at(t):
+                # J moves with t alone, so stages at one t reuse a plan
+                return [[(1.0 + t) * v for v in row] for row in a]
+
+            def jac(t, y):
+                return as_form(j_at(t))
         else:
             k = 2.0 ** -draw(st.integers(0, 20))
             inv = 1.0 / k
-            a = ((inv, 0.0), (0.0, inv)) if d == 1 or draw(st.booleans()) \
-                else ((0.0, -inv), (-inv, 0.0))
-            a = tuple([row[:d] for row in a[:d]])
+            # k*J = I, or a top-left block that leaves I - k*J with two
+            # equal rows, ((1, 1), (1, 1)), and I below it
+            if d == 1 or draw(st.booleans()):
+                a = tuple([tuple([inv if i == j else 0.0 for j in range(d)])
+                           for i in range(d)])
+            else:
+                a = tuple([tuple([-inv if i + j == 1 else 0.0 for j in range(d)])
+                           for i in range(d)])
             # far from any guess, so that the first residual is not 0
             y_tilde, y_guess = draw(_vec(d, big)), draw(_vec(d, small))
-        b = draw(_vec(d, st.floats(-5.0, 5.0)))
+
+            def j_at(t):
+                return a
+
+            def jac(t, y):
+                return a
+        b = draw(_vec(d, _signed_zeros_or(st.floats(-5.0, 5.0))))
 
         def rhs(t, y):
-            return tuple([sum(a[i][j] * y[j] for j in range(d)) + b[i] for i in range(d)])
+            j = j_at(t)
+            return tuple([sum(j[i][c] * y[c] for c in range(d)) + b[i] for i in range(d)])
 
-        return kind, OdeProblem(d, rhs, lambda t, y: a), k, y_tilde, y_guess
+        return kind, OdeProblem(d, rhs, jac), k, y_tilde, y_guess
     if kind == "nonlinear":
         a = draw(_vec(d, st.floats(-5.0, 5.0)))
         c = draw(_vec(d, st.floats(-5.0, 5.0)))
@@ -420,9 +521,9 @@ def _stages(draw):
             return tuple([a[i] * y[i] * y[i] + c[i] * y[(i + 1) % d] for i in range(d)])
 
         def jac(t, y):
-            return tuple([tuple([(2.0 * a[i] * y[i] if i == j else 0.0)
-                                 + (c[i] if j == (i + 1) % d else 0.0)
-                                 for j in range(d)]) for i in range(d)])
+            return as_form([[(2.0 * a[i] * y[i] if i == j else 0.0)
+                             + (c[i] if j == (i + 1) % d else 0.0)
+                             for j in range(d)] for i in range(d)])
 
         return kind, OdeProblem(d, rhs, jac), k, y_tilde, y_guess
     if draw(st.booleans()):
@@ -451,10 +552,34 @@ def _outcome(stage, *args):
 @given(_stages())
 # tied pivots, |1 - k*a00| == |k*a10|: the first row must stay the pivot
 @example(("linear", _linear_2d(((0.0, 1.5), (1.0, -4.9))), 1.0, (7.5, 3.7), (0.3, -0.7)))
+# a zero middle Jacobian row and -0.0 in the middle of both states: the
+# right-hand side -g there is -(0.0 - 0.0) = -0.0, which the update adds to
+# the -0.0 guess; k*f - (y - y_tilde) would give +0.0 and a +0.0 result
+@example(("linear", OdeProblem(3, lambda t, y: (-2.0 * y[0] + 0.5 * y[2] + 1.0, 0.0,
+                                                0.25 * y[0] - 3.0 * y[2]),
+                               lambda t, y: ((-2.0, 0.0, 0.5), (0.0, 0.0, 0.0),
+                                             (0.25, 0.0, -3.0))),
+          0.1, (1.0, -0.0, 2.0), (0.5, -0.0, 1.0)))
+# U's first row is (1, 0.0, 0.0) and -g's first entry -0.0: back substitution
+# subtracts 0.0 * (a negative delta), which turns it into +0.0, so a replay
+# that skipped U's zero entries would give -0.0
+@example(("linear", OdeProblem(3, lambda t, y: (0.0, 0.5 * y[0] - 2.0 * y[1] - 3.0,
+                                                y[1] - y[2] + 0.5),
+                               lambda t, y: ((0.0, 0.0, 0.0), (0.5, -2.0, 0.0),
+                                             (0.0, 1.0, -1.0))),
+          0.1, (-0.0, 1.0, 1.0), (-0.0, 2.0, 0.5)))
 def test_written_out_branches_match_the_generic_elimination(case):
+    # d >= 3 runs from an empty plan slot: cold; warm, where the first reuse
+    # of a plan builds its replay; with the replay, after a hit on identity
+    # if jac returns one tuple of tuples; then at a t that moves J, where a
+    # list changed in place must miss
     kind, p, k, y_tilde, y_guess = case
-    got = _outcome(implicit_euler_stage, p, 0.5, k, y_tilde, y_guess, CFG)
-    assert got == _outcome(reference_stage, p, 0.5, k, y_tilde, y_guess)
+    times = (0.5, 0.5, 0.5, 0.75) if p.dimension > 2 else (0.5,)
+    want = {t: _outcome(reference_stage, p, t, k, y_tilde, y_guess) for t in set(times)}
+    newton._plan_slot = (None, None, None)
+    for t_next in times:
+        got = _outcome(implicit_euler_stage, p, t_next, k, y_tilde, y_guess, CFG)
+        assert got == want[t_next]
     if kind == "singular":
         assert got is SingularLinearSystem
     elif kind == "diverging":
