@@ -21,7 +21,8 @@ class NonPositiveStep(SolverError):
 
 
 class DimensionMismatch(SolverError):
-    """Two state vectors that must have equal length do not."""
+    """Two state vectors that must have equal length do not, or an rhs
+    value has fewer components than the problem's dimension."""
 
 
 class DegenerateBeta(SolverError):

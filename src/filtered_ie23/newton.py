@@ -6,14 +6,14 @@ generic elimination's float operations in the same order, so with its bits.
 
 The generic path (d >= 3) reuses its last factorization of I - k*J while k
 and J repeat (_plan_slot); a jac that returns the stored J itself hits on
-identity, with no key built.  A miss solves with _substitute; the first reuse
-of a plan writes out U's rows, from which every later hit replays the solve
-inline without range loops, so a miss pays nothing for them.  The stage has
-no comprehension: one that reads the stage's locals makes them cells, which
-every call creates on every path; 5 cells cost the d = 1 stage about 0.12 us.
-Medians of 10 alternating 35 s perfbench pairs (2-CPU Xeon, CPython 3.11):
-the reuse took constant-step wall_s from 0.500 to 0.423 s (BENCH_12.json),
-and this stage from 0.409 to 0.359 s (BENCH_18.json).
+identity, with no key built.  A miss eliminates the matrix and the
+right-hand side in one pass (_factor); a plan's first reuse writes out U's
+rows, from which every later hit replays the solve inline.  The stage has
+no comprehension: one that reads the stage's locals makes them cells,
+which every call creates on every path; 5 cells cost the d = 1 stage about
+0.12 us.  Medians of 10 alternating 35 s perfbench pairs (2-CPU Xeon,
+CPython 3.11): the reuse took constant-step wall_s from 0.500 to 0.423 s
+(BENCH_12.json), and this stage from 0.409 to 0.359 s (BENCH_18.json).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import isfinite, sqrt
 from operator import add, is_
 from typing import NamedTuple, Sequence
 
-from .core import OdeProblem, SolverConfig, Vector
+from .core import OdeProblem, SolverConfig, Vector, short_rhs
 from .errors import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
                      SingularLinearSystem)
 
@@ -34,10 +34,11 @@ _NEWTON_MAX_ITER = 25
 
 # The generic stage's last factorization of I - k*J, as (key, plan, replay)
 # with key = (k, d, J as tuples) and replay None until the plan's first
-# reuse.  A hit gives the bits of a fresh _factor: the key holds J's values,
-# so a jac that mutates and returns one list misses once they change, and J
-# itself only as an exact tuple of exact tuples, whose rows cannot change;
-# the matrix reads only J's first d rows and columns, hence d; with k > 0,
+# reuse.  A hit gives the bits of a miss, which eliminates the matrix and
+# the right-hand side in one pass: the key holds J's values, so a jac that
+# mutates and returns one list misses once they change, and J itself only
+# as an exact tuple of exact tuples, whose rows cannot change; the matrix
+# reads only J's first d rows and columns, hence d; with k > 0,
 # 0.0 - k*(+-0.0) and 1.0 - k*(+-0.0) do not depend on the sign of the zero;
 # a singular matrix raises in _factor and is never stored.  The slot is
 # replaced by one tuple assignment and nothing in it changes, so under
@@ -60,16 +61,16 @@ def _fd_jacobian(p: OdeProblem, t: float, y: list[float], f0: Sequence[float]):
         fi = p.rhs(t, tuple(y))
         y[i] = yi       # (yi + h) - h need not round back to yi
         cols.append([(fi[r] - f0[r]) / h for r in range(len(y))])
-    return [list(row) for row in zip(*cols)]
+    return tuple(zip(*cols))
 
 
-def _factor(m: list[list[float]]):
-    """Gaussian elimination with partial pivoting on m alone, in place; the
-    first row of maximal magnitude wins a tie.  Returns the plan (updates,
-    order, m): each update of the right-hand side as (i, factor, j) for
-    rhs[i] -= factor * rhs[j], with rows named by their index before the
-    swaps; the row order after the swaps, or None; and m, whose upper
-    triangle is then U."""
+def _factor(m: list[list[float]], rhs: list[float]):
+    """Gaussian elimination with partial pivoting on m and rhs together, in
+    place (the first row of maximal magnitude wins a tie), then back
+    substitution.  Returns the solution and the plan (updates, order, m)
+    that replays the solve: each update as (i, factor, j) for rhs[i] -=
+    factor * rhs[j], rows named by their index before the swaps; the row
+    order after the swaps, or None; and m, whose upper triangle is U."""
     d = len(m)
     order = list(range(d))
     updates = []
@@ -83,6 +84,7 @@ def _factor(m: list[list[float]]):
             raise SingularLinearSystem("Newton matrix is numerically singular")
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
+            rhs[col], rhs[piv] = rhs[piv], rhs[col]
             order[col], order[piv] = order[piv], order[col]
         pivot_row = m[col]
         inv = 1.0 / pivot_row[col]
@@ -92,26 +94,15 @@ def _factor(m: list[list[float]]):
             if factor != 0.0:
                 for c in range(col + 1, d):
                     row[c] -= factor * pivot_row[c]
+                rhs[r] -= factor * rhs[col]
                 updates.append((order[r], factor, order[col]))
-    return updates, (None if order == sorted(order) else order), m
-
-
-def _substitute(plan, rhs: list[float]) -> list[float]:
-    """Solve with a plan from _factor: the elimination's updates of rhs,
-    its row swaps, then back substitution."""
-    updates, order, m = plan
-    for i, factor, j in updates:
-        rhs[i] -= factor * rhs[j]
-    if order:
-        rhs = list(map(rhs.__getitem__, order))
-    d = len(rhs)
     for r in range(d - 1, -1, -1):
         acc = rhs[r]
         row = m[r]
         for c in range(r + 1, d):
             acc -= row[c] * rhs[c]
         rhs[r] = acc / row[r]
-    return rhs
+    return rhs, (updates, (None if order == sorted(order) else order), m)
 
 
 def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
@@ -125,8 +116,9 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
     without that.  Each update solves (I - k_n * J) delta = -g, with J
     analytic when provided, else forward finite differences; for d >= 3 the
     elimination is reused while k_n and J repeat.  y_tilde and y_guess need
-    p.dimension >= 1 components each, else DimensionMismatch.  cfg is not
-    read: perfbench/tracing.py wraps this function with these six arguments.
+    p.dimension >= 1 components each and rhs values at least as many, else
+    DimensionMismatch.  cfg is not read: perfbench/tracing.py wraps this
+    function with these six arguments.
     """
     global _plan_slot
     if k_n <= 0.0:
@@ -146,7 +138,10 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
                 f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}") from None
         while True:
             f = rhs(t_next, (y0,))
-            g0 = y0 - yt0 - k_n * f[0]
+            try:
+                g0 = y0 - yt0 - k_n * f[0]
+            except IndexError as err:
+                raise short_rhs(p, err, f)
             res = abs(g0)
             if not isfinite(res):
                 raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
@@ -172,8 +167,11 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
                 f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}") from None
         while True:
             f = rhs(t_next, (y0, y1))
-            g0 = y0 - yt0 - k_n * f[0]
-            g1 = y1 - yt1 - k_n * f[1]
+            try:
+                g0 = y0 - yt0 - k_n * f[0]
+                g1 = y1 - yt1 - k_n * f[1]
+            except IndexError as err:
+                raise short_rhs(p, err, f)
             a0 = abs(g0)
             a1 = abs(g1)
             res = a1 if a1 > a0 else a0
@@ -226,8 +224,11 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
         # -g, the solve's right-hand side; k_n * f[i] - (y[i] - y_tilde[i])
         # would give +0.0 where -g is -0.0
         b = []
-        for i in range(d):
-            b.append(-(y[i] - y_tilde[i] - k_n * f[i]))
+        try:
+            for i in range(d):
+                b.append(-(y[i] - y_tilde[i] - k_n * f[i]))
+        except IndexError as err:
+            raise short_rhs(p, err, f)
         res = max(map(abs, b))
         # every component, not res alone: max() drops a NaN that is not first
         if not all(map(isfinite, b)):
@@ -252,7 +253,7 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
                     for c in range(d):
                         row.append((1.0 if r == c else 0.0) - k_n * jr[c])
                     m.append(row)
-                plan = _factor(m)
+                b, plan = _factor(m, b)
                 replay = None
                 _plan_slot = ((k_n, d, jt), plan, None)
             elif replay is None:
@@ -262,10 +263,8 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
                 if type(jm) is tuple and all(map(is_, jm, jt)):
                     jt = jm     # rows that cannot change: hit on identity
                 _plan_slot = ((k_n, d, jt), plan, replay)
-        if replay is None:
-            b = _substitute(plan, b)
-        else:
-            # _substitute, with U's rows from the replay, last first
+        if replay is not None:
+            # the plan's solve of b, with U's rows from the replay, last first
             updates, order, _ = plan
             for i, factor, j in updates:
                 b[i] -= factor * b[j]

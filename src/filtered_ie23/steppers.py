@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (OdeProblem, SolverConfig, Trajectory, Vector, all_finite,
-                   initial_state)
+                   initial_state, short_rhs)
 from .errors import DegenerateBeta, NonFiniteState, NonPositiveStep
 from .filters import (_beta, curvature, post_filtered,
                       post_filtered_uniform, pre_filtered)
@@ -38,13 +38,17 @@ def rk3_step(p: OdeProblem, t: float, y: Vector, h: float) -> Vector:
     if h <= 0.0:
         raise NonPositiveStep(f"rk3_step needs h > 0, got {h!r}")
     rhs = p.rhs
-    s1 = rhs(t, y)
-    s2 = rhs(t + 0.5 * h, tuple(y[i] + 0.5 * h * s1[i] for i in range(p.dimension)))
-    s3 = rhs(t + h, tuple(y[i] - h * s1[i] + 2.0 * h * s2[i] for i in range(p.dimension)))
-    h6 = h / 6.0
-    return tuple(
-        y[i] + h6 * (s1[i] + 4.0 * s2[i] + s3[i]) for i in range(p.dimension)
-    )
+    s1 = s2 = s3 = None
+    try:
+        s1 = rhs(t, y)
+        s2 = rhs(t + 0.5 * h, tuple(y[i] + 0.5 * h * s1[i] for i in range(p.dimension)))
+        s3 = rhs(t + h, tuple(y[i] - h * s1[i] + 2.0 * h * s2[i] for i in range(p.dimension)))
+        h6 = h / 6.0
+        return tuple(
+            y[i] + h6 * (s1[i] + 4.0 * s2[i] + s3[i]) for i in range(p.dimension)
+        )
+    except IndexError as err:
+        raise short_rhs(p, err, s1, s2, s3)
 
 
 def bootstrap(p: OdeProblem, t0: float, y0: Sequence[float],
@@ -171,45 +175,51 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     half = 0.5 * dt
     sixth = dt / 6.0
     append = traj.append
-    if d == 2:
-        isfinite = math.isfinite
-        y0, y1 = y
+    # an rhs value with fewer than d components fails the loops with
+    # IndexError, which short_rhs turns into DimensionMismatch
+    s1 = s2 = s3 = s4 = None
+    try:
+        if d == 2:
+            isfinite = math.isfinite
+            y0, y1 = y
+            for t_next in times:
+                h = t_next - t_prev
+                if abs(h - dt) > 1e-9 * dt:
+                    half, sixth = 0.5 * h, h / 6.0
+                else:
+                    h = dt
+                t_half = t_prev + half
+                s1 = rhs(t_prev, y)
+                s2 = rhs(t_half, (y0 + half * s1[0], y1 + half * s1[1]))
+                s3 = rhs(t_half, (y0 + half * s2[0], y1 + half * s2[1]))
+                s4 = rhs(t_next, (y0 + h * s3[0], y1 + h * s3[1]))
+                y0 = y0 + sixth * (s1[0] + 2.0 * (s2[0] + s3[0]) + s4[0])
+                y1 = y1 + sixth * (s1[1] + 2.0 * (s2[1] + s3[1]) + s4[1])
+                if not (isfinite(y0) and isfinite(y1)):
+                    raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
+                y = (y0, y1)
+                append(t_next, y, 0.0, h)
+                t_prev = t_next
+            return ConstantStepRun(traj)
+        rng = range(d)
         for t_next in times:
             h = t_next - t_prev
             if abs(h - dt) > 1e-9 * dt:
                 half, sixth = 0.5 * h, h / 6.0
             else:
                 h = dt
-            t_half = t_prev + half
+            # tuple([...]) builds a short tuple faster than tuple(<generator>)
             s1 = rhs(t_prev, y)
-            s2 = rhs(t_half, (y0 + half * s1[0], y1 + half * s1[1]))
-            s3 = rhs(t_half, (y0 + half * s2[0], y1 + half * s2[1]))
-            s4 = rhs(t_next, (y0 + h * s3[0], y1 + h * s3[1]))
-            y0 = y0 + sixth * (s1[0] + 2.0 * (s2[0] + s3[0]) + s4[0])
-            y1 = y1 + sixth * (s1[1] + 2.0 * (s2[1] + s3[1]) + s4[1])
-            if not (isfinite(y0) and isfinite(y1)):
+            s2 = rhs(t_prev + half, tuple([y[i] + half * s1[i] for i in rng]))
+            s3 = rhs(t_prev + half, tuple([y[i] + half * s2[i] for i in rng]))
+            s4 = rhs(t_next, tuple([y[i] + h * s3[i] for i in rng]))
+            y = tuple([
+                y[i] + sixth * (s1[i] + 2.0 * (s2[i] + s3[i]) + s4[i]) for i in rng
+            ])
+            if not all_finite(y):
                 raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
-            y = (y0, y1)
             append(t_next, y, 0.0, h)
             t_prev = t_next
-        return ConstantStepRun(traj)
-    rng = range(d)
-    for t_next in times:
-        h = t_next - t_prev
-        if abs(h - dt) > 1e-9 * dt:
-            half, sixth = 0.5 * h, h / 6.0
-        else:
-            h = dt
-        # tuple([...]) builds a short tuple faster than tuple(<generator>)
-        s1 = rhs(t_prev, y)
-        s2 = rhs(t_prev + half, tuple([y[i] + half * s1[i] for i in rng]))
-        s3 = rhs(t_prev + half, tuple([y[i] + half * s2[i] for i in rng]))
-        s4 = rhs(t_next, tuple([y[i] + h * s3[i] for i in rng]))
-        y = tuple([
-            y[i] + sixth * (s1[i] + 2.0 * (s2[i] + s3[i]) + s4[i]) for i in rng
-        ])
-        if not all_finite(y):
-            raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
-        append(t_next, y, 0.0, h)
-        t_prev = t_next
+    except IndexError as err:
+        raise short_rhs(p, err, s1, s2, s3, s4)
     return ConstantStepRun(traj)

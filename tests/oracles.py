@@ -1,11 +1,13 @@
 """Oracles that the tests pin the package's formulas to: exact-arithmetic
-ones, and the generic Newton elimination as a reference stage."""
+ones, and the generic Newton elimination as a reference stage, solved by
+its own two-pass elimination rather than the package's one-pass _factor."""
 
 from fractions import Fraction
 
-from filtered_ie23 import DegenerateBeta, NewtonDiverged, NonPositiveStep
+from filtered_ie23 import (DegenerateBeta, NewtonDiverged, NonPositiveStep,
+                           SingularLinearSystem)
 from filtered_ie23.core import all_finite
-from filtered_ie23.newton import _NEWTON_MAX_ITER, _NEWTON_TOL, _factor, _substitute
+from filtered_ie23.newton import _NEWTON_MAX_ITER, _NEWTON_TOL, _PIVOT_FLOOR
 
 
 def maxnorm(v):
@@ -43,10 +45,62 @@ def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
     return float((y_ie - t4 ** 3) / dk)
 
 
+def two_pass_factor(m: list[list[float]]):
+    """Gaussian elimination with partial pivoting on m alone, in place; the
+    first row of maximal magnitude wins a tie.  Returns the plan (updates,
+    order, m): each update of the right-hand side as (i, factor, j) for
+    rhs[i] -= factor * rhs[j], with rows named by their index before the
+    swaps; the row order after the swaps, or None; and m, whose upper
+    triangle is then U."""
+    d = len(m)
+    order = list(range(d))
+    updates = []
+    for col in range(d):
+        piv, best = col, abs(m[col][col])
+        for r in range(col + 1, d):
+            a = abs(m[r][col])
+            if a > best:
+                piv, best = r, a
+        if best < _PIVOT_FLOOR:
+            raise SingularLinearSystem("Newton matrix is numerically singular")
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            order[col], order[piv] = order[piv], order[col]
+        pivot_row = m[col]
+        inv = 1.0 / pivot_row[col]
+        for r in range(col + 1, d):
+            row = m[r]
+            factor = row[col] * inv
+            if factor != 0.0:
+                for c in range(col + 1, d):
+                    row[c] -= factor * pivot_row[c]
+                updates.append((order[r], factor, order[col]))
+    return updates, (None if order == sorted(order) else order), m
+
+
+def two_pass_substitute(plan, rhs: list[float]) -> list[float]:
+    """Solve with a plan from two_pass_factor: the elimination's updates of
+    rhs, its row swaps, then back substitution."""
+    updates, order, m = plan
+    for i, factor, j in updates:
+        rhs[i] -= factor * rhs[j]
+    if order:
+        rhs = list(map(rhs.__getitem__, order))
+    d = len(rhs)
+    for r in range(d - 1, -1, -1):
+        acc = rhs[r]
+        row = m[r]
+        for c in range(r + 1, d):
+            acc -= row[c] * rhs[c]
+        rhs[r] = acc / row[r]
+    return rhs
+
+
 def reference_stage(p, t_next, k_n, y_tilde, y_guess):
     """implicit_euler_stage by the generic path's elimination alone: the
     same residual, stopping rule and failures, with the analytic Jacobian,
-    a fresh _factor of I - k_n*J for every update and no plan reuse.
+    a fresh two-pass elimination of I - k_n*J for every update and no plan
+    reuse.
     Returns (y, iterations, residual_norm)."""
     d = p.dimension
     y = list(y_guess)
@@ -64,7 +118,7 @@ def reference_stage(p, t_next, k_n, y_tilde, y_guess):
         jm = p.jacobian(t_next, tuple(y))
         m = [[(1.0 if r == c else 0.0) - k_n * jm[r][c] for c in range(d)]
              for r in range(d)]
-        delta = _substitute(_factor(m), [-gi for gi in g])
+        delta = two_pass_substitute(two_pass_factor(m), [-gi for gi in g])
         y = [y[i] + delta[i] for i in range(d)]
         iterations += 1
         if not all_finite(y):

@@ -10,9 +10,10 @@ from filtered_ie23 import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
                            SolverError, implicit_euler_stage,
                            quasi_periodic_problem, solve_filtered_ie23)
 from filtered_ie23 import newton
-from filtered_ie23.newton import _NEWTON_TOL, _fd_jacobian, _factor, _substitute
+from filtered_ie23.newton import _NEWTON_TOL, _fd_jacobian, _factor
 
-from oracles import maxnorm, reference_stage
+from oracles import (maxnorm, reference_stage, two_pass_factor,
+                     two_pass_substitute)
 
 CFG = SolverConfig()
 
@@ -127,18 +128,80 @@ class TestNonlinearStage:
         assert out.iterations <= 2
 
 
+def _hex(x):
+    """x with every float as its hex string, so == compares bits."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [_hex(v) for v in x]
+    return x
+
+
 class TestFactorSubstitute:
+    """_factor eliminates the matrix and the right-hand side in one pass;
+    it must give the solution and the plan of the two-pass elimination in
+    oracles.py, bit for bit."""
+
+    def _solve(self, m, rhs):
+        plan = two_pass_factor([list(row) for row in m])
+        want = two_pass_substitute(plan, list(rhs))
+        got, got_plan = _factor(m, list(rhs))
+        assert _hex(got) == _hex(want)
+        assert _hex(got_plan) == _hex(plan)
+        return got, got_plan
+
     def test_first_of_tied_pivots_wins(self):
         row0, row1 = [2.0, 1.0], [-2.0, 3.0]
         m = [row0, row1]
-        assert _substitute(_factor(m), [1.0, 2.0]) == [0.125, 0.75]
+        assert self._solve(m, [1.0, 2.0])[0] == [0.125, 0.75]
         assert m[0] is row0 and m[1] is row1    # no swap on a tie
 
     def test_tie_below_a_smaller_pivot(self):
         row0, row1, row2 = [1.0, 2.0, 0.0], [3.0, 0.0, 1.0], [-3.0, 1.0, 1.0]
         m = [row0, row1, row2]
-        assert _substitute(_factor(m), [3.0, 4.0, -1.0]) == [1.0, 1.0, 1.0]
+        assert self._solve(m, [3.0, 4.0, -1.0])[0] == [1.0, 1.0, 1.0]
         assert m[0] is row1
+
+    def test_two_row_swaps(self):
+        # column 0 takes row 2's 4.0, column 1 row 3's 5.0, column 2 keeps
+        # its row; row 3's 0.0 in column 0 gives a zero multiplier
+        m = [[1.0, 2.0, 3.0, 1.0], [2.0, 1.0, 1.0, 0.0],
+             [4.0, 0.0, 1.0, 2.0], [0.0, 5.0, 0.0, 1.0]]
+        _, (updates, order, _) = self._solve(m, [1.0, -0.0, 2.0, 3.0])
+        assert order == [2, 3, 0, 1]
+        assert [u[:3:2] for u in updates] == [(1, 2), (0, 2), (0, 3), (1, 3), (1, 0)]
+
+    def test_zero_multiplier_records_no_update(self):
+        m = [[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]
+        _, (updates, order, _) = self._solve(m, [1.0, 2.0, 3.0])
+        assert order is None
+        assert [u[0] for u in updates] == [2, 2]
+
+    def test_negative_zero_right_hand_side(self):
+        # row 1's update is -0.0 - (-0.5 * 0.0) = +0.0; row 2 has none and
+        # keeps its -0.0
+        m = [[2.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        got, _ = self._solve(m, [0.0, -0.0, -0.0])
+        assert [math.copysign(1.0, v) for v in got] == [1.0, 1.0, -1.0]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.integers(3, 5).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0,
+                                           3.0, 0.1, -2.0 / 3.0]),
+                          min_size=d, max_size=d), min_size=d, max_size=d),
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0 / 3.0, 7.0]),
+                 min_size=d, max_size=d))))
+    def test_matches_the_two_pass_elimination(self, case):
+        # entries from a small set, so ties, zero multipliers and singular
+        # matrices are common
+        m, rhs = case
+        try:
+            two_pass_factor([list(row) for row in m])
+        except SingularLinearSystem:
+            with pytest.raises(SingularLinearSystem):
+                _factor(m, list(rhs))
+            return
+        self._solve(m, rhs)
 
 
 class TestPlanCache:
@@ -265,7 +328,7 @@ class TestPlanCache:
         factored = []
         factor = newton._factor
         monkeypatch.setattr(newton, "_factor",
-                            lambda m: factored.append(1) or factor(m))
+                            lambda m, rhs: factored.append(1) or factor(m, rhs))
         out = implicit_euler_stage(ZERO_COLUMN, 0.1, 0.1, ZERO_START,
                                    ZERO_START, CFG)
         assert len(factored) == out.iterations - 1
@@ -432,6 +495,19 @@ class TestStateLengths:
                 f"stage needs {p.dimension} components, "
                 f"got {len(y_tilde)} and {len(y_guess)}")):
             implicit_euler_stage(p, 0.5, 0.1, y_tilde, y_guess, CFG)
+
+    @pytest.mark.parametrize("d, with_jac", [(1, True), (2, True), (3, True),
+                                             (1, False), (3, False)])
+    def test_short_rhs_raises_dimension_mismatch(self, d, with_jac):
+        # y' = -y with an rhs one component short, which used to fail with
+        # a bare IndexError
+        full = _uncoupled(d, lambda c: -c, lambda c: -1.0)
+        p = OdeProblem(d, lambda t, y: full.rhs(t, y)[:-1],
+                       full.jacobian if with_jac else None)
+        ones = (1.0,) * d
+        with pytest.raises(DimensionMismatch,
+                           match=f"returned {d - 1} components, need {d}"):
+            implicit_euler_stage(p, 0.5, 0.1, ones, ones, CFG)
 
 
 def _vec(d, s):

@@ -219,6 +219,49 @@ class TestInitialStateCheck:
             solver(empty, _cfg(0.05), ())
 
 
+class TestShortRhs:
+    """An rhs value with fewer than p.dimension components raises
+    DimensionMismatch, naming both lengths, from every solver; these runs
+    used to fail with a bare IndexError."""
+
+    SOLVERS = TestInitialStateCheck.SOLVERS
+
+    @staticmethod
+    def _problem(d, short_after=-math.inf):
+        # y' = -y; rhs drops the last component once t > short_after
+        def rhs(t, y):
+            return tuple(-c for c in (y[:-1] if t > short_after else y))
+        return OdeProblem(d, rhs, lambda t, y: tuple(
+            tuple(-1.0 if i == j else 0.0 for j in range(d)) for i in range(d)))
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_short_from_the_start(self, solver, d):
+        with pytest.raises(DimensionMismatch,
+                           match=f"returned {d - 1} components, need {d}"):
+            solver(self._problem(d), _cfg(0.05), (1.0,) * d)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_short_part_way(self, solver, d):
+        # past the bootstrap, so the steps' own evaluations hit it
+        with pytest.raises(DimensionMismatch,
+                           match=f"returned {d - 1} components, need {d}"):
+            solver(self._problem(d, short_after=1.0), _cfg(0.05), (1.0,) * d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_index_error_inside_rhs_propagates(self, d):
+        def rhs(t, y):
+            if t > 1.0:
+                raise IndexError("the rhs's own")
+            return tuple(-c for c in y)
+        for solver in (rk3_step, solve_rk4_reference):
+            args = (1.5, (1.0,) * d, 0.05) if solver is rk3_step \
+                else (_cfg(0.05), (1.0,) * d)
+            with pytest.raises(IndexError, match="the rhs's own"):
+                solver(OdeProblem(d, rhs), *args)
+
+
 def test_nonfinite_startup_raises():
     bad = OdeProblem(1, lambda t, y: (math.nan,))
     with pytest.raises(NonFiniteState):
