@@ -1,7 +1,11 @@
 """Oracles that the tests pin the package's formulas to: exact-arithmetic
 ones, and the generic Newton elimination as a reference stage, solved by
-its own two-pass elimination rather than the package's one-pass _factor."""
+its own two-pass elimination rather than the package's one-pass _factor;
+and the digest that pins a whole run bit for bit."""
 
+import dataclasses
+import hashlib
+import struct
 from fractions import Fraction
 
 from filtered_ie23 import (DegenerateBeta, NewtonDiverged, NonPositiveStep,
@@ -13,6 +17,18 @@ from filtered_ie23.newton import _NEWTON_MAX_ITER, _NEWTON_TOL, _PIVOT_FLOOR
 def maxnorm(v):
     """The max-norm that the stage's stopping rule reads, max |v_i|."""
     return max(map(abs, v))
+
+
+def digest(traj, stats=None) -> str:
+    """sha256 of every row as little-endian doubles (t, state, est, k),
+    then the run's statistics, if it has any."""
+    h = hashlib.sha256()
+    row = struct.Struct(f"<{traj.dimension + 3}d")
+    for i in range(len(traj)):
+        h.update(row.pack(traj.times[i], *traj.state(i), traj.est[i], traj.ks[i]))
+    if stats is not None:
+        h.update(repr(dataclasses.astuple(stats)).encode())
+    return h.hexdigest()
 
 
 def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:

@@ -1,8 +1,5 @@
-import dataclasses
-import hashlib
 import math
 import re
-import struct
 
 import pytest
 
@@ -13,6 +10,7 @@ from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
                            solve_filtered_ie23, van_der_pol_problem)
 from filtered_ie23 import adaptive
 from filtered_ie23.filters import _beta
+from oracles import digest
 
 SPEC = model_problem()
 P = SPEC.problem
@@ -267,17 +265,6 @@ SINE = OdeProblem(1, lambda t, y: (100.0 * math.sin(y[0]),),
 VDP100 = van_der_pol_problem(100.0).problem
 
 
-def _digest(traj, stats):
-    """sha256 of every row as little-endian doubles (t, state, est, k),
-    then the run's statistics."""
-    h = hashlib.sha256()
-    row = struct.Struct(f"<{traj.dimension + 3}d")
-    for i in range(len(traj)):
-        h.update(row.pack(traj.times[i], *traj.state(i), traj.est[i], traj.ks[i]))
-    h.update(repr(dataclasses.astuple(stats)).encode())
-    return h.hexdigest()
-
-
 class TestFrozenDigests:
     # Every row of these adaptive runs, bit for bit.  No rhs calls a libm
     # function, so the digests hold wherever IEEE doubles round to nearest.
@@ -301,9 +288,9 @@ class TestFrozenDigests:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_digest(self, case):
-        p, y0, tol, dt0, t_end, digest = self.CASES[case]
+        p, y0, tol, dt0, t_end, expected = self.CASES[case]
         traj, stats = solve_filtered_ie23(p, SolverConfig(tol=tol, dt0=dt0, t_end=t_end), y0)
-        assert _digest(traj, stats) == digest
+        assert digest(traj, stats) == expected
 
 
 @pytest.mark.parametrize("p, y0, tol, dt0, t_end", [

@@ -11,6 +11,7 @@ from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
                            solve_rk4_reference, van_der_pol_problem)
 from filtered_ie23.bench import constant_run
 from filtered_ie23.steppers import bootstrap
+from oracles import digest
 
 SPEC = model_problem()
 P = SPEC.problem
@@ -191,6 +192,65 @@ class TestRk4Reference:
         runs = [solve_rk4_reference(OdeProblem(2, rhs), cfg, (1.0, 0.5)).trajectory
                 for rhs in (f, lambda t, y: list(f(t, y)))]
         assert runs[0].states == runs[1].states
+
+
+class TestFrozenDigests:
+    # Every row of these constant-step runs, bit for bit: the filter
+    # kernels at d = 1 and d = 4, on uniform steps (post_filtered_uniform)
+    # and with a clamped final step (post_filtered); the RK4 loops at
+    # d = 1, 2 and 4; and the generic Newton stage with finite differences.
+    # The runs of 859 rows cross the trajectory's block moves.  No rhs calls
+    # a libm function, so the digests hold wherever IEEE doubles round to
+    # nearest.
+    QP = quasi_periodic_problem()
+    VDP = van_der_pol_problem(1.0)
+    MAX_NORM = dataclasses.replace(QP.problem, est_component=None)
+    FD = dataclasses.replace(QP.problem, jacobian=None)
+    CASES = {
+        "ie-pre-2-model": (solve_ie_pre_2, P, (1.0,), 0.05, 2.0,
+                           "67a2fa4c74fa3b377a0fb50cc3ac36edf6fbd2c6727b61da45e62e47be5a0ee1"),
+        "ie-pre-2-model-clamped": (solve_ie_pre_2, P, (1.0,), 0.03, 2.0,
+                                   "3d69f083f648fdd5c6c7ce197cedc11a376e32cf5f42e749efdc3bd4842eef44"),
+        "ie-pre-2-quasi-periodic": (solve_ie_pre_2, QP.problem, QP.default_initial_state,
+                                    0.01, 3.0,
+                                    "4c65a350ed351e04836648cc29de8d3d351ac310a8e5c650162ae930969c719c"),
+        "ie-pre-2-quasi-periodic-clamped": (
+            solve_ie_pre_2, QP.problem, QP.default_initial_state, 0.007, 6.0,
+            "c7198e2ba45a204517106e3a1ca1cbb90d603fd7eb5f2d101d735b32d53bd145"),
+        "ie-pre-post-3-model": (solve_ie_pre_post_3, P, (1.0,), 0.05, 2.0,
+                                "8ab43d30ed7a5bf9cc6e7e35f9eb8fd9ee23aaf664565f5387af8785c45a04df"),
+        "ie-pre-post-3-model-clamped": (
+            solve_ie_pre_post_3, P, (1.0,), 0.03, 2.0,
+            "b819b188d005e4c74fdb922c6fea40bbe4875c60add8cf0a7ba79caa5e104135"),
+        "ie-pre-post-3-quasi-periodic": (
+            solve_ie_pre_post_3, QP.problem, QP.default_initial_state, 0.01, 3.0,
+            "7183bf0cac4fc836a09b23818fdbcbbb1b68c857a24d9e15f516f7965b20d368"),
+        "ie-pre-post-3-quasi-periodic-clamped": (
+            solve_ie_pre_post_3, QP.problem, QP.default_initial_state, 0.007, 6.0,
+            "c8dce7766605a849add4e5e39089fe87771569e097800cf36b79d3bb1ffc27dc"),
+        "ie-pre-post-3-quasi-periodic-max-norm-clamped": (
+            solve_ie_pre_post_3, MAX_NORM, QP.default_initial_state, 0.007, 3.0,
+            "1815f77397c2c7f355e64bce921491d6e029d56bbed47dabe861fa4348d4ee9b"),
+        "ie-pre-post-3-finite-differences-clamped": (
+            solve_ie_pre_post_3, FD, QP.default_initial_state, 0.007, 1.0,
+            "d6a26f20953af0327a41ab85ae7a551e1f46fd8276563b021d8b0da748d86783"),
+        "rk4-model-clamped": (solve_rk4_reference, P, (1.0,), 0.03, 2.0,
+                              "65928b2a23cb140c74e3e733d1e5d0aeb1db42dcd470e4e48996920c82bf25be"),
+        "rk4-vdp-clamped": (solve_rk4_reference, VDP.problem, VDP.default_initial_state,
+                            0.03, 2.0,
+                            "022b7203d7d6d2cc677c23996e96533d9c7099914313e40f9f7b9c6fe3c8a51c"),
+        "rk4-quasi-periodic-clamped": (
+            solve_rk4_reference, QP.problem, QP.default_initial_state, 0.007, 6.0,
+            "1377a7ae20bd01fca5b3d3304b77f57ab3834d6b9581d7dbb9b3e6c7ae3558a6"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_digest(self, case):
+        solver, p, y0, dt0, t_end, expected = self.CASES[case]
+        traj = solver(p, SolverConfig(dt0=dt0, t_end=t_end), y0).trajectory
+        uniform = abs(traj.ks[-1] - dt0) <= 1e-9 * dt0
+        assert uniform == ("clamped" not in case)
+        assert digest(traj) == expected
 
 
 class TestInitialStateCheck:
