@@ -8,16 +8,19 @@ of array-library overhead; trajectories store their rows in flat
 Trajectory.append puts each row on Python lists and moves them into the
 arrays _BLOCK rows at a time.  On a 2-CPU Xeon under CPython 3.11,
 array.append takes about 100 ns and array.extend of a 2-tuple about
-280 ns, against 30 and 55 ns for a list, while array("d", list) converts
-at about 36 ns a value.  append fell from about 850 to 600 ns a row net of
-the call, and perfbench's constant-step wall_s, whose rounds store 165k
-rows (150k from the RK4 reference), from 0.424 to 0.396 s, medians of 10
-alternating 35 s pairs, faster in all 10 (BENCH_15.json).
+280 ns, against 30 and 55 ns for a list.  append fell from about 850 to
+600 ns a row net of the call, and perfbench's constant-step wall_s, whose
+rounds store 165k rows (150k from the RK4 reference), from 0.424 to
+0.396 s, medians of 10 alternating 35 s pairs, faster in all 10
+(BENCH_15.json).  The move converts each list with struct.pack and
+array.frombytes, at about 10 ns a value against 23 ns for array("d",
+list) (minima of 40 interleaved timings of a 2048-value list).
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -150,8 +153,9 @@ class Trajectory:
     move into the arrays every _BLOCK rows and before any read, so an
     array a caller keeps shows later rows only after that.  The move is
     all or nothing: it raises DimensionMismatch unless every pending state
-    had `dimension` components, and converts all four lists before it
-    extends any array.  The doubles are stored exactly as given.
+    had `dimension` components, or TypeError if a value is not a real
+    number, and converts all four lists before it extends any array.  The
+    doubles are stored exactly as given.
     """
 
     __slots__ = ("dimension", "_times", "_flat", "_est", "_ks", "_t_last",
@@ -191,9 +195,14 @@ class Trajectory:
                 f"{n} pending rows hold {len(pending[1])} state components, "
                 f"need {self.dimension} each"
             )
-        blocks = [array("d", column) for column in pending]
+        try:
+            blocks = []
+            for column in pending:
+                blocks.append(struct.pack(f"{len(column)}d", *column))
+        except struct.error as err:
+            raise TypeError(f"a trajectory value is not a real number: {err}") from None
         for stored, block in zip((self._times, self._flat, self._est, self._ks), blocks):
-            stored.extend(block)
+            stored.frombytes(block)
         self._pending = ([], [], [], [])
 
     def __len__(self) -> int:

@@ -8,12 +8,13 @@ The generic path (d >= 3) reuses its last factorization of I - k*J while k
 and J repeat (_plan_slot); a jac that returns the stored J itself hits on
 identity, with no key built.  A miss eliminates the matrix and the
 right-hand side in one pass (_factor); a plan's first reuse writes out U's
-rows, from which every later hit replays the solve inline.  The stage has
-no comprehension: one that reads the stage's locals makes them cells,
-which every call creates on every path; 5 cells cost the d = 1 stage about
-0.12 us.  Medians of 10 alternating 35 s perfbench pairs (2-CPU Xeon,
-CPython 3.11): the reuse took constant-step wall_s from 0.500 to 0.423 s
-(BENCH_12.json), and this stage from 0.409 to 0.359 s (BENCH_18.json).
+rows, from which every later hit replays the solve inline.  Like all
+per-step code, the stage and _fd_jacobian have no comprehension that reads
+their locals (the rule is in filters.py's docstring); 5 cells cost the
+d = 1 stage about 0.12 us.  Medians of 10 alternating 35 s perfbench
+pairs (2-CPU Xeon, CPython 3.11): the reuse took constant-step wall_s from
+0.500 to 0.423 s (BENCH_12.json), and this stage from 0.409 to 0.359 s
+(BENCH_18.json).
 """
 
 from __future__ import annotations
@@ -60,7 +61,10 @@ def _fd_jacobian(p: OdeProblem, t: float, y: list[float], f0: Sequence[float]):
         y[i] = yi + h
         fi = p.rhs(t, tuple(y))
         y[i] = yi       # (yi + h) - h need not round back to yi
-        cols.append([(fi[r] - f0[r]) / h for r in range(len(y))])
+        col = []
+        for r in range(len(y)):
+            col.append((fi[r] - f0[r]) / h)
+        cols.append(col)
     return tuple(zip(*cols))
 
 

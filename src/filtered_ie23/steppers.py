@@ -16,7 +16,8 @@ from typing import Iterator, Sequence
 
 from .core import (OdeProblem, SolverConfig, Trajectory, Vector, all_finite,
                    initial_state, short_rhs)
-from .errors import DegenerateBeta, NonFiniteState, NonPositiveStep
+from .errors import (DegenerateBeta, DimensionMismatch, NonFiniteState,
+                     NonPositiveStep)
 from .filters import (_beta, curvature, post_filtered,
                       post_filtered_uniform, pre_filtered)
 from .newton import implicit_euler_stage
@@ -34,19 +35,30 @@ class ConstantStepRun:
 
 
 def rk3_step(p: OdeProblem, t: float, y: Vector, h: float) -> Vector:
-    """One explicit third-order step (Kutta's tableau)."""
+    """One explicit third-order step (Kutta's tableau); y must have
+    p.dimension components, else DimensionMismatch."""
     if h <= 0.0:
         raise NonPositiveStep(f"rk3_step needs h > 0, got {h!r}")
+    if len(y) != p.dimension:
+        raise DimensionMismatch(f"rk3_step needs {p.dimension} components, got {len(y)}")
+    rng = range(p.dimension)
     rhs = p.rhs
     s1 = s2 = s3 = None
     try:
         s1 = rhs(t, y)
-        s2 = rhs(t + 0.5 * h, tuple(y[i] + 0.5 * h * s1[i] for i in range(p.dimension)))
-        s3 = rhs(t + h, tuple(y[i] - h * s1[i] + 2.0 * h * s2[i] for i in range(p.dimension)))
+        u = []
+        for i in rng:
+            u.append(y[i] + 0.5 * h * s1[i])
+        s2 = rhs(t + 0.5 * h, tuple(u))
+        u = []
+        for i in rng:
+            u.append(y[i] - h * s1[i] + 2.0 * h * s2[i])
+        s3 = rhs(t + h, tuple(u))
         h6 = h / 6.0
-        return tuple(
-            y[i] + h6 * (s1[i] + 4.0 * s2[i] + s3[i]) for i in range(p.dimension)
-        )
+        u = []
+        for i in rng:
+            u.append(y[i] + h6 * (s1[i] + 4.0 * s2[i] + s3[i]))
+        return tuple(u)
     except IndexError as err:
         raise short_rhs(p, err, s1, s2, s3)
 
@@ -208,14 +220,23 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
                 half, sixth = 0.5 * h, h / 6.0
             else:
                 h = dt
-            # tuple([...]) builds a short tuple faster than tuple(<generator>)
             s1 = rhs(t_prev, y)
-            s2 = rhs(t_prev + half, tuple([y[i] + half * s1[i] for i in rng]))
-            s3 = rhs(t_prev + half, tuple([y[i] + half * s2[i] for i in rng]))
-            s4 = rhs(t_next, tuple([y[i] + h * s3[i] for i in rng]))
-            y = tuple([
-                y[i] + sixth * (s1[i] + 2.0 * (s2[i] + s3[i]) + s4[i]) for i in rng
-            ])
+            u = []
+            for i in rng:
+                u.append(y[i] + half * s1[i])
+            s2 = rhs(t_prev + half, tuple(u))
+            u = []
+            for i in rng:
+                u.append(y[i] + half * s2[i])
+            s3 = rhs(t_prev + half, tuple(u))
+            u = []
+            for i in rng:
+                u.append(y[i] + h * s3[i])
+            s4 = rhs(t_next, tuple(u))
+            u = []
+            for i in rng:
+                u.append(y[i] + sixth * (s1[i] + 2.0 * (s2[i] + s3[i]) + s4[i]))
+            y = tuple(u)
             if not all_finite(y):
                 raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
             append(t_next, y, 0.0, h)

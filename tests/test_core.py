@@ -13,6 +13,13 @@ from filtered_ie23.core import _BLOCK, all_finite
 from oracles import maxnorm
 
 
+class _Later:
+    """A time later than any other that is not a real number."""
+
+    def __gt__(self, other):
+        return True
+
+
 class TestSolverConfig:
     def test_fields(self):
         names = [f.name for f in dataclasses.fields(SolverConfig)]
@@ -134,17 +141,21 @@ class TestTrajectory:
             traj.append(float(_BLOCK), (1.0, 2.0), 0.0, 0.0)
 
     def test_a_failed_move_changes_no_column(self):
-        traj = self._sample()
-        stored = [bytes(traj.times), bytes(traj.est), bytes(traj.ks),
-                  bytes(array("d", [c for y in traj.states for c in y]))]
-        traj.append(2.0, (4.0, -4.0), 0.0, 1.0)
-        traj.append(3.0, (5.0, -5.0), "not a float", 1.0)
-        for _ in range(2):
-            with pytest.raises(TypeError):
-                traj.times
-        columns = (traj._times, traj._est, traj._ks, traj._flat)
-        assert [bytes(c) for c in columns] == stored
-        assert len(traj) == 5
+        bad = "not a float"
+        rows = [(_Later(), (5.0, -5.0), 0.0, 1.0), (3.0, (5.0, bad), 0.0, 1.0),
+                (3.0, (5.0, -5.0), bad, 1.0), (3.0, (5.0, -5.0), 0.0, bad)]
+        for row in rows:    # a value that is not a real number in each column
+            traj = self._sample()
+            stored = [bytes(traj.times), bytes(traj.est), bytes(traj.ks),
+                      bytes(array("d", [c for y in traj.states for c in y]))]
+            traj.append(2.0, (4.0, -4.0), 0.0, 1.0)
+            traj.append(*row)
+            for _ in range(2):
+                with pytest.raises(TypeError):
+                    traj.times
+            columns = (traj._times, traj._est, traj._ks, traj._flat)
+            assert [bytes(c) for c in columns] == stored
+            assert len(traj) == 5
 
 
 # values whose bits a careless copy could change

@@ -1,11 +1,13 @@
+import itertools
 import math
 import random
 
 import pytest
 
-from filtered_ie23 import DegenerateBeta, NonPositiveStep, curvature
-from filtered_ie23.filters import (_beta, post_filtered, post_filtered_uniform,
-                                   pre_filtered)
+from filtered_ie23 import (DegenerateBeta, DimensionMismatch, NonPositiveStep,
+                           curvature)
+from filtered_ie23.filters import (_beta, _estimate, post_filtered,
+                                   post_filtered_uniform, pre_filtered)
 from oracles import beta_oracle
 
 UNIFORM_BETA = 5.0 / 11.0
@@ -30,6 +32,17 @@ class TestCurvature:
             curvature(0.0, 1.0, (0.0,), (0.0,), (0.0,))
         with pytest.raises(NonPositiveStep):
             curvature(1.0, -1.0, (0.0,), (0.0,), (0.0,))
+
+    @pytest.mark.parametrize("states", [
+        ((1.0,), (1.0,), (1.0, 2.0)),      # used to return (0.0,)
+        ((1.0, 2.0), (1.0,), (1.0,)),
+        ((1.0,), (1.0, 2.0), (1.0, 2.0)),  # used to raise a bare IndexError
+        ((1.0, 2.0), (1.0, 2.0), (1.0,)),
+        ((), (1.0,), (1.0,)),
+    ])
+    def test_states_of_unequal_length_raise(self, states):
+        with pytest.raises(DimensionMismatch):
+            curvature(1.0, 1.0, *states)
 
 
 def _alpha(k_n, k_nm1, k_nm2):
@@ -107,6 +120,18 @@ class TestErrorEstimate:
     def test_single_component_projection(self):
         assert _post_filtered((27.0, -22.0), component=0)[1] == 5.0
         assert _post_filtered((27.0, -22.0), component=1)[1] == 10.0
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_maxnorm_keeps_the_rule_of_max(self, d):
+        # NaN, -0.0 and 0.0 in every position: a NaN counts only when it
+        # comes first, as in max(), and the first of equal values stays
+        values = [math.nan, 0.0, -0.0, 1.0, -1.0, math.inf]
+        for y_third in itertools.product(values, repeat=d):
+            for y_second in [(0.0,) * d, (-0.0,) * d, (1.0,) * d]:
+                expected = max([abs(y_third[i] - y_second[i]) for i in range(d)])
+                got = _estimate(y_second, y_third, None)
+                assert repr(got) == repr(expected), (y_second, y_third)
 
 
 class TestUniformClosedForm:

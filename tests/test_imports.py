@@ -7,14 +7,19 @@ only the tests keep alive: a private one, or a public one that `__all__`
 does not export.  Exempt from the import check are
 `from __future__` imports, the names `__init__.py` re-exports through
 `__all__`, and lines marked `# noqa: F401`.
+
+The last check keeps the per-step code free of closure cells (see the
+docstring of filters.py).
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import filtered_ie23
+from filtered_ie23 import adaptive, core, filters, newton, steppers
 
 PACKAGE = Path(filtered_ie23.__file__).parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
@@ -139,3 +144,26 @@ def test_every_export_resolves_once():
     names = filtered_ie23.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(filtered_ie23, n)] == []
+
+
+# the code that runs once per step, attempt or Newton iteration
+PER_STEP = [filters.curvature, filters.pre_filtered, filters.post_filtered,
+            filters.post_filtered_uniform, filters._estimate, filters._beta,
+            steppers.rk3_step, steppers._solve_ie_filtered,
+            steppers.solve_rk4_reference, newton._fd_jacobian, newton._factor,
+            newton.implicit_euler_stage, adaptive.solve_filtered_ie23,
+            core.Trajectory.append]
+
+
+@pytest.mark.parametrize("function", PER_STEP, ids=lambda f: f.__qualname__)
+def test_per_step_code_makes_no_cells(function):
+    assert function.__code__.co_cellvars == ()
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="PEP 709 inlines comprehensions: no cells to see")
+def test_the_check_sees_a_cell():
+    def scaled(h, y):
+        return tuple([h * y[i] for i in range(len(y))])
+
+    assert scaled.__code__.co_cellvars == ("h", "y")

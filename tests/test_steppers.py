@@ -43,6 +43,16 @@ class TestRk3:
         with pytest.raises(NonPositiveStep):
             rk3_step(P, 0.0, (1.0,), 0.0)
 
+    @pytest.mark.parametrize("p, y", [
+        (P, (1.0, 2.0)),        # used to return a 1-tuple
+        (P, ()),
+        (van_der_pol_problem(1.0).problem, (1.0,)),    # used to raise IndexError
+        (van_der_pol_problem(1.0).problem, (1.0, 2.0, 3.0)),
+    ], ids=["long-1d", "empty-1d", "short-2d", "long-2d"])
+    def test_state_of_the_wrong_length_raises(self, p, y):
+        with pytest.raises(DimensionMismatch, match="rk3_step needs"):
+            rk3_step(p, 0.0, y, 0.1)
+
     def test_bootstrap_iterates_rk3(self):
         times, states = bootstrap(P, 0.0, (1.0,), 0.25)
         assert times == (0.0, 0.25, 0.5, 0.75)
