@@ -121,11 +121,10 @@ class TestErrorEstimate:
         assert _post_filtered((27.0, -22.0), component=0)[1] == 5.0
         assert _post_filtered((27.0, -22.0), component=1)[1] == 10.0
 
-
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_maxnorm_keeps_the_rule_of_max(self, d):
         # NaN, -0.0 and 0.0 in every position: a NaN counts only when it
-        # comes first, as in max(), and the first of equal values stays
+        # comes first, as in max()
         values = [math.nan, 0.0, -0.0, 1.0, -1.0, math.inf]
         for y_third in itertools.product(values, repeat=d):
             for y_second in [(0.0,) * d, (-0.0,) * d, (1.0,) * d]:
