@@ -15,6 +15,11 @@ rounds store 165k rows (150k from the RK4 reference), from 0.424 to
 (BENCH_15.json).  The move converts each list with struct.pack and
 array.frombytes, at about 10 ns a value against 23 ns for array("d",
 list) (minima of 40 interleaved timings of a 2048-value list).
+Trajectory.extend takes a block of rows as four lists, checks them as
+append and the move do, and packs them straight into the arrays.  A
+caller that collects 2-D rows on three lists and extends 512 at a time
+pays about 250 ns a row for both, against 440 ns for append (medians of 8
+processes, each the best of 7 runs over 150,000 rows, net of the loop).
 """
 
 from __future__ import annotations
@@ -137,6 +142,7 @@ class SolverConfig:
 
 # rows a Trajectory holds in its lists before it moves them into its arrays
 _BLOCK = 512
+_COLUMNS = ("times", "state", "est", "k")
 
 
 class Trajectory:
@@ -153,9 +159,11 @@ class Trajectory:
     move into the arrays every _BLOCK rows and before any read, so an
     array a caller keeps shows later rows only after that.  The move is
     all or nothing: it raises DimensionMismatch unless every pending state
-    had `dimension` components, or TypeError if a value is not a real
-    number, and converts all four lists before it extends any array.  The
-    doubles are stored exactly as given.
+    had `dimension` components, or TypeError naming the row and column of
+    a value that is not a real number, and converts all four lists before
+    it extends any array.  extend stores a block of rows at once, after
+    the pending ones, with the same checks.  The doubles are stored
+    exactly as given.
     """
 
     __slots__ = ("dimension", "_times", "_flat", "_est", "_ks", "_t_last",
@@ -184,6 +192,33 @@ class Trajectory:
         if len(times) >= _BLOCK:
             self._move()
 
+    def extend(self, times: list, flat: list, est: list, ks: list) -> None:
+        """Append len(times) rows at once: their times, their states
+        flattened (dimension values a row), est and ks.  Checked like
+        append and the block move, and all or nothing: DimensionMismatch
+        unless flat holds dimension values a row and est and ks one,
+        TypeError if a value is not a real number, NonMonotonicTimes unless
+        the times increase past the last one stored.  The rows are copied,
+        so the caller may reuse the lists."""
+        n = len(times)
+        if len(flat) != n * self.dimension or len(est) != n or len(ks) != n:
+            raise DimensionMismatch(
+                f"a block of {n} rows has {len(flat)} state components, "
+                f"{len(est)} estimates and {len(ks)} steps; need "
+                f"{self.dimension}, 1 and 1 a row"
+            )
+        if not n:
+            return
+        blocks = self._pack((times, flat, est, ks), len(self))
+        prev = self._t_last
+        for t in times:
+            if not t > prev:
+                raise NonMonotonicTimes(f"time {t!r} does not advance past {prev!r}")
+            prev = t
+        self._move()
+        self._store(blocks)
+        self._t_last = prev
+
     def _move(self) -> None:
         """Move the pending rows into the arrays, all or nothing."""
         pending = self._pending
@@ -195,15 +230,36 @@ class Trajectory:
                 f"{n} pending rows hold {len(pending[1])} state components, "
                 f"need {self.dimension} each"
             )
+        self._store(self._pack(pending, len(self._times)))
+        self._pending = ([], [], [], [])
+
+    def _pack(self, columns, first_row: int) -> list:
+        """The four columns (times, flat states, est, ks) of the rows from
+        first_row on as packed doubles.  A value that is not a real number
+        raises TypeError naming the earliest such row and its column; only
+        that error path looks for it."""
+        blocks = []
         try:
-            blocks = []
-            for column in pending:
+            for column in columns:
                 blocks.append(struct.pack(f"{len(column)}d", *column))
-        except struct.error as err:
-            raise TypeError(f"a trajectory value is not a real number: {err}") from None
+        except struct.error:
+            bad = []
+            widths = (1, self.dimension, 1, 1)
+            for col, (name, column) in enumerate(zip(_COLUMNS, columns)):
+                for i, v in enumerate(column):
+                    try:
+                        struct.pack("d", v)
+                    except struct.error:
+                        bad.append((i // widths[col], col, name, v))
+                        break
+            row, _, name, v = min(bad)
+            raise TypeError(f"trajectory row {first_row + row}, column {name}: "
+                            f"{v!r} is not a real number") from None
+        return blocks
+
+    def _store(self, blocks) -> None:
         for stored, block in zip((self._times, self._flat, self._est, self._ks), blocks):
             stored.frombytes(block)
-        self._pending = ([], [], [], [])
 
     def __len__(self) -> int:
         return len(self._times) + len(self._pending[0])

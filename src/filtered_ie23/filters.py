@@ -31,6 +31,7 @@ comprehension's float operations in their order, so the same bits.  On a
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from .core import Vector
@@ -128,11 +129,13 @@ def curvature(k_prev: float, k_cur: float,
     Equals k_prev*k_cur times the second derivative of the quadratic
     through the points (t-k_prev-k_cur, y_prev), (t-k_cur, y_mid),
     (t, y_next); on a uniform grid it reduces to the plain second
-    difference y_next - 2*y_mid + y_prev.  The three states must have
-    equal lengths, else DimensionMismatch.
+    difference y_next - 2*y_mid + y_prev.  The steps must be positive and
+    finite, else NonPositiveStep, and the three states must have equal
+    lengths, else DimensionMismatch.
     """
-    if k_prev <= 0.0 or k_cur <= 0.0:
-        raise NonPositiveStep(f"curvature needs positive steps, got {k_prev!r}, {k_cur!r}")
+    if not (0.0 < k_prev < math.inf and 0.0 < k_cur < math.inf):
+        raise NonPositiveStep(
+            f"curvature needs positive finite steps, got {k_prev!r}, {k_cur!r}")
     d = len(y_mid)
     if len(y_prev) != d or len(y_next) != d:
         raise DimensionMismatch(

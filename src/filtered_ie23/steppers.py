@@ -12,10 +12,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .core import (OdeProblem, SolverConfig, Trajectory, Vector, all_finite,
-                   initial_state, short_rhs)
+from .core import (_BLOCK, OdeProblem, SolverConfig, Trajectory, Vector,
+                   all_finite, initial_state, short_rhs)
 from .errors import (DegenerateBeta, DimensionMismatch, NonFiniteState,
                      NonPositiveStep)
 from .filters import (_beta, curvature, post_filtered,
@@ -35,10 +35,11 @@ class ConstantStepRun:
 
 
 def rk3_step(p: OdeProblem, t: float, y: Vector, h: float) -> Vector:
-    """One explicit third-order step (Kutta's tableau); y must have
-    p.dimension components, else DimensionMismatch."""
-    if h <= 0.0:
-        raise NonPositiveStep(f"rk3_step needs h > 0, got {h!r}")
+    """One explicit third-order step (Kutta's tableau); h must be positive
+    and finite, else NonPositiveStep, and y must have p.dimension
+    components, else DimensionMismatch."""
+    if not 0.0 < h < math.inf:
+        raise NonPositiveStep(f"rk3_step needs a positive finite step, got {h!r}")
     if len(y) != p.dimension:
         raise DimensionMismatch(f"rk3_step needs {p.dimension} components, got {len(y)}")
     rng = range(p.dimension)
@@ -79,26 +80,36 @@ def bootstrap(p: OdeProblem, t0: float, y0: Sequence[float],
     return tuple(times), tuple(states)
 
 
-def _step_times(cfg: SolverConfig, dt: float) -> Iterator[float]:
-    """Times after t_begin: interior points on the uniform grid, then t_end
-    (the final step is clamped when dt does not divide the span).  Yielded
-    one at a time, so a long reference solve holds no list of them."""
+def _grid(cfg: SolverConfig, dt: float) -> tuple[int, bool]:
+    """The time grid of a constant-step run, as (n, snaps).  Its interior
+    points are cfg.t_begin + i * dt for i = 1 .. n, the last of them below
+    t_end - 1e-14 * span, and t_end follows (the final step is clamped
+    when dt does not divide the span).  snaps is true when every interior
+    gap is provably within 1e-9 * dt of dt, so that a solver may take each
+    of them as dt untested: a point is off by at most half an ulp of the
+    span and half an ulp of the larger end, and the subtraction that
+    forms a gap by half an ulp of 2 dt."""
     t0, t_end, span = cfg.t_begin, cfg.t_end, cfg.span
     edge = t_end - 1e-14 * span
-    i = 1
-    while True:
-        t = t0 + i * dt
-        if t >= edge:
-            break
-        yield t
-        i += 1
-    yield t_end
+    n = int((edge - t0) / dt)    # a guess; the two loops settle it by the rule
+    while n > 0 and t0 + n * dt >= edge:
+        n -= 1
+    while t0 + (n + 1) * dt < edge:
+        n += 1
+    ulp = math.ulp
+    snaps = ulp(span) + ulp(max(abs(t0), abs(t_end))) + ulp(2.0 * dt) <= 1e-9 * dt
+    return n, snaps
 
 
 def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
                        third_order: bool) -> ConstantStepRun:
     dt = cfg.dt0
-    times = list(_step_times(cfg, dt))
+    n, _ = _grid(cfg, dt)
+    t0 = cfg.t_begin
+    times = []
+    for i in range(1, n + 1):
+        times.append(t0 + i * dt)
+    times.append(cfg.t_end)
     n_start = 3 if third_order else 2
     if len(times) <= n_start:
         raise ValueError("too few steps: the startup leaves no room for a filtered step")
@@ -175,72 +186,102 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     0.75-0.92 s with the generic loop against 0.40-0.48 s.  The generic
     loop stays, as the only path for every other dimension (the 1-D model
     problems, the 4-D quasi-periodic one).
+
+    Both loops count through the grid of _grid, t_next = t_begin + i * dt,
+    and take h = dt untested on the interior steps when the grid snaps;
+    the final step, and every step of a grid that does not, tests its gap
+    and runs with its own h and weights.  They collect rows on lists and
+    hand them to Trajectory.extend _BLOCK at a time.  Against a generator
+    of times, a snap test per step and one append per row, on the same
+    machine over 12 interleaved in-process pairs: the four 2-D references
+    of perfbench's vdp-stiff set-up, 412,500 steps, took 0.857 times as
+    long (faster in 11 of 12) and vdp_reference(1.0) 0.813 times (12 of
+    12), with every row the same to the bit.
     """
     dt = cfg.dt0
     d = p.dimension
     rhs = p.rhs
-    times = _step_times(cfg, dt)
+    n, snaps = _grid(cfg, dt)
+    free = n if snaps else 0    # steps 1 .. free take h = dt untested
+    t0, t_end = cfg.t_begin, cfg.t_end
     traj = Trajectory(d)
     y = initial_state(p, y0)
-    traj.append(cfg.t_begin, y, 0.0, 0.0)
-    t_prev = cfg.t_begin
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    append = traj.append
+    traj.append(t0, y, 0.0, 0.0)
+    t_prev = t0
+    h, half, sixth = dt, 0.5 * dt, dt / 6.0
+    half_dt, sixth_dt = half, sixth
+    isfinite = math.isfinite
+    times, flat, ks = [], [], []
+    put_t, put_y, put_k = times.append, flat.extend, ks.append
     # an rhs value with fewer than d components fails the loops with
     # IndexError, which short_rhs turns into DimensionMismatch
     s1 = s2 = s3 = s4 = None
     try:
-        if d == 2:
-            isfinite = math.isfinite
-            y0, y1 = y
-            for t_next in times:
-                h = t_next - t_prev
-                if abs(h - dt) > 1e-9 * dt:
-                    half, sixth = 0.5 * h, h / 6.0
-                else:
-                    h = dt
-                t_half = t_prev + half
-                s1 = rhs(t_prev, y)
-                s2 = rhs(t_half, (y0 + half * s1[0], y1 + half * s1[1]))
-                s3 = rhs(t_half, (y0 + half * s2[0], y1 + half * s2[1]))
-                s4 = rhs(t_next, (y0 + h * s3[0], y1 + h * s3[1]))
-                y0 = y0 + sixth * (s1[0] + 2.0 * (s2[0] + s3[0]) + s4[0])
-                y1 = y1 + sixth * (s1[1] + 2.0 * (s2[1] + s3[1]) + s4[1])
-                if not (isfinite(y0) and isfinite(y1)):
-                    raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
-                y = (y0, y1)
-                append(t_next, y, 0.0, h)
-                t_prev = t_next
-            return ConstantStepRun(traj)
-        rng = range(d)
-        for t_next in times:
-            h = t_next - t_prev
-            if abs(h - dt) > 1e-9 * dt:
-                half, sixth = 0.5 * h, h / 6.0
+        for lo in range(1, n + 2, _BLOCK):
+            hi = min(lo + _BLOCK, n + 2)
+            if d == 2:
+                y0, y1 = y
+                for i in range(lo, hi):
+                    t_next = t0 + i * dt
+                    if i > free:
+                        if i > n:
+                            t_next = t_end
+                        h = t_next - t_prev
+                        if abs(h - dt) > 1e-9 * dt:
+                            half, sixth = 0.5 * h, h / 6.0
+                        else:
+                            h, half, sixth = dt, half_dt, sixth_dt
+                    t_half = t_prev + half
+                    s1 = rhs(t_prev, y)
+                    s2 = rhs(t_half, (y0 + half * s1[0], y1 + half * s1[1]))
+                    s3 = rhs(t_half, (y0 + half * s2[0], y1 + half * s2[1]))
+                    s4 = rhs(t_next, (y0 + h * s3[0], y1 + h * s3[1]))
+                    y0 = y0 + sixth * (s1[0] + 2.0 * (s2[0] + s3[0]) + s4[0])
+                    y1 = y1 + sixth * (s1[1] + 2.0 * (s2[1] + s3[1]) + s4[1])
+                    if not (isfinite(y0) and isfinite(y1)):
+                        raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
+                    y = (y0, y1)
+                    put_t(t_next)
+                    put_y(y)
+                    put_k(h)
+                    t_prev = t_next
             else:
-                h = dt
-            s1 = rhs(t_prev, y)
-            u = []
-            for i in rng:
-                u.append(y[i] + half * s1[i])
-            s2 = rhs(t_prev + half, tuple(u))
-            u = []
-            for i in rng:
-                u.append(y[i] + half * s2[i])
-            s3 = rhs(t_prev + half, tuple(u))
-            u = []
-            for i in rng:
-                u.append(y[i] + h * s3[i])
-            s4 = rhs(t_next, tuple(u))
-            u = []
-            for i in rng:
-                u.append(y[i] + sixth * (s1[i] + 2.0 * (s2[i] + s3[i]) + s4[i]))
-            y = tuple(u)
-            if not all_finite(y):
-                raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
-            append(t_next, y, 0.0, h)
-            t_prev = t_next
+                rng = range(d)
+                for i in range(lo, hi):
+                    t_next = t0 + i * dt
+                    if i > free:
+                        if i > n:
+                            t_next = t_end
+                        h = t_next - t_prev
+                        if abs(h - dt) > 1e-9 * dt:
+                            half, sixth = 0.5 * h, h / 6.0
+                        else:
+                            h, half, sixth = dt, half_dt, sixth_dt
+                    s1 = rhs(t_prev, y)
+                    u = []
+                    for j in rng:
+                        u.append(y[j] + half * s1[j])
+                    s2 = rhs(t_prev + half, tuple(u))
+                    u = []
+                    for j in rng:
+                        u.append(y[j] + half * s2[j])
+                    s3 = rhs(t_prev + half, tuple(u))
+                    u = []
+                    for j in rng:
+                        u.append(y[j] + h * s3[j])
+                    s4 = rhs(t_next, tuple(u))
+                    u = []
+                    for j in rng:
+                        u.append(y[j] + sixth * (s1[j] + 2.0 * (s2[j] + s3[j]) + s4[j]))
+                    y = tuple(u)
+                    if not all_finite(y):
+                        raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
+                    put_t(t_next)
+                    put_y(y)
+                    put_k(h)
+                    t_prev = t_next
+            traj.extend(times, flat, [0.0] * len(times), ks)
+            del times[:], flat[:], ks[:]
     except IndexError as err:
         raise short_rhs(p, err, s1, s2, s3, s4)
     return ConstantStepRun(traj)

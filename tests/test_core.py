@@ -144,18 +144,97 @@ class TestTrajectory:
         bad = "not a float"
         rows = [(_Later(), (5.0, -5.0), 0.0, 1.0), (3.0, (5.0, bad), 0.0, 1.0),
                 (3.0, (5.0, -5.0), bad, 1.0), (3.0, (5.0, -5.0), 0.0, bad)]
-        for row in rows:    # a value that is not a real number in each column
+        names = ["times", "state", "est", "k"]
+        for row, name in zip(rows, names):    # a value that is not a real number in each column
             traj = self._sample()
             stored = [bytes(traj.times), bytes(traj.est), bytes(traj.ks),
                       bytes(array("d", [c for y in traj.states for c in y]))]
             traj.append(2.0, (4.0, -4.0), 0.0, 1.0)
             traj.append(*row)
             for _ in range(2):
-                with pytest.raises(TypeError):
+                with pytest.raises(TypeError, match=f"row 4, column {name}: "):
                     traj.times
             columns = (traj._times, traj._est, traj._ks, traj._flat)
             assert [bytes(c) for c in columns] == stored
             assert len(traj) == 5
+
+
+    def test_type_error_names_the_earliest_row(self):
+        # the error used to read "required argument is not a float"
+        traj = Trajectory(2)
+        for i in range(5):
+            traj.append(float(i), (1.0, 2.0), None if i == 3 else 0.0, 1.0)
+        traj.append(5.0, (1.0, "x"), 0.0, 1.0)
+        with pytest.raises(TypeError, match="row 3, column est: None is not"):
+            traj.times
+        traj = Trajectory(1)
+        with pytest.raises(TypeError, match=r"row 1, column k: 'x' is not"):
+            traj.extend([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, None], [0.0, "x", 0.0])
+
+
+class TestExtend:
+    def _sample(self):
+        traj = TestTrajectory()._sample()
+        traj.times    # stored: three rows, nothing pending
+        traj.append(1.5, (4.0, -4.0), 0.0, 0.5)
+        return traj
+
+    @staticmethod
+    def _snapshot(traj):
+        return ([bytes(c) for c in (traj._times, traj._flat, traj._est, traj._ks)],
+                [list(c) for c in traj._pending], traj._t_last)
+
+    def test_rows_land_after_the_appended_ones(self):
+        traj = self._sample()
+        traj.extend([2.0, 3.0], [5.0, -5.0, 6.0, -6.0], [1e-6, 2e-6], [0.5, 1.0])
+        traj.extend([], [], [], [])
+        traj.append(4.0, (7.0, -7.0), 0.0, 1.0)
+        assert list(traj.times) == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+        assert list(traj.est)[4:6] == [1e-6, 2e-6]
+        assert list(traj.ks)[4:] == [0.5, 1.0, 1.0]
+        assert traj.states[4:] == [(5.0, -5.0), (6.0, -6.0), (7.0, -7.0)]
+
+    @pytest.mark.parametrize("times", [
+        [1.5, 2.0], [1.0, 2.0], [math.nan, 2.0],      # the first time: equal, smaller, NaN
+        [2.0, 2.0, 3.0], [2.0, 3.0, 2.5], [2.0, math.nan, 3.0],   # a pair inside the block
+    ])
+    def test_times_must_increase(self, times):
+        traj = self._sample()
+        before = self._snapshot(traj)
+        n = len(times)
+        with pytest.raises(NonMonotonicTimes):
+            traj.extend(times, [1.0] * (2 * n), [0.0] * n, [1.0] * n)
+        assert self._snapshot(traj) == before
+        assert len(traj) == 4
+
+    @pytest.mark.parametrize("flat, est, ks", [
+        ([1.0] * 3, [0.0] * 2, [1.0] * 2), ([1.0] * 5, [0.0] * 2, [1.0] * 2),
+        ([1.0] * 4, [0.0], [1.0] * 2), ([1.0] * 4, [0.0] * 2, [1.0] * 3),
+    ], ids=["short-state", "long-state", "short-est", "long-ks"])
+    def test_a_column_of_the_wrong_length_raises(self, flat, est, ks):
+        traj = self._sample()
+        before = self._snapshot(traj)
+        with pytest.raises(DimensionMismatch, match="a block of 2 rows"):
+            traj.extend([2.0, 3.0], flat, est, ks)
+        assert self._snapshot(traj) == before
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_a_value_that_is_not_real_changes_nothing(self, column):
+        columns = [[2.0, 3.0], [5.0, -5.0, 6.0, -6.0], [0.0, 0.0], [1.0, 1.0]]
+        columns[column][-1] = "x"
+        traj = self._sample()
+        before = self._snapshot(traj)
+        with pytest.raises(TypeError, match="row 5, column "):
+            traj.extend(*columns)
+        assert self._snapshot(traj) == before
+
+    def test_a_bad_pending_row_stops_the_block(self):
+        # the pending rows move first; when they fail, the block is not stored
+        traj = self._sample()
+        traj.append(2.0, (1.0,), 0.0, 1.0)
+        with pytest.raises(DimensionMismatch, match="pending rows"):
+            traj.extend([3.0], [1.0, 2.0], [0.0], [1.0])
+        assert len(traj._times) == 3 and len(traj) == 5
 
 
 # values whose bits a careless copy could change
@@ -208,16 +287,29 @@ def _assert_matches(traj, rows, d):
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
 @given(seed=st.integers(0, 2**32),
        reads=st.lists(st.one_of(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
-                                st.integers(0, 3 * _BLOCK + 1)), max_size=3))
-def test_block_moves_keep_every_row(d, n, seed, reads):
+                                st.integers(0, 3 * _BLOCK + 1)), max_size=3),
+       blocks=st.lists(st.one_of(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1]),
+                                 st.integers(0, 2 * _BLOCK)), max_size=4))
+def test_block_moves_keep_every_row(d, n, seed, reads, blocks):
     # reads part-way through move the pending rows early; no read, or a
-    # read at any row count, must leave the same rows
+    # read at any row count, must leave the same rows.  Each row goes in
+    # by append, and after each append the next of `blocks` rows (if any
+    # are left) go in by one extend, so the two cross block moves in
+    # every order
     rows = _rows(seed, n, d)
     traj = Trajectory(d)
-    for i, (t, y, est, k) in enumerate(rows):
+    blocks = iter(blocks)
+    i = 0
+    while i < n:
         if i in reads:
             _assert_matches(traj, rows[:i], d)
-        traj.append(t, y, est, k)
+        traj.append(*rows[i])
+        i += 1
+        size = next(blocks, 0)
+        block = rows[i:i + size]
+        traj.extend([r[0] for r in block], [c for r in block for c in r[1]],
+                    [r[2] for r in block], [r[3] for r in block])
+        i += len(block)
     _assert_matches(traj, rows, d)
 
 

@@ -33,6 +33,13 @@ class TestCurvature:
         with pytest.raises(NonPositiveStep):
             curvature(1.0, -1.0, (0.0,), (0.0,), (0.0,))
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_steps(self, k):
+        # NaN and inf used to pass the k <= 0 test and return (nan,)
+        for steps in ((k, 1.0), (1.0, k)):
+            with pytest.raises(NonPositiveStep, match=f"got .*{k!r}"):
+                curvature(*steps, (1.0,), (2.0,), (3.0,))
+
     @pytest.mark.parametrize("states", [
         ((1.0,), (1.0,), (1.0, 2.0)),      # used to return (0.0,)
         ((1.0, 2.0), (1.0,), (1.0,)),

@@ -152,7 +152,7 @@ PER_STEP = [filters.curvature, filters.pre_filtered, filters.post_filtered,
             steppers.rk3_step, steppers._solve_ie_filtered,
             steppers.solve_rk4_reference, newton._fd_jacobian, newton._factor,
             newton.implicit_euler_stage, adaptive.solve_filtered_ie23,
-            core.Trajectory.append]
+            core.Trajectory.append, core.Trajectory.extend]
 
 
 @pytest.mark.parametrize("function", PER_STEP, ids=lambda f: f.__qualname__)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
                            NonFiniteState, NonPositiveStep, OdeProblem,
@@ -9,8 +10,10 @@ from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
                            solve_filtered_ie23, quasi_periodic_problem,
                            solve_ie_pre_2, solve_ie_pre_post_3,
                            solve_rk4_reference, van_der_pol_problem)
+from filtered_ie23 import steppers
 from filtered_ie23.bench import constant_run
-from filtered_ie23.steppers import bootstrap
+from filtered_ie23.core import _BLOCK
+from filtered_ie23.steppers import _grid, bootstrap
 from oracles import digest
 
 SPEC = model_problem()
@@ -42,6 +45,12 @@ class TestRk3:
     def test_rejects_nonpositive_step(self):
         with pytest.raises(NonPositiveStep):
             rk3_step(P, 0.0, (1.0,), 0.0)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_step(self, h):
+        # NaN and inf used to pass the h <= 0 test and return (nan,)
+        with pytest.raises(NonPositiveStep, match=f"got {h!r}"):
+            rk3_step(P, 0.0, (1.0,), h)
 
     @pytest.mark.parametrize("p, y", [
         (P, (1.0, 2.0)),        # used to return a 1-tuple
@@ -202,6 +211,93 @@ class TestRk4Reference:
         runs = [solve_rk4_reference(OdeProblem(2, rhs), cfg, (1.0, 0.5)).trajectory
                 for rhs in (f, lambda t, y: list(f(t, y)))]
         assert runs[0].states == runs[1].states
+
+
+    # y' = -y, a rotation, and the rotation with a decaying third component
+    LINEAR = {
+        1: (OdeProblem(1, lambda t, y: (-y[0],)), lambda s: (math.exp(-s),)),
+        2: (OdeProblem(2, lambda t, y: (-y[1], y[0])),
+            lambda s: (math.cos(s), math.sin(s))),
+        3: (OdeProblem(3, lambda t, y: (-y[1], y[0], -y[2])),
+            lambda s: (math.cos(s), math.sin(s), math.exp(-s))),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_each_step_uses_its_own_weights(self, d):
+        # at t = 1e4 the grid's gaps miss dt by up to an ulp of 1e4, and 112
+        # of the 1,000 steps of 1e-3 fail the snap test; a step after one of
+        # them used to keep its half and sixth, for errors of 5.9e-10 (d = 1)
+        # and 1.35e-9 (d = 2, 3)
+        p, exact = self.LINEAR[d]
+        cfg = _cfg(1e-3, t_begin=1e4, t_end=1e4 + 1.0)
+        assert not _grid(cfg, cfg.dt0)[1]
+        traj = solve_rk4_reference(p, cfg, exact(0.0)).trajectory
+        assert len(traj) == 1001
+        assert traj.final_error(lambda t: exact(t - 1e4)) < 3e-10
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_go_in_blocks(self, monkeypatch, d):
+        # counted the way perfbench/tracing.py counts: a subclass bound where
+        # steppers looks Trajectory up; a snapping grid appends the first
+        # row alone and extends the trajectory with all the others
+        base = steppers.Trajectory
+
+        class Counted(base):
+            __slots__ = ()
+            calls = 0
+
+            def append(self, t, y, est, k):
+                Counted.calls += 1
+                base.append(self, t, y, est, k)
+
+        p, exact = self.LINEAR[d]
+        cfg = _cfg(1.0 / 1024, t_end=3.0)    # 3072 steps: 7 blocks, the last of 1
+        assert _grid(cfg, cfg.dt0) == (3 * 1024 - 1, True)
+        plain = solve_rk4_reference(p, cfg, exact(0.0)).trajectory
+        monkeypatch.setattr(steppers, "Trajectory", Counted)
+        counted = solve_rk4_reference(p, cfg, exact(0.0)).trajectory
+        assert type(counted) is Counted and Counted.calls <= 2
+        assert len(counted) == 3 * 1024 + 1
+        assert digest(counted) == digest(plain)
+
+
+class TestGrid:
+    @staticmethod
+    def _old_rule(cfg, dt):
+        """The interior points as the solvers used to generate them."""
+        edge = cfg.t_end - 1e-14 * cfg.span
+        out, i = [], 1
+        while cfg.t_begin + i * dt < edge:
+            out.append(cfg.t_begin + i * dt)
+            i += 1
+        return out
+
+    @pytest.mark.parametrize("t_begin, t_end, dt", [
+        (0.0, 2.0, 0.05), (0.0, 2.0, 0.03), (0.0, 6.0, 0.007), (0.0, 10.0, 0.003),
+        (0.0, 50.0, 4e-3), (0.0, 50.0, 2e-3), (0.0, 500.0, 4e-3), (0.0, 500.0, 2e-3),
+        (0.0, 50.0, 1e-3), (0.0, 500.0, 5e-4), (0.0, 20.0, 20.0 / 8064),
+    ])
+    def test_pinned_and_benchmark_grids_snap(self, t_begin, t_end, dt):
+        # the frozen digests, the RK4 references of bench and perfbench, and
+        # the finest quasi-periodic level of the constant-step table
+        cfg = _cfg(dt, t_begin=t_begin, t_end=t_end)
+        n, snaps = _grid(cfg, dt)
+        assert snaps
+        assert n == len(self._old_rule(cfg, dt))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(t_begin=st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1e4, -3e5, 2.0**20])),
+           span=st.floats(1e-3, 1e4), steps=st.floats(1.0, 2000.0))
+    def test_count_and_snap_by_brute_force(self, t_begin, span, steps):
+        t_end = t_begin + span
+        dt = (t_end - t_begin) / steps
+        cfg = _cfg(dt, t_begin=t_begin, t_end=t_end)
+        n, snaps = _grid(cfg, dt)
+        points = [t_begin] + self._old_rule(cfg, dt)
+        assert n == len(points) - 1
+        if snaps:
+            # every interior gap passes the solvers' per-step test
+            assert all(abs((b - a) - dt) <= 1e-9 * dt for a, b in zip(points, points[1:]))
 
 
 class TestFrozenDigests:
