@@ -105,10 +105,9 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
                        third_order: bool) -> ConstantStepRun:
     dt = cfg.dt0
     n, _ = _grid(cfg, dt)
-    t0 = cfg.t_begin
     times = []
     for i in range(1, n + 1):
-        times.append(t0 + i * dt)
+        times.append(cfg.t_begin + i * dt)
     times.append(cfg.t_end)
     n_start = 3 if third_order else 2
     if len(times) <= n_start:
@@ -178,25 +177,26 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     Serves as the reference oracle; callers are responsible for choosing
     dt small enough (checked by rerunning at dt/2 and comparing).
 
-    Dimension 2 (every van der Pol reference) runs a straight-line loop
+    Dimension 2 (every van der Pol reference) takes a straight-line step
     that performs the same floating-point operations in the same order as
-    the generic loop, so results are bit-identical either way.  What it
+    the generic step, so results are bit-identical either way.  What it
     saves, on a 2-CPU Xeon under CPython 3.11 over 3 alternating process
     pairs of 3 calls each: vdp_reference(1.0), 150,000 steps in all, took
-    0.75-0.92 s with the generic loop against 0.40-0.48 s.  The generic
-    loop stays, as the only path for every other dimension (the 1-D model
+    0.75-0.92 s with the generic step against 0.40-0.48 s.  The generic
+    step stays, as the only path for every other dimension (the 1-D model
     problems, the 4-D quasi-periodic one).
 
-    Both loops count through the grid of _grid, t_next = t_begin + i * dt,
-    and take h = dt untested on the interior steps when the grid snaps;
+    The loop counts through the grid of _grid, t_next = t_begin + i * dt,
+    and takes h = dt untested on the interior steps when the grid snaps;
     the final step, and every step of a grid that does not, tests its gap
-    and runs with its own h and weights.  They collect rows on lists and
-    hand them to Trajectory.extend _BLOCK at a time.  Against a generator
+    and runs with its own h and weights.  Rows collect on lists and go to
+    Trajectory.extend _BLOCK at a time.  Against a generator
     of times, a snap test per step and one append per row, on the same
-    machine over 12 interleaved in-process pairs: the four 2-D references
-    of perfbench's vdp-stiff set-up, 412,500 steps, took 0.857 times as
-    long (faster in 11 of 12) and vdp_reference(1.0) 0.813 times (12 of
-    12), with every row the same to the bit.
+    machine in interleaved in-process pairs: the four 2-D references of
+    perfbench's vdp-stiff set-up, 412,500 steps, took 0.82-0.84 times as
+    long (median ratios of two sets of 12 pairs, faster in 23 of 24) and
+    vdp_reference(1.0) 0.80 times (12 of 12), every row the same to the
+    bit.
     """
     dt = cfg.dt0
     d = p.dimension
@@ -210,7 +210,11 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     t_prev = t0
     h, half, sixth = dt, 0.5 * dt, dt / 6.0
     half_dt, sixth_dt = half, sixth
-    isfinite = math.isfinite
+    planar = d == 2
+    if planar:
+        isfinite = math.isfinite
+        y0, y1 = y
+    rng = range(d)
     times, flat, ks = [], [], []
     put_t, put_y, put_k = times.append, flat.extend, ks.append
     # an rhs value with fewer than d components fails the loops with
@@ -218,19 +222,17 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     s1 = s2 = s3 = s4 = None
     try:
         for lo in range(1, n + 2, _BLOCK):
-            hi = min(lo + _BLOCK, n + 2)
-            if d == 2:
-                y0, y1 = y
-                for i in range(lo, hi):
-                    t_next = t0 + i * dt
-                    if i > free:
-                        if i > n:
-                            t_next = t_end
-                        h = t_next - t_prev
-                        if abs(h - dt) > 1e-9 * dt:
-                            half, sixth = 0.5 * h, h / 6.0
-                        else:
-                            h, half, sixth = dt, half_dt, sixth_dt
+            for i in range(lo, min(lo + _BLOCK, n + 2)):
+                t_next = t0 + i * dt
+                if i > free:
+                    if i > n:
+                        t_next = t_end
+                    h = t_next - t_prev
+                    if abs(h - dt) > 1e-9 * dt:
+                        half, sixth = 0.5 * h, h / 6.0
+                    else:
+                        h, half, sixth = dt, half_dt, sixth_dt
+                if planar:
                     t_half = t_prev + half
                     s1 = rhs(t_prev, y)
                     s2 = rhs(t_half, (y0 + half * s1[0], y1 + half * s1[1]))
@@ -241,22 +243,7 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
                     if not (isfinite(y0) and isfinite(y1)):
                         raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
                     y = (y0, y1)
-                    put_t(t_next)
-                    put_y(y)
-                    put_k(h)
-                    t_prev = t_next
-            else:
-                rng = range(d)
-                for i in range(lo, hi):
-                    t_next = t0 + i * dt
-                    if i > free:
-                        if i > n:
-                            t_next = t_end
-                        h = t_next - t_prev
-                        if abs(h - dt) > 1e-9 * dt:
-                            half, sixth = 0.5 * h, h / 6.0
-                        else:
-                            h, half, sixth = dt, half_dt, sixth_dt
+                else:
                     s1 = rhs(t_prev, y)
                     u = []
                     for j in rng:
@@ -276,10 +263,10 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
                     y = tuple(u)
                     if not all_finite(y):
                         raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
-                    put_t(t_next)
-                    put_y(y)
-                    put_k(h)
-                    t_prev = t_next
+                put_t(t_next)
+                put_y(y)
+                put_k(h)
+                t_prev = t_next
             traj.extend(times, flat, [0.0] * len(times), ks)
             del times[:], flat[:], ks[:]
     except IndexError as err:
