@@ -9,25 +9,27 @@ handled exactly like est-too-large rejections.
 
 solve_filtered_ie23 holds the one adaptive loop, so the step-control
 policy exists once: the clamp to the span, the factors of the step
-history, beta with its degeneracy test, reject/halve and the k_min
-floor, the append, the doubling rule and the statistics.  Only the
-per-component kernel (curvature, pre-filter, post-filter, estimate)
-branches on the dimension.  For d >= 3 it calls curvature, pre_filtered
-and post_filtered from filters.py, the reference for every formula.  For
-d = 1 and d = 2 it is written out on float locals, with the same
-floating-point operations in the same order, so it gives the reference's
-bits; the tests compare the two bit for bit.
+history, reject/halve and the k_min floor, the append, the doubling rule
+and the statistics.  The factors that depend only on the step history
+(k_n, k_nm1, k_nm2, k_nm3) -- alpha / 2, beta from filters._beta with its
+degeneracy test, and the post-filter's curvature weights -- are computed
+once per distinct history and kept for the solve.  On the halve/double
+ladder histories repeat: the benchmark's analog gamma = 3 solve meets
+193 distinct ones in 118,511 attempts, van der Pol mu = 100 454 in
+110,942.  Against beta recomputed inline on every attempt, that took
+scalar-analog from 0.578 to 0.475 s and vdp-stiff from 0.821 to 0.727 s
+(BENCH_23.json).
 
-What the written-out kernels save, on a 2-CPU Xeon under CPython 3.11
-(perfbench --seconds 35, 10 alternating process pairs, medians of
-probe-rescaled seconds): with the reference kernel the scalar-analog
-solves took 1.31 s against 0.63 s, and the vdp-stiff ones 1.38 s
-against 0.85 s, faster in 10 of 10 pairs each (BENCH_11.json).  They
-were first written as two more copies of the whole loop.  Folded into
-this one loop, with the d <= 2 history kept in float locals rather than
-unpacked each step, they read 0.593 -> 0.598 s on scalar-analog (+0.8%,
-faster in 5 of 10 pairs) and 0.832 -> 0.818 s on vdp-stiff
-(BENCH_17.json).
+Only the per-component kernel (curvature, pre-filter, post-filter,
+estimate) branches on the dimension.  For d >= 3 it calls curvature,
+pre_filtered and post_filtered from filters.py, the reference for every
+formula.  For d = 1 and d = 2 it is written out on float locals, with
+the same floating-point operations in the same order, so it gives the
+reference's bits; the tests compare the two bit for bit.  Written out,
+they took the scalar-analog solves from 1.31 to 0.63 s and the vdp-stiff
+ones from 1.38 to 0.85 s (BENCH_11.json).  The timings are perfbench
+--seconds 35 medians of 10 alternating process pairs on a 2-CPU Xeon
+under CPython 3.11.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from typing import Sequence
 from .core import OdeProblem, SolverConfig, Trajectory, all_finite
 from .errors import (MinStepReached, NewtonDiverged, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem)
-from .filters import (_DEGENERACY_RTOL, curvature, post_filtered,
-                      pre_filtered)
+from .filters import _beta, curvature, post_filtered, pre_filtered
 from .newton import implicit_euler_stage
 # perfbench/tracing.py rebinds rk3_step here, though only bootstrap calls it
 from .steppers import bootstrap, rk3_step  # noqa: F401
@@ -49,6 +50,10 @@ from .steppers import bootstrap, rk3_step  # noqa: F401
 # estimate falls this far below tol * k.  Every frozen trajectory in the
 # tests was produced with it.
 _DOUBLING_DIVISOR = 64.0
+
+# Entries of a solve's step-history factor cache before a miss clears it;
+# no benchmark solve meets more than 454 distinct histories.
+_FACTOR_CACHE_SIZE = 4096
 
 
 @dataclass
@@ -96,9 +101,15 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     comp = p.est_component
     tol, k_min, k_max, t_end = cfg.tol, cfg.k_min, cfg.k_max, cfg.t_end
     t_edge = t_end - 1e-14 * cfg.span
-    rtol, divisor = _DEGENERACY_RTOL, _DOUBLING_DIVISOR
+    divisor = _DOUBLING_DIVISOR
     isfinite = math.isfinite
     scalar, planar = d == 1, d == 2
+    # (k, k_nm1, k_nm2, k_nm3) -> (alpha / 2, beta or None, v_next, v_prev):
+    # the factors that depend only on the step history.  The steps are
+    # positive finite floats, so equal keys have equal bits and a hit
+    # returns the very floats a miss computed
+    factors = {}
+    factor = factors.get
 
     if 3.0 * cfg.dt0 >= cfg.span:
         raise ValueError("dt0 too large: the three bootstrap steps must fit in the span")
@@ -129,32 +140,33 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
 
         if k_nm2 <= 0.0 or k_nm1 <= 0.0:
             raise NonPositiveStep(f"curvature needs positive steps, got {k_nm2!r}, {k_nm1!r}")
-        s = k_nm1 + k_nm2
-        two_k1 = 2.0 * k_nm1
-        # the history's share of alpha and of beta
-        k12 = k_nm1 * k_nm2
-        k1k1 = k_nm1 * k_nm1
-        two_k2k2 = 2.0 * k_nm2 * k_nm2
-        three_k3 = 3.0 * k_nm3
-        k_top = max(k_nm1, k_nm2, k_nm3)
         # kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
+        s = k_nm1 + k_nm2
         if scalar:
-            kappa0 = 2.0 * k_nm2 / s * y_n0 - 2.0 * y_nm1_0 + two_k1 / s * y_nm2_0
+            kappa0 = 2.0 * k_nm2 / s * y_n0 - 2.0 * y_nm1_0 + 2.0 * k_nm1 / s * y_nm2_0
         elif planar:
             w_next = 2.0 * k_nm2 / s
-            w_prev = two_k1 / s
+            w_prev = 2.0 * k_nm1 / s
             kappa0 = w_next * y_n0 - 2.0 * y_nm1_0 + w_prev * y_nm2_0
             kappa1 = w_next * y_n1 - 2.0 * y_nm1_1 + w_prev * y_nm2_1
         else:
             kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
 
         while True:
-            kk = k * k
+            key = (k, k_nm1, k_nm2, k_nm3)
+            entry = factor(key)
+            if entry is None:
+                if len(factors) >= _FACTOR_CACHE_SIZE:
+                    factors.clear()
+                ksum = k + k_nm1
+                entry = factors[key] = (
+                    0.5 * (k * k / (k_nm1 * k_nm2)), _beta(k, k_nm1, k_nm2, k_nm3),
+                    2.0 * k_nm1 / ksum, 2.0 * k / ksum)
+            half_a, beta, v_next, v_prev = entry
             # pre_filtered(k, k_nm1, k_nm2, y_n, kappa_prev)
             if scalar:
-                y_tilde = (y_n0 - 0.5 * (kk / k12) * kappa0,)
+                y_tilde = (y_n0 - half_a * kappa0,)
             elif planar:
-                half_a = 0.5 * (kk / k12)
                 y_tilde = (y_n0 - half_a * kappa0, y_n1 - half_a * kappa1)
             else:
                 y_tilde = pre_filtered(k, k_nm1, k_nm2, y_n, kappa_prev)
@@ -164,29 +176,15 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
             except (NewtonDiverged, SingularLinearSystem):
                 failures += 1
             else:
-                # _beta(k, k_nm1, k_nm2, k_nm3), from the history's factors
-                ksum = k + k_nm1
-                two_k = 2.0 * k
-                num = kk * ksum * (two_k + two_k1 + k_nm2)
-                den = two_k1 * (
-                    k * ksum * (3.0 * k + two_k1)
-                    + k_nm2 * (4.0 * k * k + two_k * k_nm1 - k1k1)
-                    - two_k2k2 * ksum
-                    + three_k3 * (k - k_nm2) * ksum
-                )
-                scale = (k if k > k_top else k_top) ** 4
-                a_num = abs(num)
-                # not a degenerate beta (a NaN den counts as not degenerate)
-                if not abs(den) < rtol * (a_num if a_num > scale else scale):
-                    beta = num / den
+                # a degenerate beta is rejected like a failed estimate
+                if beta is not None:
                     tk = tol * k
                     # post_filtered(beta, k, k_nm1, y_nm1, y_n, kappa_prev,
                     # y_second, comp); a NaN est fails est <= tk too
                     if scalar:
                         y2_0, = y_second
                         y3_0 = y2_0 - beta * (
-                            (two_k1 / ksum * y2_0 - 2.0 * y_n0 + two_k / ksum * y_nm1_0)
-                            - kappa0)
+                            (v_next * y2_0 - 2.0 * y_n0 + v_prev * y_nm1_0) - kappa0)
                         est = abs(y3_0 - y2_0)
                         if est <= tk and isfinite(y3_0):
                             y_nm2_0, y_nm1_0, y_n0 = y_nm1_0, y_n0, y3_0
@@ -194,8 +192,6 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
                             break
                     elif planar:
                         y2_0, y2_1 = y_second
-                        v_next = two_k1 / ksum
-                        v_prev = two_k / ksum
                         y3_0 = y2_0 - beta * (
                             (v_next * y2_0 - 2.0 * y_n0 + v_prev * y_nm1_0) - kappa0)
                         y3_1 = y2_1 - beta * (

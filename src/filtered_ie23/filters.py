@@ -9,15 +9,17 @@ Each formula exists once here.  The constant-step drivers take the
 curvature of the newest three states once per step from `curvature`, then
 call the kernel (pre_filtered, then post_filtered or
 post_filtered_uniform) on each step.  post_filtered takes beta from its
-caller, who computes it once per attempt: _beta here, or the adaptive
-loop's inlined copy of it.
+caller, who computes it with _beta: the constant-step drivers for a
+clamped final step, the adaptive loop once per step history (k_n, k_nm1,
+k_nm2, k_nm3), which it caches with alpha / 2 and the post-filter's
+curvature weights for the solve.
 
 The adaptive loop (adaptive.solve_filtered_ie23) calls curvature,
 pre_filtered and post_filtered for three or more components.  For one and
 two it writes them out on float locals, with the same floating-point
-operations in the same order, and it inlines _beta for every dimension.
-The functions here are the reference: a change to a formula here must be
-made there too, and the tests compare the two bit for bit.
+operations in the same order.  The functions here are the reference: a
+change to a formula here must be made there too, and the tests compare
+the two bit for bit.
 
 The per-step code of the package builds its vectors with index loops over
 a local list, never with a comprehension or generator expression.  Under

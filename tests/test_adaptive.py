@@ -183,9 +183,10 @@ class TestDegenerateBeta:
     def test_driver_rejects_a_degenerate_final_step(self, d):
         # after unit steps, a final step r with 3r^3 + 12r^2 + 2r - 6 = 0
         # zeroes beta's denominator.  The state is constant, so est = 0 on
-        # every attempt, and the one rejection is that degenerate beta: the
-        # driver halves r and takes r/2 twice, doubling after each, with
-        # the d = 1 and d = 2 kernels and with the generic one (d = 3)
+        # every attempt, and the one rejection is the degenerate beta that
+        # _beta's test reports: the driver halves r and takes r/2 twice,
+        # doubling after each, with the d = 1 and d = 2 kernels and with
+        # the generic one (d = 3)
         r = 0.6
         for _ in range(5):
             r -= (((3.0 * r + 12.0) * r + 2.0) * r - 6.0) / ((9.0 * r + 24.0) * r + 2.0)
@@ -201,9 +202,10 @@ class TestDegenerateBeta:
 
 
 class TestOneKernel:
-    # The loop inlines beta for every dimension and writes the d = 1 and
-    # d = 2 kernels out on float locals; the d >= 3 kernel calls filters.py.
-    # A replay from _beta and curvature checks each of them.
+    # The loop takes beta from _beta, once per step history, for every
+    # dimension and writes the d = 1 and d = 2 kernels out on float locals;
+    # the d >= 3 kernel calls filters.py.  A replay from _beta and
+    # curvature checks each of them.
     @pytest.mark.parametrize("case, tol, dt0", [
         pytest.param(case, tol, dt0,
                      id=f"{tol}-{dt0}" if case == "model" else f"{case}-{tol}-{dt0}")
@@ -227,9 +229,9 @@ class TestOneKernel:
 class TestStraightLineLoops:
     # The loop's written-out d = 1 and d = 2 kernels against its generic
     # kernel, which runs for copies of the same problem (d = 3 and 4) and
-    # calls curvature, pre_filtered and post_filtered.  Beta is the loop's
-    # one inlined copy on every branch, so these runs do not check it
-    # against _beta; TestOneKernel does.  Each case has rejected attempts
+    # calls curvature, pre_filtered and post_filtered.  Every branch reads
+    # beta from the same step-history factors, so these runs do not check
+    # it against _beta; TestOneKernel does.  Each case has rejected attempts
     # and a last step clamped to the end of the span; van der Pol at
     # mu = 100 recovers from a Newton failure, and the 2-D est_component
     # None case takes the max over both components.
@@ -291,6 +293,79 @@ class TestFrozenDigests:
         p, y0, tol, dt0, t_end, expected = self.CASES[case]
         traj, stats = solve_filtered_ie23(p, SolverConfig(tol=tol, dt0=dt0, t_end=t_end), y0)
         assert digest(traj, stats) == expected
+
+
+class TestFactorCache:
+    # The loop keeps the factors that depend only on the step history
+    # (alpha / 2, beta, the post-filter's curvature weights) in a per-solve
+    # dict keyed by (k, k_nm1, k_nm2, k_nm3), filled from _beta on a miss.
+
+    @staticmethod
+    def _count_beta(monkeypatch):
+        calls = []
+
+        def counted(*steps):
+            calls.append(steps)
+            return _beta(*steps)
+
+        monkeypatch.setattr(adaptive, "_beta", counted)
+        return calls
+
+    @pytest.mark.parametrize("spec, tol, dt0, histories, attempts", [
+        (SPEC, 2.5e-4, 1e-3, 39, 3541),
+        (model_analog_problem(3.0), 2.5e-5, 1e-5, 193, 118_511),
+    ], ids=["model-tol2.5e-4", "analog-gamma3"])
+    def test_beta_runs_once_per_step_history(self, monkeypatch, spec, tol, dt0,
+                                              histories, attempts):
+        # the benchmark's canonical runs: beta for 1.1% and 0.16% of attempts
+        calls = self._count_beta(monkeypatch)
+        t0, t1 = spec.default_range
+        cfg = SolverConfig(tol=tol, dt0=dt0, t_begin=t0, t_end=t1)
+        _, stats = solve_filtered_ie23(spec.problem, cfg, spec.default_initial_state)
+        assert stats.accepted + stats.rejected == attempts
+        assert len(calls) == len(set(calls)) == histories
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_degenerate_beta_rejects_after_the_stage(self, monkeypatch, d):
+        # a beta that is always degenerate rejects every attempt after its
+        # stage ran, without counting a Newton failure, until the step
+        # falls below k_min: 34 halvings of k = 0.01, each a new history
+        steps = []
+
+        def degenerate(*history):
+            steps.append(history)
+
+        stage = adaptive.implicit_euler_stage
+        stages = []
+
+        def counted(p, t_next, k_n, y_tilde, y_guess, cfg):
+            out = stage(p, t_next, k_n, y_tilde, y_guess, cfg)
+            stages.append(k_n)
+            return out
+
+        monkeypatch.setattr(adaptive, "_beta", degenerate)
+        monkeypatch.setattr(adaptive, "implicit_euler_stage", counted)
+        cfg = SolverConfig(tol=1e-3, dt0=0.01, t_end=1.0)
+        with pytest.raises(MinStepReached, match="without an acceptable attempt"):
+            solve_filtered_ie23(_copies(P, d), cfg, (1.0,) * d)
+        assert len(steps) == len(set(steps)) == len(stages) == 34
+        assert stages == [0.01 / 2.0 ** i for i in range(34)]
+
+    @pytest.mark.parametrize("case", sorted(TestFrozenDigests.CASES))
+    def test_clearing_at_every_miss_keeps_the_bits(self, monkeypatch, case):
+        # a cache of one entry recomputes each history it dropped, and the
+        # recomputed factors are the same floats
+        monkeypatch.setattr(adaptive, "_FACTOR_CACHE_SIZE", 1)
+        p, y0, tol, dt0, t_end, expected = TestFrozenDigests.CASES[case]
+        traj, stats = solve_filtered_ie23(p, SolverConfig(tol=tol, dt0=dt0, t_end=t_end), y0)
+        assert digest(traj, stats) == expected
+
+    def test_a_full_cache_is_cleared(self, monkeypatch):
+        # the model run's 39 histories, recomputed after each clear
+        calls = self._count_beta(monkeypatch)
+        monkeypatch.setattr(adaptive, "_FACTOR_CACHE_SIZE", 1)
+        solve_filtered_ie23(P, SolverConfig(tol=2.5e-4, dt0=1e-3, t_end=2.0), (1.0,))
+        assert len(set(calls)) == 39 < len(calls)
 
 
 @pytest.mark.parametrize("p, y0, tol, dt0, t_end", [
