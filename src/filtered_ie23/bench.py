@@ -14,7 +14,7 @@ from .core import SolverConfig, Trajectory, Vector
 from .errors import NonMonotonicTimes
 from .problems import (ProblemSpec, make_problem, model_analog_problem,
                        quasi_periodic_problem, van_der_pol_problem)
-from .steppers import (ConstantStepRun, Method, solve_ie_pre_2,
+from .steppers import (ConstantStepRun, Method, _rk4, solve_ie_pre_2,
                        solve_ie_pre_post_3, solve_rk4_reference)
 
 CONSTANT_SOLVERS: dict[Method, Callable] = {
@@ -182,7 +182,13 @@ class VdpComparison:
 def vdp_reference(mu: float) -> tuple[Vector, float]:
     """Reference final state for the van der Pol benchmark at this mu, by
     RK4 at VDP_REFERENCE_DT / 2, with the change from VDP_REFERENCE_DT (the
-    half-step self-convergence distance that validates it)."""
+    half-step self-convergence distance that validates it).
+
+    Both runs go through solve_rk4_reference's loop with no trajectory:
+    the same final states to the bit, without storing the 150,000 rows
+    at mu = 1.  In one process at mu = 1, 10 and 100 that took the peak
+    RSS from 61.0 to 15.7 MiB and mu = 1 from 0.19-0.30 to 0.16-0.22 s
+    (BENCH_24.json, 4 process pairs)."""
     spec = van_der_pol_problem(mu)
     t0, t1 = spec.default_range
     y0 = spec.default_initial_state
@@ -190,7 +196,7 @@ def vdp_reference(mu: float) -> tuple[Vector, float]:
     finals = []
     for d in (dt, dt / 2.0):
         cfg = SolverConfig(dt0=d, t_begin=t0, t_end=t1)
-        finals.append(solve_rk4_reference(spec.problem, cfg, y0).trajectory.final_state())
+        finals.append(_rk4(spec.problem, cfg, y0, None))
     coarse, fine = finals
     conv = max(abs(a - b) for a, b in zip(coarse, fine))
     if conv >= VDP_REFERENCE_RTOL:

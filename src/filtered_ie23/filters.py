@@ -64,8 +64,13 @@ def _beta(k_n: float, k_nm1: float, k_nm2: float,
         - 2.0 * k_nm2 * k_nm2 * ksum
         + 3.0 * k_nm3 * (k_n - k_nm2) * ksum
     )
-    scale = max(k_n, k_nm1, k_nm2, k_nm3) ** 4
-    if abs(den) < _DEGENERACY_RTOL * max(scale, abs(num)):
+    try:
+        scale = max(k_n, k_nm1, k_nm2, k_nm3) ** 4
+    except OverflowError:     # a step past about 1e77
+        scale = math.inf
+    # None too once num or den leaves float range: their ratio would be
+    # 0, inf or nan, not beta
+    if not _DEGENERACY_RTOL * max(scale, abs(num)) <= abs(den) < math.inf:
         return None
     return num / den
 

@@ -200,6 +200,15 @@ class TestDegenerateBeta:
         assert traj.final_time() == pytest.approx(cfg.t_end, abs=1e-13)
         assert traj.final_state() == (1.0,) * d
 
+    def test_steps_past_float_range_end_in_a_solver_error(self):
+        # the bootstrap's steps of 1e79 stay in every history, so every
+        # attempt is degenerate until the step falls below k_min; this
+        # used to raise OverflowError from _beta's max(steps) ** 4
+        const = OdeProblem(1, lambda t, y: (0.0,), lambda t, y: ((0.0,),))
+        cfg = SolverConfig(tol=1e-3, dt0=1e79, t_end=1e80, k_max=1e80)
+        with pytest.raises(MinStepReached):
+            solve_filtered_ie23(const, cfg, (1.0,))
+
 
 class TestOneKernel:
     # The loop takes beta from _beta, once per step history, for every

@@ -9,7 +9,7 @@ from filtered_ie23 import (Method, OdeProblem, Trajectory, adaptive_run,
                            compare_adaptive_constant, constant_run,
                            convergence_table, emit_csv, make_problem,
                            quasi_periodic_problem, read_csv)
-from filtered_ie23 import bench
+from filtered_ie23 import bench, steppers
 from filtered_ie23.problems import ProblemSpec
 
 MODEL = make_problem("model")
@@ -185,6 +185,16 @@ class TestPerfbenchPins:
             == pins["scalar-analog"]
         vdp = {comp.mu: comp.run for comp in bench_vdp.value}
         assert self._signature(vdp[100.0]) == pins["vdp-stiff"]["van-der-pol mu=100"]
+
+    def test_reference_reproduces_the_pin_without_a_trajectory(self, monkeypatch):
+        class Unbuildable:
+            def __init__(self, dimension):
+                raise AssertionError("vdp_reference built a Trajectory")
+
+        monkeypatch.setattr(steppers, "Trajectory", Unbuildable)
+        fine, conv = bench.vdp_reference(1.0)
+        assert [list(fine), conv] \
+            == self._pins()["constant-step"]["vdp_reference mu=1.0"]
 
     def test_quasi_periodic_table_reproduces_the_pin(self):
         # the generic (d = 4) Newton stage over 15k steps, 1000 to 8000

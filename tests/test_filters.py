@@ -87,6 +87,18 @@ class TestBeta:
         with pytest.raises(NonPositiveStep):
             beta_oracle(1.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("steps", [
+        (1e78, 1e78, 1e78, 1e78),       # max(steps) ** 4 overflows
+        (1e-10, 1e-10, 1e-10, 1e78),    # it alone does
+        (6e76, 6e76, 6e76, 6e76),       # the scale fits, den is inf
+    ])
+    def test_out_of_range_history_is_degenerate(self, steps):
+        # used to raise a bare OverflowError, or return num / inf = 0.0
+        assert _beta(*steps) is None
+
+    def test_large_in_range_history_keeps_its_value(self):
+        assert _beta(1e76, 1e76, 1e76, 1e76) == pytest.approx(UNIFORM_BETA, rel=1e-15)
+
     def test_oracle_uniform_grid_value(self):
         assert beta_oracle(0.7, 0.7, 0.7, 0.7) == UNIFORM_BETA
 

@@ -150,7 +150,8 @@ def test_every_export_resolves_once():
 PER_STEP = [filters.curvature, filters.pre_filtered, filters.post_filtered,
             filters.post_filtered_uniform, filters._estimate, filters._beta,
             steppers.rk3_step, steppers._solve_ie_filtered,
-            steppers.solve_rk4_reference, newton._fd_jacobian, newton._factor,
+            steppers.solve_rk4_reference, steppers._rk4, newton._fd_jacobian,
+            newton._factor,
             newton.implicit_euler_stage, adaptive.solve_filtered_ie23,
             core.Trajectory.append, core.Trajectory.extend]
 

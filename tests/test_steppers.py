@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
                            NonFiniteState, NonPositiveStep, OdeProblem,
-                           SolverConfig, model_problem, rk3_step,
+                           SolverConfig, SolverError, model_problem, rk3_step,
                            solve_filtered_ie23, quasi_periodic_problem,
                            solve_ie_pre_2, solve_ie_pre_post_3,
                            solve_rk4_reference, van_der_pol_problem)
@@ -259,6 +259,43 @@ class TestRk4Reference:
         assert type(counted) is Counted and Counted.calls <= 2
         assert len(counted) == 3 * 1024 + 1
         assert digest(counted) == digest(plain)
+
+    # the final-state loop that vdp_reference runs, against the stored run
+    GRIDS = {
+        "snapping": _cfg(1.0 / 1024, t_end=3.0),
+        "non-snapping": _cfg(1e-3, t_begin=1e4, t_end=1e4 + 1.0),
+        "clamped": _cfg(0.003, t_end=10.0),    # a final step of 0.001
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_final_state_loop_matches_the_stored_run_bits(self, monkeypatch, d, grid):
+        p, exact = self.LINEAR[d]
+        cfg = self.GRIDS[grid]
+        assert _grid(cfg, cfg.dt0)[1] == (grid != "non-snapping")
+        stored = solve_rk4_reference(p, cfg, exact(0.0)).trajectory
+        assert (stored.ks[-1] != cfg.dt0) == (grid == "clamped")
+        monkeypatch.setattr(steppers, "Trajectory", None)    # builds none
+        final = steppers._rk4(p, cfg, exact(0.0), None)
+        assert [x.hex() for x in final] == [x.hex() for x in stored.final_state()]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_final_state_loop_raises_what_the_stored_run_raises(self, d):
+        def raised(p, y0):
+            out = []
+            for run in (lambda: solve_rk4_reference(p, _cfg(0.05), y0),
+                        lambda: steppers._rk4(p, _cfg(0.05), y0, None)):
+                with pytest.raises(SolverError) as info:
+                    run()
+                out.append((type(info.value), str(info.value)))
+            return out
+
+        # y' = y**2 in the last component blows up at t = 1
+        blow = OdeProblem(d, lambda t, y: (0.0,) * (d - 1) + (y[-1] * y[-1],))
+        stored, final = raised(blow, (1.0,) * d)
+        assert stored == final and stored[0] is NonFiniteState
+        stored, final = raised(TestShortRhs._problem(d, short_after=1.0), (1.0,) * d)
+        assert stored == final and stored[0] is DimensionMismatch
 
 
 class TestGrid:
