@@ -10,15 +10,13 @@ handled exactly like est-too-large rejections.
 solve_filtered_ie23 holds the one adaptive loop, so the step-control
 policy exists once: the clamp to the span, the factors of the step
 history, reject/halve and the k_min floor, the append, the doubling rule
-and the statistics.  The factors that depend only on the step history
-(k_n, k_nm1, k_nm2, k_nm3) -- alpha / 2, beta from filters._beta with its
-degeneracy test, and the post-filter's curvature weights -- are computed
-once per distinct history and kept for the solve.  On the halve/double
-ladder histories repeat: the benchmark's analog gamma = 3 solve meets
-193 distinct ones in 118,511 attempts, van der Pol mu = 100 454 in
-110,942.  Against beta recomputed inline on every attempt, that took
-scalar-analog from 0.578 to 0.475 s and vdp-stiff from 0.821 to 0.727 s
-(BENCH_23.json).
+and the statistics.  It calls filters.step_factors once per distinct
+step history (k_n, k_nm1, k_nm2, k_nm3) and keeps the factors for the
+solve.  On the halve/double ladder histories repeat: the benchmark's
+analog gamma = 3 solve meets 193 distinct ones in 118,511 attempts, van
+der Pol mu = 100 454 in 110,942.  Against beta recomputed inline on
+every attempt, that took scalar-analog from 0.578 to 0.475 s and
+vdp-stiff from 0.821 to 0.727 s (BENCH_23.json).
 
 Only the per-component kernel (curvature, pre-filter, post-filter,
 estimate) branches on the dimension.  For d >= 3 it calls curvature,
@@ -41,7 +39,7 @@ from typing import Sequence
 from .core import OdeProblem, SolverConfig, Trajectory, all_finite
 from .errors import (MinStepReached, NewtonDiverged, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem)
-from .filters import _beta, curvature, post_filtered, pre_filtered
+from .filters import curvature, post_filtered, pre_filtered, step_factors
 from .newton import implicit_euler_stage
 # perfbench/tracing.py rebinds rk3_step here, though only bootstrap calls it
 from .steppers import bootstrap, rk3_step  # noqa: F401
@@ -104,10 +102,7 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     divisor = _DOUBLING_DIVISOR
     isfinite = math.isfinite
     scalar, planar = d == 1, d == 2
-    # (k, k_nm1, k_nm2, k_nm3) -> (alpha / 2, beta or None, v_next, v_prev):
-    # the factors that depend only on the step history.  The steps are
-    # positive finite floats, so equal keys have equal bits and a hit
-    # returns the very floats a miss computed
+    # step_factors by history; keys of positive floats, so a hit gives a miss's bits
     factors = {}
     factor = factors.get
 
@@ -158,18 +153,15 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
             if entry is None:
                 if len(factors) >= _FACTOR_CACHE_SIZE:
                     factors.clear()
-                ksum = k + k_nm1
-                entry = factors[key] = (
-                    0.5 * (k * k / (k_nm1 * k_nm2)), _beta(k, k_nm1, k_nm2, k_nm3),
-                    2.0 * k_nm1 / ksum, 2.0 * k / ksum)
+                entry = factors[key] = step_factors(k, k_nm1, k_nm2, k_nm3)
             half_a, beta, v_next, v_prev = entry
-            # pre_filtered(k, k_nm1, k_nm2, y_n, kappa_prev)
+            # pre_filtered(half_a, y_n, kappa_prev)
             if scalar:
                 y_tilde = (y_n0 - half_a * kappa0,)
             elif planar:
                 y_tilde = (y_n0 - half_a * kappa0, y_n1 - half_a * kappa1)
             else:
-                y_tilde = pre_filtered(k, k_nm1, k_nm2, y_n, kappa_prev)
+                y_tilde = pre_filtered(half_a, y_n, kappa_prev)
             t_next = t_n + k
             try:
                 y_second = implicit_euler_stage(p, t_next, k, y_tilde, y_n, cfg).y
@@ -179,8 +171,8 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
                 # a degenerate beta is rejected like a failed estimate
                 if beta is not None:
                     tk = tol * k
-                    # post_filtered(beta, k, k_nm1, y_nm1, y_n, kappa_prev,
-                    # y_second, comp); a NaN est fails est <= tk too
+                    # post_filtered(beta, v_next, v_prev, y_nm1, y_n,
+                    # kappa_prev, y_second, comp); a NaN est fails est <= tk too
                     if scalar:
                         y2_0, = y_second
                         y3_0 = y2_0 - beta * (
@@ -211,7 +203,7 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
                             y_third = (y3_0, y3_1)
                             break
                     else:
-                        y_third, est = post_filtered(beta, k, k_nm1, y_nm1, y_n,
+                        y_third, est = post_filtered(beta, v_next, v_prev, y_nm1, y_n,
                                                      kappa_prev, y_second, comp)
                         if est <= tk and all_finite(y_third):
                             break

@@ -5,14 +5,10 @@ All formulas act componentwise on state vectors.  Step-size arguments
 follow the naming k_n (candidate step), k_nm1, k_nm2, k_nm3 (the three
 most recent accepted steps, newest first).
 
-Each formula exists once here.  The constant-step drivers take the
-curvature of the newest three states once per step from `curvature`, then
-call the kernel (pre_filtered, then post_filtered or
-post_filtered_uniform) on each step.  post_filtered takes beta from its
-caller, who computes it with _beta: the constant-step drivers for a
-clamped final step, the adaptive loop once per step history (k_n, k_nm1,
-k_nm2, k_nm3), which it caches with alpha / 2 and the post-filter's
-curvature weights for the solve.
+Each formula exists once here.  step_factors gives the factors that
+depend only on a step's history (k_n, k_nm1, k_nm2, k_nm3), which
+pre_filtered and post_filtered take: the constant-step drivers once per
+run and for a clamped final step, the adaptive loop once per history.
 
 The adaptive loop (adaptive.solve_filtered_ie23) calls curvature,
 pre_filtered and post_filtered for three or more components.  For one and
@@ -68,11 +64,22 @@ def _beta(k_n: float, k_nm1: float, k_nm2: float,
         scale = max(k_n, k_nm1, k_nm2, k_nm3) ** 4
     except OverflowError:     # a step past about 1e77
         scale = math.inf
-    # None too once num or den leaves float range: their ratio would be
-    # 0, inf or nan, not beta
-    if not _DEGENERACY_RTOL * max(scale, abs(num)) <= abs(den) < math.inf:
+    # None too once num or den leaves float range (their ratio would be 0,
+    # inf or nan, not beta) or den underflows to 0 with the scale
+    if not _DEGENERACY_RTOL * max(scale, abs(num)) <= abs(den) < math.inf or not den:
         return None
     return num / den
+
+
+def step_factors(k_n: float, k_nm1: float, k_nm2: float,
+                 k_nm3: float) -> tuple[float, Optional[float], float, float]:
+    """(alpha / 2, beta or None, v_next, v_prev) of a step: the filters'
+    gains and the post-filter's curvature weights.  Never raises for
+    positive finite steps: alpha / 2 is nan once k_nm1 * k_nm2 underflows."""
+    kk = k_nm1 * k_nm2
+    ksum = k_n + k_nm1
+    return (0.5 * (k_n * k_n / kk) if kk else math.nan, _beta(k_n, k_nm1, k_nm2, k_nm3),
+            2.0 * k_nm1 / ksum, 2.0 * k_n / ksum)
 
 
 def _estimate(y_second: Sequence[float], y_third: Sequence[float],
@@ -89,27 +96,27 @@ def _estimate(y_second: Sequence[float], y_third: Sequence[float],
     return est
 
 
-def pre_filtered(k_n: float, k_nm1: float, k_nm2: float, y_n: Sequence[float],
+def pre_filtered(half_a: float, y_n: Sequence[float],
                  kappa_prev: Sequence[float]) -> Vector:
-    """The state handed to the implicit stage: y_n with half the
-    alpha-scaled trailing curvature kappa_prev removed."""
-    half_a = 0.5 * (k_n * k_n / (k_nm1 * k_nm2))    # alpha: 1 on a uniform grid
+    """The state handed to the implicit stage: y_n with half_a (alpha / 2,
+    1/2 on a uniform grid) times the trailing curvature kappa_prev removed."""
     y_tilde = []
     for i in range(len(y_n)):
         y_tilde.append(y_n[i] - half_a * kappa_prev[i])
     return tuple(y_tilde)
 
 
-def post_filtered(beta: float, k_n: float, k_nm1: float,
+def post_filtered(beta: float, v_next: float, v_prev: float,
                   y_nm1: Sequence[float], y_n: Sequence[float],
                   kappa_prev: Sequence[float], y_second: Sequence[float],
                   component: Optional[int]) -> tuple[Vector, float]:
     """The third-order value of a step whose implicit stage gave y_second,
-    and the embedded estimate; beta is _beta of the step's history."""
-    kappa = curvature(k_nm1, k_n, y_nm1, y_n, y_second)
+    and the embedded estimate.  Its loop writes the step's curvature out,
+    as curvature(k_nm1, k_n, y_nm1, y_n, y_second) on step_factors' weights."""
     y_third = []
     for i in range(len(y_second)):
-        y_third.append(y_second[i] - beta * (kappa[i] - kappa_prev[i]))
+        y_third.append(y_second[i] - beta * (
+            (v_next * y_second[i] - 2.0 * y_n[i] + v_prev * y_nm1[i]) - kappa_prev[i]))
     y_third = tuple(y_third)
     return y_third, _estimate(y_second, y_third, component)
 

@@ -18,8 +18,8 @@ from .core import (_BLOCK, OdeProblem, SolverConfig, Trajectory, Vector,
                    all_finite, initial_state, short_rhs)
 from .errors import (DegenerateBeta, DimensionMismatch, NonFiniteState,
                      NonPositiveStep)
-from .filters import (_beta, curvature, post_filtered,
-                      post_filtered_uniform, pre_filtered)
+from .filters import (curvature, post_filtered, post_filtered_uniform,
+                      pre_filtered, step_factors)
 from .newton import implicit_euler_stage
 
 
@@ -135,13 +135,15 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
 
     y_nm2, y_nm1, y_n = history[-3:]
     t_prev = times[n_start - 1]
+    uniform_factors = step_factors(dt, dt, dt, dt)
     for t_next in times[n_start:]:
         k = t_next - t_prev
         # steps run at dt exactly, but a clamped final step at its own k
         uniform = abs(k - dt) <= 1e-9 * dt
         h = dt if uniform else k
+        half_a, beta, v_next, v_prev = uniform_factors if uniform else step_factors(k, dt, dt, dt)
         kappa_prev = curvature(dt, dt, y_nm2, y_nm1, y_n)
-        y_tilde = pre_filtered(h, dt, dt, y_n, kappa_prev)
+        y_tilde = pre_filtered(half_a, y_n, kappa_prev)
         y_second = implicit_euler_stage(p, t_next, h, y_tilde, y_n, cfg).y
         if not third_order:
             y_next, est = y_second, 0.0
@@ -149,10 +151,9 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
             y_next, est = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second,
                                                 p.est_component)
         else:
-            beta = _beta(k, dt, dt, dt)
             if beta is None:
                 raise DegenerateBeta(f"post-filter degenerate at final step {k!r}, dt {dt!r}")
-            y_next, est = post_filtered(beta, k, dt, y_nm1, y_n, kappa_prev,
+            y_next, est = post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev,
                                         y_second, p.est_component)
         traj.append(t_next, y_next, est, k)
         y_nm2, y_nm1, y_n = y_nm1, y_n, y_next

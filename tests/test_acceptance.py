@@ -17,7 +17,7 @@ import pytest
 from filtered_ie23 import (Method, adaptive_run, constant_run,
                            convergence_table, curvature, model_problem,
                            quasi_periodic_problem)
-from filtered_ie23.filters import _beta, post_filtered, pre_filtered
+from filtered_ie23.filters import _beta, post_filtered, pre_filtered, step_factors
 from oracles import beta_oracle
 
 MODEL = model_problem()
@@ -80,10 +80,10 @@ def test_03_uniform_grid_coefficient_identities():
     worst = 0.0
     for _ in range(100):
         k = 10.0 ** rng.uniform(-3.0, 3.0)
+        half_a, beta, _, _ = step_factors(k, k, k, k)
         # pre_filtered at y_n = 0 and kappa_prev = -2 returns alpha exactly
-        alpha = pre_filtered(k, k, k, (0.0,), (-2.0,))[0]
+        alpha = pre_filtered(half_a, (0.0,), (-2.0,))[0]
         worst = max(worst, abs(alpha - 1.0))
-        beta = _beta(k, k, k, k)
         worst = max(worst, abs(beta - 5.0 / 11.0) / (5.0 / 11.0))
     assert worst <= 1e-14
     print(f"PASS 03 uniform-grid identities: worst relative deviation {worst:.2e}")
@@ -134,18 +134,18 @@ def test_05_polynomial_exactness():
 
         # the steps as the history's times give them
         k_nm1, k_nm2, k_nm3 = t3 - t2, t2 - t1, t1
+        half_a, beta, v_next, v_prev = step_factors(kn, k_nm1, k_nm2, k_nm3)
 
         for power in (2, 3):
             y_nm2, y_nm1, y_n = ((t ** power,) for t in (t1, t2, t3))
             kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
-            y_tilde = pre_filtered(kn, k_nm1, k_nm2, y_n, kappa_prev)
+            y_tilde = pre_filtered(half_a, y_n, kappa_prev)
             y_stage = (y_tilde[0] + kn * power * t4 ** (power - 1),)
             if power == 2:
                 worst2 = max(worst2, abs(y_stage[0] - t4 ** 2) / t4 ** 2)
             else:
-                y_third, _ = post_filtered(_beta(kn, k_nm1, k_nm2, k_nm3), kn,
-                                           k_nm1, y_nm1, y_n, kappa_prev, y_stage,
-                                           None)
+                y_third, _ = post_filtered(beta, v_next, v_prev, y_nm1, y_n,
+                                           kappa_prev, y_stage, None)
                 worst3 = max(worst3, abs(y_third[0] - t4 ** 3) / t4 ** 3)
     elapsed = time.perf_counter() - t0
     assert worst2 <= 1e-12, f"quadratic reproduction off by {worst2:.3e}"

@@ -9,7 +9,7 @@ from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
                            model_problem, quasi_periodic_problem,
                            solve_filtered_ie23, van_der_pol_problem)
 from filtered_ie23 import adaptive
-from filtered_ie23.filters import _beta
+from filtered_ie23.filters import _beta, step_factors
 from oracles import digest
 
 SPEC = model_problem()
@@ -209,12 +209,19 @@ class TestDegenerateBeta:
         with pytest.raises(MinStepReached):
             solve_filtered_ie23(const, cfg, (1.0,))
 
+    def test_steps_below_float_range_end_in_a_solver_error(self):
+        # beta's numerator, denominator and scale all underflow to 0 at
+        # steps of 1e-83, so every attempt is degenerate; this used to
+        # raise ZeroDivisionError from _beta's num / den
+        with pytest.raises(MinStepReached):
+            solve_filtered_ie23(P, SolverConfig(dt0=1e-83, t_end=4e-82), (1.0,))
+
 
 class TestOneKernel:
-    # The loop takes beta from _beta, once per step history, for every
-    # dimension and writes the d = 1 and d = 2 kernels out on float locals;
-    # the d >= 3 kernel calls filters.py.  A replay from _beta and
-    # curvature checks each of them.
+    # The loop takes its factors from step_factors, once per step history,
+    # for every dimension and writes the d = 1 and d = 2 kernels out on
+    # float locals; the d >= 3 kernel calls filters.py.  A replay from
+    # _beta, curvature and alpha written out checks each of them.
     @pytest.mark.parametrize("case, tol, dt0", [
         pytest.param(case, tol, dt0,
                      id=f"{tol}-{dt0}" if case == "model" else f"{case}-{tol}-{dt0}")
@@ -307,30 +314,33 @@ class TestFrozenDigests:
 class TestFactorCache:
     # The loop keeps the factors that depend only on the step history
     # (alpha / 2, beta, the post-filter's curvature weights) in a per-solve
-    # dict keyed by (k, k_nm1, k_nm2, k_nm3), filled from _beta on a miss.
+    # dict keyed by (k, k_nm1, k_nm2, k_nm3), filled from step_factors on a
+    # miss.
 
     @staticmethod
-    def _count_beta(monkeypatch):
+    def _count_factors(monkeypatch):
         calls = []
 
         def counted(*steps):
             calls.append(steps)
-            return _beta(*steps)
+            return step_factors(*steps)
 
-        monkeypatch.setattr(adaptive, "_beta", counted)
+        monkeypatch.setattr(adaptive, "step_factors", counted)
         return calls
 
-    @pytest.mark.parametrize("spec, tol, dt0, histories, attempts", [
-        (SPEC, 2.5e-4, 1e-3, 39, 3541),
-        (model_analog_problem(3.0), 2.5e-5, 1e-5, 193, 118_511),
-    ], ids=["model-tol2.5e-4", "analog-gamma3"])
-    def test_beta_runs_once_per_step_history(self, monkeypatch, spec, tol, dt0,
-                                              histories, attempts):
-        # the benchmark's canonical runs: beta for 1.1% and 0.16% of attempts
-        calls = self._count_beta(monkeypatch)
-        t0, t1 = spec.default_range
-        cfg = SolverConfig(tol=tol, dt0=dt0, t_begin=t0, t_end=t1)
-        _, stats = solve_filtered_ie23(spec.problem, cfg, spec.default_initial_state)
+    @pytest.mark.parametrize("p, y0, t_end, tol, dt0, histories, attempts", [
+        (P, (1.0,), 2.0, 2.5e-4, 1e-3, 39, 3541),
+        (model_analog_problem(3.0).problem, (1.0,), 3.0, 2.5e-5, 1e-5, 193, 118_511),
+        (_copies(P, 3), (1.0,) * 3, 2.0, 2.5e-4, 1e-3, 39, 3541),
+    ], ids=["model-tol2.5e-4", "analog-gamma3", "model-tol2.5e-4-copies3"])
+    def test_beta_runs_once_per_step_history(self, monkeypatch, p, y0, t_end, tol,
+                                              dt0, histories, attempts):
+        # the benchmark's canonical runs: the factors for 1.1% and 0.16% of
+        # attempts; three copies of the model run take the generic kernel
+        # through the same steps
+        calls = self._count_factors(monkeypatch)
+        cfg = SolverConfig(tol=tol, dt0=dt0, t_end=t_end)
+        _, stats = solve_filtered_ie23(p, cfg, y0)
         assert stats.accepted + stats.rejected == attempts
         assert len(calls) == len(set(calls)) == histories
 
@@ -343,6 +353,8 @@ class TestFactorCache:
 
         def degenerate(*history):
             steps.append(history)
+            half_a, _, v_next, v_prev = step_factors(*history)
+            return half_a, None, v_next, v_prev
 
         stage = adaptive.implicit_euler_stage
         stages = []
@@ -352,7 +364,7 @@ class TestFactorCache:
             stages.append(k_n)
             return out
 
-        monkeypatch.setattr(adaptive, "_beta", degenerate)
+        monkeypatch.setattr(adaptive, "step_factors", degenerate)
         monkeypatch.setattr(adaptive, "implicit_euler_stage", counted)
         cfg = SolverConfig(tol=1e-3, dt0=0.01, t_end=1.0)
         with pytest.raises(MinStepReached, match="without an acceptable attempt"):
@@ -371,7 +383,7 @@ class TestFactorCache:
 
     def test_a_full_cache_is_cleared(self, monkeypatch):
         # the model run's 39 histories, recomputed after each clear
-        calls = self._count_beta(monkeypatch)
+        calls = self._count_factors(monkeypatch)
         monkeypatch.setattr(adaptive, "_FACTOR_CACHE_SIZE", 1)
         solve_filtered_ie23(P, SolverConfig(tol=2.5e-4, dt0=1e-3, t_end=2.0), (1.0,))
         assert len(set(calls)) == 39 < len(calls)

@@ -81,6 +81,12 @@ class TestSolveCommand:
         assert code == 1
         assert "is below the resolution of t=1000000000000.015" in capsys.readouterr().err
 
+    def test_underflowing_steps_are_a_solver_failure(self, capsys):
+        # used to exit 2 with "usage error: float division by zero"
+        code = main(["solve", "--problem", "model", "--t1", "4e-82", "--dt0", "1e-83"])
+        assert code == 1
+        assert "solver failure: step fell to" in capsys.readouterr().err
+
     def test_nan_residual_is_a_solver_failure(self, capsys):
         # mu * (1 - x**2) overflows to -inf at x = 2, and -inf * v is nan at
         # v = 0: the first implicit stage sees a NaN in component 1 only

@@ -1,13 +1,15 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, NonPositiveStep,
                            curvature)
 from filtered_ie23.filters import (_beta, _estimate, post_filtered,
-                                   post_filtered_uniform, pre_filtered)
+                                   post_filtered_uniform, pre_filtered,
+                                   step_factors)
 from oracles import beta_oracle
 
 UNIFORM_BETA = 5.0 / 11.0
@@ -55,7 +57,7 @@ class TestCurvature:
 def _alpha(k_n, k_nm1, k_nm2):
     """alpha, read off the pre-filter: y_n = 0 and kappa_prev = -2 give
     -0.5 * alpha * -2 = alpha, exactly."""
-    return pre_filtered(k_n, k_nm1, k_nm2, (0.0,), (-2.0,))[0]
+    return pre_filtered(step_factors(k_n, k_nm1, k_nm2, 1.0)[0], (0.0,), (-2.0,))[0]
 
 
 class TestAlpha:
@@ -91,9 +93,11 @@ class TestBeta:
         (1e78, 1e78, 1e78, 1e78),       # max(steps) ** 4 overflows
         (1e-10, 1e-10, 1e-10, 1e78),    # it alone does
         (6e76, 6e76, 6e76, 6e76),       # the scale fits, den is inf
+        (1e-83, 1e-83, 1e-83, 1e-83),   # den and the scale underflow to 0
     ])
     def test_out_of_range_history_is_degenerate(self, steps):
-        # used to raise a bare OverflowError, or return num / inf = 0.0
+        # used to raise a bare OverflowError or ZeroDivisionError, or
+        # return num / inf = 0.0
         assert _beta(*steps) is None
 
     def test_large_in_range_history_keeps_its_value(self):
@@ -110,6 +114,47 @@ class TestBeta:
             assert got == pytest.approx(want, rel=1e-12)
 
 
+class TestStepFactors:
+    @staticmethod
+    def _grids(n):
+        rng = random.Random(20261020)
+        for _ in range(n):
+            yield tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(4))
+
+    def test_factors_match_exact_arithmetic(self):
+        # alpha / 2 and both weights against Fraction values: three and two
+        # roundings, so within 4 units of 2**-53 relative
+        for steps in self._grids(500):
+            k_n, k_nm1, k_nm2, _ = map(Fraction, steps)
+            half_a, _, v_next, v_prev = step_factors(*steps)
+            exact = (k_n * k_n / (2 * k_nm1 * k_nm2), 2 * k_nm1 / (k_n + k_nm1),
+                     2 * k_n / (k_n + k_nm1))
+            for got, want in zip((half_a, v_next, v_prev), exact):
+                assert abs(Fraction(got) - want) <= 4 * 2 ** -53 * want, steps
+
+    def test_beta_matches_the_oracle(self):
+        checked = 0
+        for steps in self._grids(200):
+            beta = step_factors(*steps)[1]
+            if beta is not None:
+                assert beta == pytest.approx(beta_oracle(*steps), rel=1e-10), steps
+                checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("k", [1e-3, 0.25, 1.0, 7.5])
+    def test_uniform_grid_values(self, k):
+        assert step_factors(k, k, k, k) == (0.5, _beta(k, k, k, k), 1.0, 1.0)
+
+    def test_never_raises_for_positive_finite_steps(self):
+        # alpha's k_nm1 * k_nm2 and beta's scale underflow to 0 at the small
+        # end, and the products overflow at the large one
+        extremes = (5e-324, 1e-170, 1e-83, 1.0, 1e77, 1e200, 1.7e308)
+        for steps in itertools.product(extremes, repeat=4):
+            beta = step_factors(*steps)[1]
+            assert beta is None or math.isfinite(beta), steps
+        assert math.isnan(step_factors(1e-170, 1e-170, 1e-170, 1e-170)[0])
+
+
 # the kernel on y = t^2 over the uniform grid 0, 1, 2, 3 in component 0
 # and zeros in component 1: the trailing curvature is (2, 0)
 Y_NM2, Y_NM1, Y_N = (1.0, 0.0), (4.0, 0.0), (9.0, 0.0)
@@ -117,14 +162,14 @@ KAPPA_PREV = curvature(1.0, 1.0, Y_NM2, Y_NM1, Y_N)
 
 
 def _post_filtered(y_second, component=None):
-    return post_filtered(_beta(1.0, 1.0, 1.0, 1.0), 1.0, 1.0, Y_NM1, Y_N, KAPPA_PREV,
-                         y_second, component)
+    _, beta, v_next, v_prev = step_factors(1.0, 1.0, 1.0, 1.0)
+    return post_filtered(beta, v_next, v_prev, Y_NM1, Y_N, KAPPA_PREV, y_second, component)
 
 
 class TestFilters:
     def test_pre_filter_uniform_arithmetic(self):
         # gain 1 removes half of the trailing curvature
-        assert pre_filtered(1.0, 1.0, 1.0, Y_N, KAPPA_PREV) == (8.0, 0.0)
+        assert pre_filtered(step_factors(1.0, 1.0, 1.0, 1.0)[0], Y_N, KAPPA_PREV) == (8.0, 0.0)
 
     def test_post_filter_uniform_arithmetic(self):
         # y_second = (27, -22) gives kappa_cur = (13, -22) against
@@ -164,7 +209,8 @@ class TestUniformClosedForm:
             y_nm2, y_nm1, y_n, y_second = (
                 tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(4))
             kappa_prev = curvature(k, k, y_nm2, y_nm1, y_n)
-            general = post_filtered(_beta(k, k, k, k), k, k, y_nm1, y_n, kappa_prev,
+            _, beta, v_next, v_prev = step_factors(k, k, k, k)
+            general = post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev,
                                     y_second, None)
             uniform = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second, None)
             ulps = 4 * math.ulp(8.0 * max(map(abs, y_nm2 + y_nm1 + y_n + y_second)))
@@ -182,11 +228,11 @@ UNIT = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 def _step_map(k_n, k_nm1, k_nm2, k_nm3, stiff):
     y_nm2, y_nm1, y_n = UNIT
+    half_a, beta, v_next, v_prev = step_factors(k_n, k_nm1, k_nm2, k_nm3)
     kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
-    y_tilde = pre_filtered(k_n, k_nm1, k_nm2, y_n, kappa_prev)
+    y_tilde = pre_filtered(half_a, y_n, kappa_prev)
     y_second = (0.0, 0.0, 0.0) if stiff else y_tilde
-    y_third, _ = post_filtered(_beta(k_n, k_nm1, k_nm2, k_nm3), k_n, k_nm1,
-                               y_nm1, y_n, kappa_prev, y_second, None)
+    y_third, _ = post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second, None)
     return (UNIT[1], UNIT[2], y_third)
 
 

@@ -149,6 +149,7 @@ def test_every_export_resolves_once():
 # the code that runs once per step, attempt or Newton iteration
 PER_STEP = [filters.curvature, filters.pre_filtered, filters.post_filtered,
             filters.post_filtered_uniform, filters._estimate, filters._beta,
+            filters.step_factors,
             steppers.rk3_step, steppers._solve_ie_filtered,
             steppers.solve_rk4_reference, steppers._rk4, newton._fd_jacobian,
             newton._factor,

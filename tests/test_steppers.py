@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
-                           NonFiniteState, NonPositiveStep, OdeProblem,
-                           SolverConfig, SolverError, model_problem, rk3_step,
+                           NewtonDiverged, NonFiniteState, NonPositiveStep,
+                           OdeProblem, SolverConfig, SolverError,
+                           model_problem, rk3_step,
                            solve_filtered_ie23, quasi_periodic_problem,
                            solve_ie_pre_2, solve_ie_pre_post_3,
                            solve_rk4_reference, van_der_pol_problem)
 from filtered_ie23 import steppers
 from filtered_ie23.bench import constant_run
 from filtered_ie23.core import _BLOCK
+from filtered_ie23.filters import step_factors
 from filtered_ie23.steppers import _grid, bootstrap
 from oracles import digest
 
@@ -120,6 +122,43 @@ class TestThirdOrderConstant:
             "(2.1524163730177452, 0.1646491205648053, "
             "-17.596098024761954, -9.771498687364561)")
         assert repr(traj.est[-1]) == "0.0066073080054809274"
+
+
+class TestStepFactors:
+    # _solve_ie_filtered takes its factors from filters.step_factors: once
+    # per run for the uniform steps, once more for a clamped final step
+    @pytest.mark.parametrize("solve", [solve_ie_pre_2, solve_ie_pre_post_3])
+    @pytest.mark.parametrize("t_end, calls", [(1.0, 1), (1.005, 2)],
+                             ids=["snapping", "clamped"])
+    def test_one_call_per_distinct_step(self, monkeypatch, solve, t_end, calls):
+        seen = []
+
+        def counted(*steps):
+            seen.append(steps)
+            return step_factors(*steps)
+
+        monkeypatch.setattr(steppers, "step_factors", counted)
+        traj = solve(P, _cfg(0.01, t_end=t_end), (1.0,)).trajectory
+        assert len(seen) == calls
+        assert seen[0] == (0.01,) * 4
+        if calls == 2:
+            assert seen[1] == (traj.ks[-1], 0.01, 0.01, 0.01)
+
+    # steps so small that the filter's products underflow end in a
+    # SolverError; they used to raise a bare ZeroDivisionError
+    def test_underflowing_beta_at_a_clamped_step_is_degenerate(self):
+        with pytest.raises(DegenerateBeta):
+            solve_ie_pre_post_3(P, SolverConfig(dt0=1e-83, t_end=4.5e-83), (1.0,))
+
+    def test_second_order_method_reads_no_beta(self):
+        traj = solve_ie_pre_2(P, SolverConfig(dt0=1e-83, t_end=4.5e-83), (1.0,)).trajectory
+        assert traj.final_time() == 4.5e-83
+        assert traj.final_state() == (1.0,)
+
+    def test_underflowing_alpha_is_a_solver_error(self):
+        # alpha / 2 is nan, so the implicit stage sees a non-finite state
+        with pytest.raises(NewtonDiverged, match="non-finite residual"):
+            solve_ie_pre_2(P, SolverConfig(dt0=1e-170, t_end=4e-170), (1.0,))
 
 
 class TestSecondOrderConstant:
