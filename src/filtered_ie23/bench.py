@@ -229,14 +229,15 @@ def emit_csv(traj: Trajectory, path) -> None:
     """
     d = traj.dimension
     header = "t," + ",".join(f"y{i}" for i in range(d)) + ",est,k"
+    times, est, ks = traj.times, traj.est, traj.ks
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for i in range(len(traj)):
             y = traj.state(i)
-            fields = [repr(traj.times[i])]
+            fields = [repr(times[i])]
             fields.extend(repr(c) for c in y)
-            fields.append(repr(traj.est[i]))
-            fields.append(repr(traj.ks[i]))
+            fields.append(repr(est[i]))
+            fields.append(repr(ks[i]))
             fh.write(",".join(fields) + "\n")
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .core import (_BLOCK, OdeProblem, SolverConfig, Trajectory, Vector,
                    all_finite, initial_state, short_rhs)
 from .errors import (DegenerateBeta, DimensionMismatch, NonFiniteState,
-                     NonPositiveStep)
+                     NonMonotonicTimes, NonPositiveStep)
 from .filters import (curvature, post_filtered, post_filtered_uniform,
                       pre_filtered, step_factors)
 from .newton import implicit_euler_stage
@@ -189,15 +190,18 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
 
     The loop counts through the grid of _grid, t_next = t_begin + i * dt,
     and takes h = dt untested on the interior steps when the grid snaps;
-    the final step, and every step of a grid that does not, tests its gap
-    and runs with its own h and weights.  Rows collect on lists and go to
-    Trajectory.extend _BLOCK at a time.  Against a generator
-    of times, a snap test per step and one append per row, on the same
-    machine in interleaved in-process pairs: the four 2-D references of
-    perfbench's vdp-stiff set-up, 412,500 steps, took 0.82-0.84 times as
-    long (median ratios of two sets of 12 pairs, faster in 23 of 24) and
-    vdp_reference(1.0) 0.80 times (12 of 12), every row the same to the
-    bit.
+    the final step, and every step of a grid that does not, tests its gap,
+    raises NonMonotonicTimes unless it advances, and runs with its own h
+    and weights.  Against a generator of times, a snap test per step and
+    one append per row, on the same machine in interleaved in-process
+    pairs: the four 2-D references of perfbench's vdp-stiff set-up,
+    412,500 steps, took 0.82-0.84 times as long (median ratios of two sets
+    of 12 pairs, faster in 23 of 24) and vdp_reference(1.0) 0.80 times
+    (12 of 12), every row the same to the bit.
+
+    The trajectory gets the first row by append and the states of the
+    others, _BLOCK at a time, by Trajectory._take_states; their times,
+    steps and estimates (_grid_columns) are built only when first read.
 
     The loop is _rk4, which writes rows only when handed a trajectory;
     vdp_reference hands it none and keeps the two final states, the same
@@ -221,9 +225,12 @@ def _rk4(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     free = n if snaps else 0    # steps 1 .. free take h = dt untested
     t0, t_end = cfg.t_begin, cfg.t_end
     y = initial_state(p, y0)
+    tested = []    # the h of each step after the first `free`
     keep = traj is not None
     if keep:
         traj.append(t0, y, 0.0, 0.0)
+        take = traj._take_states
+        columns = partial(_grid_columns, t0, dt, t_end, n, free, tested)
     t_prev = t0
     h, half, sixth = dt, 0.5 * dt, dt / 6.0
     half_dt, sixth_dt = half, sixth
@@ -232,8 +239,8 @@ def _rk4(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
         isfinite = math.isfinite
         y0, y1 = y
     rng = range(d)
-    times, flat, ks = [], [], []
-    put_t, put_y, put_k = times.append, flat.extend, ks.append
+    flat = []
+    put_y = flat.extend
     # an rhs value with fewer than d components fails the loops with
     # IndexError, which short_rhs turns into DimensionMismatch
     s1 = s2 = s3 = s4 = None
@@ -244,11 +251,15 @@ def _rk4(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
                 if i > free:
                     if i > n:
                         t_next = t_end
+                    if not t_next > t_prev:
+                        raise NonMonotonicTimes(
+                            f"time {t_next!r} does not advance past {t_prev!r}")
                     h = t_next - t_prev
                     if abs(h - dt) > 1e-9 * dt:
                         half, sixth = 0.5 * h, h / 6.0
                     else:
                         h, half, sixth = dt, half_dt, sixth_dt
+                    tested.append(h)
                 if planar:
                     t_half = t_prev + half
                     s1 = rhs(t_prev, y)
@@ -281,13 +292,23 @@ def _rk4(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
                     if not all_finite(y):
                         raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
                 if keep:
-                    put_t(t_next)
                     put_y(y)
-                    put_k(h)
                 t_prev = t_next
             if keep:
-                traj.extend(times, flat, [0.0] * len(times), ks)
-                del times[:], flat[:], ks[:]
+                take(flat, t_prev, columns)
+                del flat[:]
     except IndexError as err:
         raise short_rhs(p, err, s1, s2, s3, s4)
     return y
+
+
+def _grid_columns(t0: float, dt: float, t_end: float, n: int, free: int,
+                  tested: list, lo: int, hi: int) -> tuple[list, list, list]:
+    """The times, estimates and steps of rows lo .. hi - 1 of an _rk4 run,
+    whose row i is point i of _grid's grid: t0 + i * dt, and t_end past n;
+    steps dt on the first `free` steps and then the tested h values."""
+    times, ks = [], []
+    for i in range(lo, hi):
+        times.append(t0 + i * dt if i <= n else t_end)
+        ks.append(dt if i <= free else tested[i - free - 1])
+    return times, [0.0] * (hi - lo), ks

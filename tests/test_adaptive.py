@@ -242,6 +242,25 @@ class TestOneKernel:
             assert est == traj.est[i]
 
 
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_an_estimate_equal_to_tol_times_k_is_accepted(self, case):
+        # SolverConfig's rule is est <= tol * k.  A power-of-two k makes
+        # tol * k exact, so tol = est / k puts the first filtered attempt's
+        # estimate exactly on the bound, where it must be accepted, not halved
+        p, y0, _ = KERNEL_CASES[case]
+        k = 2.0 ** -7
+
+        def first_step(tol):
+            traj, _ = solve_filtered_ie23(p, SolverConfig(tol=tol, dt0=k, t_end=8 * k), y0)
+            return traj.ks[4], traj.est[4]
+
+        assert first_step(1.0)[0] == k
+        est = first_step(1.0)[1]
+        tol = est / k
+        assert est > 0.0 and tol * k == est
+        assert first_step(tol) == (k, est)
+
+
 class TestStraightLineLoops:
     # The loop's written-out d = 1 and d = 2 kernels against its generic
     # kernel, which runs for copies of the same problem (d = 3 and 4) and

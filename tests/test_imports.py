@@ -151,10 +151,11 @@ PER_STEP = [filters.curvature, filters.pre_filtered, filters.post_filtered,
             filters.post_filtered_uniform, filters._estimate, filters._beta,
             filters.step_factors,
             steppers.rk3_step, steppers._solve_ie_filtered,
-            steppers.solve_rk4_reference, steppers._rk4, newton._fd_jacobian,
-            newton._factor,
+            steppers.solve_rk4_reference, steppers._rk4, steppers._grid_columns,
+            newton._fd_jacobian, newton._factor,
             newton.implicit_euler_stage, adaptive.solve_filtered_ie23,
-            core.Trajectory.append, core.Trajectory.extend]
+            core.Trajectory.append, core.Trajectory.extend,
+            core.Trajectory._take_states]
 
 
 @pytest.mark.parametrize("function", PER_STEP, ids=lambda f: f.__qualname__)

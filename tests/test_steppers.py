@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
-                           NewtonDiverged, NonFiniteState, NonPositiveStep,
+                           NewtonDiverged, NonFiniteState, NonMonotonicTimes,
+                           NonPositiveStep,
                            OdeProblem, SolverConfig, SolverError,
                            model_problem, rk3_step,
                            solve_filtered_ie23, quasi_periodic_problem,
@@ -277,8 +278,8 @@ class TestRk4Reference:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_rows_go_in_blocks(self, monkeypatch, d):
         # counted the way perfbench/tracing.py counts: a subclass bound where
-        # steppers looks Trajectory up; a snapping grid appends the first
-        # row alone and extends the trajectory with all the others
+        # steppers looks Trajectory up; the run appends the first row alone
+        # and hands the trajectory the states of all the others in blocks
         base = steppers.Trajectory
 
         class Counted(base):
@@ -335,6 +336,99 @@ class TestRk4Reference:
         assert stored == final and stored[0] is NonFiniteState
         stored, final = raised(TestShortRhs._problem(d, short_after=1.0), (1.0,) * d)
         assert stored == final and stored[0] is DimensionMismatch
+
+    # ulp(1e16) is 2, so t_begin + dt rounds back to t_begin: a grid that
+    # does not snap and does not advance
+    STUCK = _cfg(1.0, t_begin=1e16, t_end=1e16 + 8.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_grid_that_does_not_advance_raises(self, d):
+        assert not _grid(self.STUCK, 1.0)[1]
+        p, exact = self.LINEAR[d]
+        message = "time 1e+16 does not advance past 1e+16"
+        for run in (solve_rk4_reference, lambda *args: steppers._rk4(*args, None)):
+            with pytest.raises(NonMonotonicTimes) as info:
+                run(p, self.STUCK, exact(0.0))
+            assert str(info.value) == message
+
+    # every row of the runs on GRIDS, bit for bit, as the solver wrote them
+    # when it stored all four columns as it went
+    DIGESTS = {
+        ("snapping", 1): "75f5df0782dc657743b38ea6e156dc51d2ec670562367ab8f20db132dd20c51d",
+        ("snapping", 2): "a1ddda7a37e412b0d4433c1ff6ae3e49244a40d3e8dbe28ff24930a63be10b91",
+        ("snapping", 3): "8e60413c0d36a5a455bd8751787e2a74180efffdcdc3a26664c27cd17a9da66c",
+        ("non-snapping", 1): "a527fb9507d3545edc3d4ae24c15ce554e9c1007ab7dd2f0d957a09f9f3ee264",
+        ("non-snapping", 2): "1321955251bd141fe499131ea47bd1b912bfcbed0d8b527e8d24b883263f6db0",
+        ("non-snapping", 3): "f2a1aceced6bf27f553743c030b60f04d066a0163adaa95fd9289fea2614458f",
+        ("clamped", 1): "f08be8ddcbd7c42a5b0ff2761da698ee4a102391938993df215cd42ffdb8a06f",
+        ("clamped", 2): "c73d31b8fc37fd1687c642e43614e84541ce8443dbb92476aab0a804d644c1ba",
+        ("clamped", 3): "05d4d2fb4c8ee3601a08e76fd67716ce7661b245895c4ed44151ba9fe46bfe81",
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_every_column_keeps_its_bits(self, d, grid):
+        p, exact = self.LINEAR[d]
+        traj = solve_rk4_reference(p, self.GRIDS[grid], exact(0.0)).trajectory
+        assert digest(traj) == self.DIGESTS[grid, d]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Counts the calls that build a stored run's deferred columns."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-2:])
+            return grid_columns(*args)
+
+        grid_columns = steppers._grid_columns
+        monkeypatch.setattr(steppers, "_grid_columns", counted)
+        return calls
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_final_reads_build_no_deferred_column(self, built, grid):
+        p, exact = self.LINEAR[2]
+        cfg = self.GRIDS[grid]
+        traj = solve_rk4_reference(p, cfg, exact(0.0)).trajectory
+        n, _ = _grid(cfg, cfg.dt0)
+        final = (len(traj), traj.steps_taken, traj.final_time(), traj.final_state(),
+                 traj.state(0), traj.final_error(exact, component=0))
+        assert built == []
+        assert final[:3] == (n + 2, n + 1, cfg.t_end)
+        traj.times, traj.est, traj.ks, traj.states
+        assert built == [(1, n + 2)]    # once, for every row but the first
+        assert final == (len(traj), traj.steps_taken, traj.final_time(),
+                         traj.final_state(), traj.state(0),
+                         traj.final_error(exact, component=0))
+
+    # rows added after a stored run: one append, a block of appends that
+    # crosses a block move, and one extend
+    LATER = {
+        "append": lambda traj, rows: traj.append(*rows[0]),
+        "appends": lambda traj, rows: [traj.append(*row) for row in rows],
+        "extend": lambda traj, rows: traj.extend(
+            [r[0] for r in rows], [c for r in rows for c in r[1]],
+            [r[2] for r in rows], [r[3] for r in rows]),
+    }
+
+    @pytest.mark.parametrize("later", LATER)
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_later_rows_follow_the_stored_run(self, later, grid):
+        p, exact = self.LINEAR[2]
+        cfg = self.GRIDS[grid]
+        t_end = cfg.t_end
+        rows = [(t_end + i, (float(i), -float(i)), 1e-3 * i, 1.0)
+                for i in range(1, _BLOCK + 2)]
+        read_first, unread = (solve_rk4_reference(p, cfg, exact(0.0)).trajectory
+                              for _ in range(2))
+        read_first.times    # builds the deferred columns before the rows go in
+        for traj in (read_first, unread):
+            self.LATER[later](traj, rows)
+        assert len(unread) == len(read_first)
+        assert digest(unread) == digest(read_first)
+        n = 1 if later == "append" else len(rows)
+        assert list(unread.times[-n - 1:]) == [t_end] + [r[0] for r in rows[:n]]
+        assert unread.states[-n:] == [r[1] for r in rows[:n]]
 
 
 class TestGrid:
