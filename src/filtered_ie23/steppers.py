@@ -202,6 +202,8 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     The trajectory gets the first row by append and the states of the
     others, _BLOCK at a time, by Trajectory._take_states; their times,
     steps and estimates (_grid_columns) are built only when first read.
+    perfbench's vdp-stiff setup_s, whose references read only final
+    states, went from 0.542 to 0.474 s (BENCH_26.json).
 
     The loop is _rk4, which writes rows only when handed a trajectory;
     vdp_reference hands it none and keeps the two final states, the same

@@ -277,6 +277,8 @@ def _assert_matches(traj, rows, d):
     else:
         with pytest.raises(IndexError):
             traj.final_state()
+        with pytest.raises(IndexError):
+            traj.final_time()
     for i in (-n - 1, n, n + 100):
         with pytest.raises(IndexError):
             traj.state(i)
