@@ -12,7 +12,7 @@ from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
                            solve_filtered_ie23, quasi_periodic_problem,
                            solve_ie_pre_2, solve_ie_pre_post_3,
                            solve_rk4_reference, van_der_pol_problem)
-from filtered_ie23 import steppers
+from filtered_ie23 import newton, steppers
 from filtered_ie23.bench import constant_run
 from filtered_ie23.core import _BLOCK
 from filtered_ie23.filters import step_factors
@@ -474,15 +474,29 @@ class TestFrozenDigests:
     # Every row of these constant-step runs, bit for bit: the filter
     # kernels at d = 1 and d = 4, on uniform steps (post_filtered_uniform)
     # and with a clamped final step (post_filtered); the RK4 loops at
-    # d = 1, 2 and 4; and the generic Newton stage with finite differences.
-    # The runs of 859 rows cross the trajectory's block moves.  No rhs calls
-    # a libm function, so the digests hold wherever IEEE doubles round to
-    # nearest.
+    # d = 1, 2 and 4; the Newton stage with finite differences at d = 1, 2
+    # and 4; and the analytic d = 3 stage on a stiff system whose
+    # elimination swaps rows.  The runs of 859 rows cross the trajectory's
+    # block moves.  No rhs calls a libm function, so the digests hold
+    # wherever IEEE doubles round to nearest.
     QP = quasi_periodic_problem()
     VDP = van_der_pol_problem(1.0)
     MAX_NORM = dataclasses.replace(QP.problem, est_component=None)
     FD = dataclasses.replace(QP.problem, jacobian=None)
+    STIFF_A = ((-5.0, -400.0, 10.0), (300.0, -2.5, 20.0), (10.0, -200.0, -350.0))
+    STIFF = OdeProblem(3, lambda t, y, a=STIFF_A: tuple([
+        a[i][0] * y[0] + a[i][1] * y[1] + a[i][2] * y[2] for i in range(3)]),
+        lambda t, y, a=STIFF_A: a, name="stiff-3d")
     CASES = {
+        "ie-pre-2-model-finite-differences": (
+            solve_ie_pre_2, dataclasses.replace(P, jacobian=None), (1.0,), 0.05, 2.0,
+            "8ddc27eace2277434a04e3932634e95a48ea656ac79fc8e63a5902ccf5e4295c"),
+        "ie-pre-2-vdp-finite-differences": (
+            solve_ie_pre_2, dataclasses.replace(VDP.problem, jacobian=None),
+            VDP.default_initial_state, 0.01, 3.0,
+            "eb5df7bad74d1ff4b9e1dd4b3b8e0334028f5f15b459a1f2301867342bb80a1b"),
+        "ie-pre-2-stiff-3d": (solve_ie_pre_2, STIFF, (1.0, -0.5, 0.25), 0.01, 0.5,
+                              "45cc67f9284f9d84cf10dbfde4d7a11321b7460394bdd4d0deff38967531c20c"),
         "ie-pre-2-model": (solve_ie_pre_2, P, (1.0,), 0.05, 2.0,
                            "67a2fa4c74fa3b377a0fb50cc3ac36edf6fbd2c6727b61da45e62e47be5a0ee1"),
         "ie-pre-2-model-clamped": (solve_ie_pre_2, P, (1.0,), 0.03, 2.0,
@@ -527,6 +541,13 @@ class TestFrozenDigests:
         uniform = abs(traj.ks[-1] - dt0) <= 1e-9 * dt0
         assert uniform == ("clamped" not in case)
         assert digest(traj) == expected
+
+    def test_the_stiff_system_swaps_rows(self, monkeypatch):
+        # the elimination of I - k*A pivots on row 1 in column 0, so the
+        # stiff case pins a plan with a row order
+        monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
+        solve_ie_pre_2(self.STIFF, SolverConfig(dt0=0.01, t_end=0.05), (1.0, -0.5, 0.25))
+        assert newton._plan_slot[1][1] == [1, 0, 2]
 
 
 class TestInitialStateCheck:
