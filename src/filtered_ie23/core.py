@@ -15,19 +15,14 @@ rounds store 165k rows (150k from the RK4 reference), from 0.424 to
 (BENCH_15.json).  The move converts each list with struct.pack and
 array.frombytes, at about 10 ns a value against 23 ns for array("d",
 list) (minima of 40 interleaved timings of a 2048-value list).
-Trajectory.extend takes a block of rows as four lists, checks them as
-append and the move do, and packs them straight into the arrays.  A
-caller that collects 2-D rows on three lists and extends 512 at a time
-pays about 250 ns a row for the lists and extend together, against 440 ns
-for append (medians of 8 processes, each the best of 7 runs over 150,000
-rows, net of the loop).
 
 A constant-step RK4 run knows its times, steps and estimates from its
 grid, so it hands Trajectory._take_states only the states, in packed
 blocks, with a function that gives the other three columns when they are
 first read.  The four van der Pol references of perfbench's vdp-stiff
 set-up, 412,500 rows, took 0.40-0.42 s that way against 0.48-0.67 s with
-the four lists and extend, and 0.39-0.43 s storing no rows (best of 5 in
+all four columns stored from lists 512 rows at a time (a checked block
+store since removed), and 0.39-0.43 s storing no rows (best of 5 in
 each of 3 alternating process pairs, same machine); run 3 times in a
 fresh process they peaked at 21.9 MiB RSS against 33.3 MiB.
 """
@@ -171,9 +166,7 @@ class Trajectory:
     all or nothing: it raises DimensionMismatch unless every pending state
     had `dimension` components, or TypeError naming the row and column of
     a value that is not a real number, and converts all four lists before
-    it extends any array.  extend stores a block of rows at once, after
-    the pending ones, with the same checks.  The doubles are stored
-    exactly as given.
+    it extends any array.  The doubles are stored exactly as given.
 
     _take_states stores the states of a block of rows whose times, est
     and ks a function of the row range gives (a constant-step grid's).
@@ -209,33 +202,6 @@ class Trajectory:
         ks.append(k)
         if len(times) >= _BLOCK:
             self._move()
-
-    def extend(self, times: list, flat: list, est: list, ks: list) -> None:
-        """Append len(times) rows at once: their times, their states
-        flattened (dimension values a row), est and ks.  Checked like
-        append and the block move, and all or nothing: DimensionMismatch
-        unless flat holds dimension values a row and est and ks one,
-        TypeError if a value is not a real number, NonMonotonicTimes unless
-        the times increase past the last one stored.  The rows are copied,
-        so the caller may reuse the lists."""
-        n = len(times)
-        if len(flat) != n * self.dimension or len(est) != n or len(ks) != n:
-            raise DimensionMismatch(
-                f"a block of {n} rows has {len(flat)} state components, "
-                f"{len(est)} estimates and {len(ks)} steps; need "
-                f"{self.dimension}, 1 and 1 a row"
-            )
-        if not n:
-            return
-        blocks = self._pack((times, flat, est, ks), len(self))
-        prev = self._t_last
-        for t in times:
-            if not t > prev:
-                raise NonMonotonicTimes(f"time {t!r} does not advance past {prev!r}")
-            prev = t
-        self._move()
-        self._store(blocks)
-        self._t_last = prev
 
     def _move(self) -> None:
         """Move the pending rows into the arrays, all or nothing."""

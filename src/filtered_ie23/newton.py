@@ -4,23 +4,41 @@ systems are tiny (d <= 4 in every bundled problem).  With an analytic
 Jacobian, d = 1 and d = 2 take written-out branches on float locals with the
 generic elimination's float operations in the same order, so with its bits.
 
-The generic path (d >= 3) reuses its last factorization of I - k*J while k
-and J repeat (_plan_slot); a jac that returns the stored J itself hits on
-identity, with no key built.  A miss eliminates the matrix and the
-right-hand side in one pass (_factor); a plan's first reuse writes out U's
-rows, from which every later hit replays the solve inline.  Like all
-per-step code, the stage and _fd_jacobian have no comprehension that reads
-their locals (the rule is in filters.py's docstring); 5 cells cost the
-d = 1 stage about 0.12 us.  Medians of 10 alternating 35 s perfbench
-pairs (2-CPU Xeon, CPython 3.11): the reuse took constant-step wall_s from
-0.500 to 0.423 s (BENCH_12.json), and this stage from 0.409 to 0.359 s
-(BENCH_18.json).
+Every other stage (d >= 3, and finite differences at every d) runs a
+kernel written out for its dimension.  _stage_kernel fills one source
+template for d and compiles it once, with exec against this module's
+globals as dataclasses builds __init__.  Its residual, max-norms,
+finiteness tests, stopping rule and update are the generic iteration's,
+on locals y0, y1, ..., with the float operations in their order.  It takes
+each update from _newton_update, ordinary source, which reuses its last
+factorization of I - k*J while k and J repeat (_plan_slot); a jac that
+returns the stored J itself hits on identity, with no key built.  A miss
+eliminates the matrix and the right-hand side in one pass (_factor).  A
+plan's first reuse gets the straight-line solve of its pattern (its
+dimension, the (i, j) of its updates and its row order), compiled once per
+pattern (_replay); every later hit calls it with the multipliers and U's
+entries as one tuple.  Values never enter the source, so -0.0, subnormals
+and zero entries keep their bits.  Generated source is registered with
+linecache under a name like <filtered_ie23.newton stage d=4>, so
+tracebacks and inspect.getsource show its lines.  A kernel's source grows
+with d and a replay's with d**2: compiling took about 0.5 ms for a kernel
+at d = 4, and 0.4 ms for a dense replay at d = 8 and 15 ms at d = 50.
+
+Like all per-step code, the stages, _newton_update and _fd_jacobian have
+no comprehension that reads their locals (the rule is in filters.py's
+docstring); 5 cells cost the d = 1 stage about 0.12 us.  Medians of 10
+alternating 35 s perfbench pairs (2-CPU Xeon, CPython 3.11): the reuse took
+constant-step wall_s from 0.500 to 0.423 s (BENCH_12.json), the one-pass
+generic stage from 0.409 to 0.359 s (BENCH_18.json), and the written-out
+kernel from WALL_BEFORE to WALL_AFTER s (BENCH_27.json).
 """
 
 from __future__ import annotations
 
+import linecache
+from functools import lru_cache
 from math import isfinite, sqrt
-from operator import add, is_
+from operator import is_
 from typing import NamedTuple, Sequence
 
 from .core import OdeProblem, SolverConfig, Vector, short_rhs
@@ -45,6 +63,10 @@ _NEWTON_MAX_ITER = 25
 # replaced by one tuple assignment and nothing in it changes, so under
 # threads or a nested solve a stored plan whose key matches is correct.
 _plan_slot: tuple = (None, None, None)
+
+# Compiled replays by pattern (_replay); a full cache is cleared
+_REPLAY_CACHE_SIZE = 64
+_replays: dict = {}
 
 
 class NewtonOutcome(NamedTuple):
@@ -118,13 +140,12 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
     state), stops once max |g_i| <= _NEWTON_TOL * (1 + max |y_i|) for the
     residual g, and raises NewtonDiverged after _NEWTON_MAX_ITER updates
     without that.  Each update solves (I - k_n * J) delta = -g, with J
-    analytic when provided, else forward finite differences; for d >= 3 the
-    elimination is reused while k_n and J repeat.  y_tilde and y_guess need
-    p.dimension >= 1 components each and rhs values at least as many, else
-    DimensionMismatch.  cfg is not read: perfbench/tracing.py wraps this
-    function with these six arguments.
+    analytic when provided, else forward finite differences; off the d <= 2
+    analytic branches the elimination is reused while k_n and J repeat.
+    y_tilde and y_guess need p.dimension >= 1 components each and rhs
+    values at least as many, else DimensionMismatch.  cfg is not read:
+    perfbench/tracing.py wraps this function with these six arguments.
     """
-    global _plan_slot
     if k_n <= 0.0:
         raise NonPositiveStep(f"implicit stage needs a positive step, got {k_n!r}")
     d = p.dimension
@@ -219,67 +240,187 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
             iterations += 1
             if not (isfinite(y0) and isfinite(y1)):
                 raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")
-    if d < 1 or len(y_tilde) != d or len(y_guess) != d:
+    if d < 1:
         raise DimensionMismatch(
             f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}")
-    y = tuple(y_guess)
+    # the update reaches the kernel as an argument: generated code reads no
+    # name that this module's own source does not
+    return _stage_kernel(d)(p, t_next, k_n, y_tilde, y_guess, _newton_update)
+
+
+def _newton_update(p: OdeProblem, t_next: float, k_n: float, y: Vector,
+                   f: Sequence[float], b: Vector):
+    """The Newton update at the iterate y, whose rhs values are f: the
+    solution of (I - k_n * J) delta = b, with J from p.jacobian at
+    (t_next, y), else by forward differences, from the plan in _plan_slot
+    when k_n and J repeat."""
+    global _plan_slot
+    jac = p.jacobian
+    jm = jac(t_next, y) if jac is not None else _fd_jacobian(p, t_next, list(y), f)
+    d = len(y)
+    key, plan, replay = _plan_slot
+    if key is None or key[2] is not jm or key[0] != k_n or key[1] != d:
+        jt = tuple(map(tuple, jm))   # the matrix's J: jac may change jm later
+        if key != (k_n, d, jt):
+            # not -k_n * jr[c] off the diagonal: that turns a 0.0 entry into -0.0
+            m = []
+            for r, jr in zip(range(d), jt):
+                row = []
+                for c in range(d):
+                    row.append((1.0 if r == c else 0.0) - k_n * jr[c])
+                m.append(row)
+            delta, plan = _factor(m, list(b))
+            _plan_slot = ((k_n, d, jt), plan, None)
+            return delta
+        if replay is None:
+            replay = _replay(plan)
+            if type(jm) is tuple and all(map(is_, jm, jt)):
+                jt = jm     # rows that cannot change: hit on identity
+            _plan_slot = ((k_n, d, jt), plan, replay)
+    solve, values = replay
+    return solve(b, values)
+
+
+def _replay(plan):
+    """(solve, values) for a plan from _factor: solve(b, values) gives the
+    plan's solution of b with its float operations in their order.  solve
+    is the straight-line code of the plan's pattern (its dimension, the
+    (i, j) of its updates and its row order), compiled once per pattern;
+    values holds the multipliers, then U's rows, last first, each as its
+    entries right of the diagonal and then the diagonal."""
+    updates, order, m = plan
+    pairs = []
+    values = []
+    for i, factor, j in updates:
+        pairs.append((i, j))
+        values.append(factor)
+    d = len(m)
+    for r in range(d - 1, -1, -1):
+        row = m[r]
+        values.extend(row[r + 1:])
+        values.append(row[r])
+    pattern = (d, tuple(pairs), order and tuple(order))
+    solve = _replays.get(pattern)
+    if solve is None:
+        if len(_replays) >= _REPLAY_CACHE_SIZE:
+            for old in _replays.values():
+                linecache.cache.pop(old.__code__.co_filename, None)
+            _replays.clear()
+        solve = _replays[pattern] = _compile(*_replay_source(*pattern))
+    return solve, tuple(values)
+
+
+def _names(prefix: str, n: int) -> str:
+    """prefix0, prefix1, ..., as a tuple display or an unpacking target."""
+    return ", ".join([f"{prefix}{i}" for i in range(n)]) + ("," if n == 1 else "")
+
+
+def _compile(label: str, source: str):
+    """The function that source defines, executed against this module's
+    globals and registered with linecache under label, so that tracebacks
+    and inspect.getsource show its lines."""
+    filename = f"<filtered_ie23.newton {label}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    function, = namespace.values()
+    return function
+
+
+# The template of _stage_kernel: the generic iteration for one dimension,
+# with y as y0, y1, ..., y_tilde as yt0, ..., -g as b0, ... and the update
+# as s0, ...; the max-norms keep max()'s first of equal values.
+_STAGE_SOURCE = """\
+def stage_d{d}(p, t_next, k_n, y_tilde, y_guess, update):
+    rhs = p.rhs
+    try:
+        {yt} = y_tilde
+        {y} = y_guess
+    except ValueError:
+        raise DimensionMismatch(
+            f"stage needs {{p.dimension}} components, "
+            f"got {{len(y_tilde)}} and {{len(y_guess)}}") from None
+    iterations = 0
     while True:
+        y = ({y})
         f = rhs(t_next, y)
-        # -g, the solve's right-hand side; k_n * f[i] - (y[i] - y_tilde[i])
-        # would give +0.0 where -g is -0.0
-        b = []
+        # -g, the solve's right-hand side; k_n * f_i - (y_i - yt_i) would
+        # give +0.0 where -g is -0.0
         try:
-            for i in range(d):
-                b.append(-(y[i] - y_tilde[i] - k_n * f[i]))
+{residual}
         except IndexError as err:
             raise short_rhs(p, err, f)
-        res = max(map(abs, b))
-        # every component, not res alone: max() drops a NaN that is not first
-        if not all(map(isfinite, b)):
-            raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
+{res_max}
+        # every component, not res alone: the max drops a NaN that is not first
+        if not ({b_finite}):
+            raise NewtonDiverged(f"non-finite residual at t={{t_next!r}}")
+        if res <= _NEWTON_TOL:
+            return tuple.__new__(NewtonOutcome, (y, iterations, res))
         # a finite residual means a finite y, and then 1 + max|y_i| >= 1
-        if res <= _NEWTON_TOL or res <= _NEWTON_TOL * (1.0 + max(map(abs, y))):
+{top_max}
+        if res <= _NEWTON_TOL * (1.0 + top):
             return tuple.__new__(NewtonOutcome, (y, iterations, res))
         if iterations >= _NEWTON_MAX_ITER:
             raise NewtonDiverged(
-                f"no convergence in {_NEWTON_MAX_ITER} iterations at "
-                f"t={t_next!r} (residual {res!r})")
-        jm = jac(t_next, y) if jac is not None \
-            else _fd_jacobian(p, t_next, list(y), f)
-        key, plan, replay = _plan_slot
-        if key is None or key[2] is not jm or key[0] != k_n or key[1] != d:
-            jt = tuple(map(tuple, jm))   # the matrix's J: jac may change jm later
-            if key != (k_n, d, jt):
-                # not -k_n * jr[c] off the diagonal: that turns a 0.0 entry into -0.0
-                m = []
-                for r, jr in zip(range(d), jt):
-                    row = []
-                    for c in range(d):
-                        row.append((1.0 if r == c else 0.0) - k_n * jr[c])
-                    m.append(row)
-                b, plan = _factor(m, b)
-                replay = None
-                _plan_slot = ((k_n, d, jt), plan, None)
-            elif replay is None:
-                # the plan's first reuse: U's rows as (r, ((c, U[r][c]) for c > r), U[r][r])
-                replay = [(r, list(enumerate(row))[r + 1:], row[r])
-                          for r, row in enumerate(plan[2])][::-1]
-                if type(jm) is tuple and all(map(is_, jm, jt)):
-                    jt = jm     # rows that cannot change: hit on identity
-                _plan_slot = ((k_n, d, jt), plan, replay)
-        if replay is not None:
-            # the plan's solve of b, with U's rows from the replay, last first
-            updates, order, _ = plan
-            for i, factor, j in updates:
-                b[i] -= factor * b[j]
-            if order:
-                b = list(map(b.__getitem__, order))
-            for r, upper, diag in replay:
-                acc = b[r]
-                for c, u in upper:
-                    acc -= u * b[c]
-                b[r] = acc / diag
-        y = tuple(map(add, y, b))
+                f"no convergence in {{_NEWTON_MAX_ITER}} iterations at "
+                f"t={{t_next!r}} (residual {{res!r}})")
+        {s} = update(p, t_next, k_n, y, f, ({b}))
+{step}
         iterations += 1
-        if not all(map(isfinite, y)):
-            raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")
+        if not ({y_finite}):
+            raise NewtonDiverged(f"non-finite iterate at t={{t_next!r}}")
+"""
+
+
+@lru_cache(maxsize=16)
+def _stage_kernel(d: int):
+    """implicit_euler_stage written out for dimension d, on float locals,
+    with the update from _newton_update: the generic iteration's residual,
+    norms, tests and update, with its float operations in their order."""
+    return _compile(f"stage d={d}", _STAGE_SOURCE.format(
+        d=d, y=_names("y", d), yt=_names("yt", d), b=_names("b", d),
+        s=_names("s", d),
+        residual="\n".join([f"            b{i} = -(y{i} - yt{i} - k_n * f[{i}])"
+                            for i in range(d)]),
+        res_max=_running_max("res", "b", d), top_max=_running_max("top", "y", d),
+        b_finite=" and ".join([f"isfinite(b{i})" for i in range(d)]),
+        y_finite=" and ".join([f"isfinite(y{i})" for i in range(d)]),
+        step="\n".join([f"        y{i} += s{i}" for i in range(d)])))
+
+
+def _running_max(name: str, prefix: str, d: int) -> str:
+    """Lines that leave in name the max of abs(prefix0), abs(prefix1), ...
+    as max(map(abs, ...)) does: the first of equal values, a later one
+    only when it compares greater."""
+    lines = [f"        {name} = abs({prefix}0)"]
+    for i in range(1, d):
+        lines += [f"        a = abs({prefix}{i})",
+                  f"        if a > {name}:",
+                  f"            {name} = a"]
+    return "\n".join(lines)
+
+
+def _replay_source(d: int, pairs: tuple, order):
+    """The label and source of the replay for one pattern: the updates of
+    b, then back substitution with the rows in their order after the swaps
+    (renamed, not moved)."""
+    rows = order or range(d)
+    n = len(pairs) + d * (d + 1) // 2
+    lines = [f"def replay_d{d}(b, v):",
+             f"    {_names('b', d)} = b",
+             f"    {_names('v', n)} = v"]
+    k = 0
+    for i, j in pairs:
+        lines.append(f"    b{i} -= v{k} * b{j}")
+        k += 1
+    for r in range(d - 1, -1, -1):
+        terms = [f"b{rows[r]}"]
+        for c in range(r + 1, d):
+            terms.append(f"v{k} * x{c}")
+            k += 1
+        acc = terms[0] if len(terms) == 1 else f"({' - '.join(terms)})"
+        lines.append(f"    x{r} = {acc} / v{k}")
+        k += 1
+    lines.append(f"    return ({_names('x', d)})")
+    label = f"replay d={d} updates={list(pairs)} order={list(rows)}"
+    return label, "\n".join(lines) + "\n"

@@ -167,74 +167,48 @@ class TestTrajectory:
         traj.append(5.0, (1.0, "x"), 0.0, 1.0)
         with pytest.raises(TypeError, match=r"row 3, column est holds a value that is not a real number: \[None\]"):
             traj.times
+        # the earliest row wins over the earlier column
         traj = Trajectory(1)
+        for row in [(1.0, (0.0,), 0.0, 0.0), (2.0, (1.0,), 0.0, "x"), (3.0, (2.0,), None, 0.0)]:
+            traj.append(*row)
         with pytest.raises(TypeError, match=r"row 1, column k holds .*'x'"):
-            traj.extend([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, None], [0.0, "x", 0.0])
+            traj.times
 
 
-class TestExtend:
+class TestTakeStates:
+    """Rows whose states alone are stored, with a function that gives their
+    times, est and ks, as an RK4 run stores its grid."""
+
+    ROWS = {4: (2.0, 1e-6, 0.5), 5: (3.0, 2e-6, 1.0)}
+
+    @classmethod
+    def _columns(cls, lo, hi):
+        return tuple([[cls.ROWS[i][c] for i in range(lo, hi)] for c in range(3)])
+
     def _sample(self):
         traj = TestTrajectory()._sample()
         traj.times    # stored: three rows, nothing pending
         traj.append(1.5, (4.0, -4.0), 0.0, 0.5)
         return traj
 
-    @staticmethod
-    def _snapshot(traj):
-        return ([bytes(c) for c in (traj._times, traj._flat, traj._est, traj._ks)],
-                [list(c) for c in traj._pending], traj._t_last)
-
     def test_rows_land_after_the_appended_ones(self):
         traj = self._sample()
-        traj.extend([2.0, 3.0], [5.0, -5.0, 6.0, -6.0], [1e-6, 2e-6], [0.5, 1.0])
-        traj.extend([], [], [], [])
+        traj._take_states([5.0, -5.0, 6.0, -6.0], 3.0, self._columns)
         traj.append(4.0, (7.0, -7.0), 0.0, 1.0)
         assert list(traj.times) == [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
         assert list(traj.est)[4:6] == [1e-6, 2e-6]
         assert list(traj.ks)[4:] == [0.5, 1.0, 1.0]
         assert traj.states[4:] == [(5.0, -5.0), (6.0, -6.0), (7.0, -7.0)]
 
-    @pytest.mark.parametrize("times", [
-        [1.5, 2.0], [1.0, 2.0], [math.nan, 2.0],      # the first time: equal, smaller, NaN
-        [2.0, 2.0, 3.0], [2.0, 3.0, 2.5], [2.0, math.nan, 3.0],   # a pair inside the block
-    ])
-    def test_times_must_increase(self, times):
-        traj = self._sample()
-        before = self._snapshot(traj)
-        n = len(times)
-        with pytest.raises(NonMonotonicTimes):
-            traj.extend(times, [1.0] * (2 * n), [0.0] * n, [1.0] * n)
-        assert self._snapshot(traj) == before
-        assert len(traj) == 4
-
-    @pytest.mark.parametrize("flat, est, ks", [
-        ([1.0] * 3, [0.0] * 2, [1.0] * 2), ([1.0] * 5, [0.0] * 2, [1.0] * 2),
-        ([1.0] * 4, [0.0], [1.0] * 2), ([1.0] * 4, [0.0] * 2, [1.0] * 3),
-    ], ids=["short-state", "long-state", "short-est", "long-ks"])
-    def test_a_column_of_the_wrong_length_raises(self, flat, est, ks):
-        traj = self._sample()
-        before = self._snapshot(traj)
-        with pytest.raises(DimensionMismatch, match="a block of 2 rows"):
-            traj.extend([2.0, 3.0], flat, est, ks)
-        assert self._snapshot(traj) == before
-
-    @pytest.mark.parametrize("column", range(4))
-    def test_a_value_that_is_not_real_changes_nothing(self, column):
-        columns = [[2.0, 3.0], [5.0, -5.0, 6.0, -6.0], [0.0, 0.0], [1.0, 1.0]]
-        columns[column][-1] = "x"
-        traj = self._sample()
-        before = self._snapshot(traj)
-        with pytest.raises(TypeError, match="row 5, column "):
-            traj.extend(*columns)
-        assert self._snapshot(traj) == before
-
     def test_a_bad_pending_row_stops_the_block(self):
-        # the pending rows move first; when they fail, the block is not stored
+        # the pending rows move first; when they fail, the states are not stored
         traj = self._sample()
         traj.append(2.0, (1.0,), 0.0, 1.0)
+        flat = bytes(traj._flat)
         with pytest.raises(DimensionMismatch, match="pending rows"):
-            traj.extend([3.0], [1.0, 2.0], [0.0], [1.0])
+            traj._take_states([1.0, 2.0], 3.0, self._columns)
         assert len(traj._times) == 3 and len(traj) == 5
+        assert bytes(traj._flat) == flat
 
 
 # values whose bits a careless copy could change
@@ -296,10 +270,15 @@ def test_block_moves_keep_every_row(d, n, seed, reads, blocks):
     # reads part-way through move the pending rows early; no read, or a
     # read at any row count, must leave the same rows.  Each row goes in
     # by append, and after each append the next of `blocks` rows (if any
-    # are left) go in by one extend, so the two cross block moves in
+    # are left) go in by one _take_states, whose times, est and ks wait
+    # for the next read or block move, so the two cross block moves in
     # every order
     rows = _rows(seed, n, d)
     traj = Trajectory(d)
+
+    def columns(lo, hi):
+        return tuple([[r[c] for r in rows[lo:hi]] for c in (0, 2, 3)])
+
     blocks = iter(blocks)
     i = 0
     while i < n:
@@ -307,10 +286,9 @@ def test_block_moves_keep_every_row(d, n, seed, reads, blocks):
             _assert_matches(traj, rows[:i], d)
         traj.append(*rows[i])
         i += 1
-        size = next(blocks, 0)
-        block = rows[i:i + size]
-        traj.extend([r[0] for r in block], [c for r in block for c in r[1]],
-                    [r[2] for r in block], [r[3] for r in block])
+        block = rows[i:i + next(blocks, 0)]
+        if block:
+            traj._take_states([c for r in block for c in r[1]], block[-1][0], columns)
         i += len(block)
     _assert_matches(traj, rows, d)
 

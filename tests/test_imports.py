@@ -146,16 +146,22 @@ def test_every_export_resolves_once():
     assert [n for n in names if not hasattr(filtered_ie23, n)] == []
 
 
-# the code that runs once per step, attempt or Newton iteration
+# a compiled replay: the solve of a plan whose elimination swaps rows 0
+# and 1 and updates rows 1 and 2
+_REPLAY = newton._replay(newton._factor(
+    [[2.0, 1.0, 0.0], [4.0, 3.0, 1.0], [0.0, 1.0, 4.0]], [1.0, 1.0, 1.0])[1])[0]
+
+# the code that runs once per step, attempt or Newton iteration, the
+# generated kernels included
 PER_STEP = [filters.curvature, filters.pre_filtered, filters.post_filtered,
             filters.post_filtered_uniform, filters._estimate, filters._beta,
             filters.step_factors,
             steppers.rk3_step, steppers._solve_ie_filtered,
             steppers.solve_rk4_reference, steppers._rk4, steppers._grid_columns,
-            newton._fd_jacobian, newton._factor,
+            newton._fd_jacobian, newton._factor, newton._newton_update,
+            newton._stage_kernel(3), newton._stage_kernel(4), _REPLAY,
             newton.implicit_euler_stage, adaptive.solve_filtered_ie23,
-            core.Trajectory.append, core.Trajectory.extend,
-            core.Trajectory._take_states]
+            core.Trajectory.append, core.Trajectory._take_states]
 
 
 @pytest.mark.parametrize("function", PER_STEP, ids=lambda f: f.__qualname__)

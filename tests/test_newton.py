@@ -1,6 +1,8 @@
+import inspect
 import math
 import sys
 import threading
+import traceback
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -335,6 +337,42 @@ class TestPlanCache:
         assert math.copysign(1.0, out.y[1]) == 1.0
 
 
+    def test_alternating_patterns_give_cold_stages(self, monkeypatch):
+        # two 4-D Jacobians whose eliminations differ in their updates and
+        # row order, alternated at one k and then at another: each stage
+        # finds the other's plan in the slot, and from its second update
+        # on reuses its own, whose compiled replay another stage may have
+        # built.  The rhs is not linear in y, so Newton's iteration with
+        # the constant J takes several updates.
+        swapped = ((-5.0, -400.0, 10.0, 1.0), (300.0, -2.5, 20.0, 0.0),
+                   (10.0, -200.0, -350.0, 2.0), (0.5, 1.0, 3.0, -7.0))
+        sparse = ((-3.0, 0.0, 0.0, 1.0), (0.0, -2.0, 0.0, 0.0),
+                  (1.0, 0.0, -4.0, 0.0), (0.0, 0.0, 0.5, -1.0))
+
+        def chord(a):
+            def rhs(t, y):
+                return tuple([sum(a[i][j] * y[j] for j in range(4)) - 0.5 * y[i] ** 3
+                              for i in range(4)])
+            return OdeProblem(4, rhs, lambda t, y: a)
+
+        problems = [chord(swapped), chord(sparse)]
+        start, guess = (1.0, -0.5, 0.25, -0.0), (0.5, 0.5, -0.5, 0.0)
+        cases = [(k, p) for k in (0.01, 0.01, 0.02) for p in problems * 2]
+        monkeypatch.setattr(newton, "_replays", {})
+        warm = []
+        for k, p in cases:
+            warm.append(_outcome(implicit_euler_stage, p, 0.5, k, start, guess, CFG))
+            assert newton._plan_slot[2] is not None
+        # one compiled replay for each Jacobian, at both ks
+        assert [pattern[2] for pattern in newton._replays] == [(1, 0, 2, 3), None]
+        for (k, p), got in zip(cases, warm):
+            monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
+            monkeypatch.setattr(newton, "_replays", {})
+            cold = _outcome(implicit_euler_stage, p, 0.5, k, start, guess, CFG)
+            assert got == cold == _outcome(reference_stage, p, 0.5, k, start, guess)
+            assert got[1] >= 3
+
+
 class TestArrayJacobians:
     """A jac that returns numpy arrays takes the generic path's value key:
     every stage and run must give the bits of a jac that returns fresh
@@ -462,6 +500,19 @@ class TestFailureModes:
         with pytest.raises(NewtonDiverged, match="non-finite iterate"):
             implicit_euler_stage(p, 1.0, 1.0, (-1e300,) + zeros[1:], zeros, CFG)
 
+    def test_a_traceback_shows_the_generated_kernel(self):
+        # the kernels' source is registered with linecache, so a failure
+        # in one shows the generated line that raised, and getsource works
+        ones = (1.0,) * 3
+        p = _uncoupled(3, lambda c: c * c, lambda c: 2.0 * c)
+        with pytest.raises(NewtonDiverged) as info:
+            implicit_euler_stage(p, 1.0, 1.0, ones, ones, CFG)
+        frames = [frame for frame in traceback.extract_tb(info.value.__traceback__)
+                  if frame.filename == "<filtered_ie23.newton stage d=3>"]
+        assert [frame.line for frame in frames] == ["raise NewtonDiverged("]
+        source = inspect.getsource(newton._stage_kernel(3))
+        assert source.startswith("def stage_d3(p, t_next, k_n, y_tilde, y_guess, update):")
+
     def test_singular_planar_matrix_after_elimination(self):
         # I - k*J = ((1, 1), (1, 1)): the first pivot is 1, the second 0
         p = _linear_2d(((0.0, -1.0), (-1.0, 0.0)))
@@ -520,15 +571,15 @@ def _signed_zeros_or(s):
 
 @st.composite
 def _stages(draw):
-    """(kind, problem, k, y_tilde, y_guess): a stage of dimension 1 to 4
+    """(kind, problem, k, y_tilde, y_guess): a stage of dimension 1 to 6
     with an analytic Jacobian; d <= 2 take the written-out branches and
-    d >= 3 the generic path.  States may hold -0.0.  linear and nonlinear
+    d >= 3 the kernel written out for d.  States may hold -0.0.  linear and nonlinear
     stages mostly converge; on the generic path they return J as one tuple
     of tuples per value, fresh lists or one list changed in place, and
     linear ones may have zero Jacobian rows.  singular ones make I - k*J
     exactly singular, at the first pivot or after the elimination;
     diverging ones have no real root or a NaN right-hand side."""
-    d = draw(st.sampled_from([1, 2, 3, 4]))
+    d = draw(st.sampled_from([1, 2, 3, 4, 5, 6]))
     kind = draw(st.sampled_from(["linear", "nonlinear", "singular", "diverging"]))
     small = st.floats(-0.1, 0.1)
     big = st.floats(0.5, 10.0).flatmap(lambda v: st.sampled_from([v, -v]))

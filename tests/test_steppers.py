@@ -401,14 +401,11 @@ class TestRk4Reference:
                          traj.final_state(), traj.state(0),
                          traj.final_error(exact, component=0))
 
-    # rows added after a stored run: one append, a block of appends that
-    # crosses a block move, and one extend
+    # rows added after a stored run: one append, and a block of appends
+    # that crosses a block move
     LATER = {
         "append": lambda traj, rows: traj.append(*rows[0]),
         "appends": lambda traj, rows: [traj.append(*row) for row in rows],
-        "extend": lambda traj, rows: traj.extend(
-            [r[0] for r in rows], [c for r in rows for c in r[1]],
-            [r[2] for r in rows], [r[3] for r in rows]),
     }
 
     @pytest.mark.parametrize("later", LATER)
