@@ -20,11 +20,11 @@ A constant-step RK4 run knows its times, steps and estimates from its
 grid, so it hands Trajectory._take_states only the states, in packed
 blocks, with a function that gives the other three columns when they are
 first read.  The four van der Pol references of perfbench's vdp-stiff
-set-up, 412,500 rows, took 0.40-0.42 s that way against 0.48-0.67 s with
-all four columns stored from lists 512 rows at a time (a checked block
-store since removed), and 0.39-0.43 s storing no rows (best of 5 in
-each of 3 alternating process pairs, same machine); run 3 times in a
-fresh process they peaked at 21.9 MiB RSS against 33.3 MiB.
+set-up, 412,500 rows, took 0.40-0.42 s that way against 0.48-0.67 s
+storing all four columns from lists 512 rows at a time, and 0.39-0.43 s
+storing no rows (best of 5 in each of 3 alternating process pairs, same
+machine); run 3 times in a fresh process they peaked at 21.9 MiB RSS
+against 33.3 MiB.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ entries as one tuple.  Values never enter the source, so -0.0, subnormals
 and zero entries keep their bits.  Generated source is registered with
 linecache under a name like <filtered_ie23.newton stage d=4>, so
 tracebacks and inspect.getsource show its lines.  A kernel's source grows
-with d and a replay's with d**2: compiling took about 0.5 ms for a kernel
-at d = 4, and 0.4 ms for a dense replay at d = 8 and 15 ms at d = 50.
+with d and a replay's with d**2: compiling took about 0.45 ms for a
+kernel at d = 4, and 0.37 ms for a dense replay at d = 8 and 15 ms at
+d = 50.
 
 Like all per-step code, the stages, _newton_update and _fd_jacobian have
 no comprehension that reads their locals (the rule is in filters.py's
@@ -30,7 +31,7 @@ docstring); 5 cells cost the d = 1 stage about 0.12 us.  Medians of 10
 alternating 35 s perfbench pairs (2-CPU Xeon, CPython 3.11): the reuse took
 constant-step wall_s from 0.500 to 0.423 s (BENCH_12.json), the one-pass
 generic stage from 0.409 to 0.359 s (BENCH_18.json), and the written-out
-kernel from WALL_BEFORE to WALL_AFTER s (BENCH_27.json).
+kernel from 0.274 to 0.240 s (BENCH_27.json).
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def _replay(plan):
     solve = _replays.get(pattern)
     if solve is None:
         if len(_replays) >= _REPLAY_CACHE_SIZE:
-            for old in _replays.values():
+            for old in list(_replays.values()):
                 linecache.cache.pop(old.__code__.co_filename, None)
             _replays.clear()
         solve = _replays[pattern] = _compile(*_replay_source(*pattern))

@@ -1,4 +1,5 @@
 import inspect
+import linecache
 import math
 import sys
 import threading
@@ -337,13 +338,15 @@ class TestPlanCache:
         assert math.copysign(1.0, out.y[1]) == 1.0
 
 
-    def test_alternating_patterns_give_cold_stages(self, monkeypatch):
+    @pytest.mark.parametrize("cache_size", [64, 1])
+    def test_alternating_patterns_give_cold_stages(self, monkeypatch, cache_size):
         # two 4-D Jacobians whose eliminations differ in their updates and
         # row order, alternated at one k and then at another: each stage
         # finds the other's plan in the slot, and from its second update
         # on reuses its own, whose compiled replay another stage may have
-        # built.  The rhs is not linear in y, so Newton's iteration with
-        # the constant J takes several updates.
+        # built, or, with a cache of one pattern, compiles it again.  The
+        # rhs is not linear in y, so Newton's iteration with the constant
+        # J takes several updates.
         swapped = ((-5.0, -400.0, 10.0, 1.0), (300.0, -2.5, 20.0, 0.0),
                    (10.0, -200.0, -350.0, 2.0), (0.5, 1.0, 3.0, -7.0))
         sparse = ((-3.0, 0.0, 0.0, 1.0), (0.0, -2.0, 0.0, 0.0),
@@ -359,12 +362,21 @@ class TestPlanCache:
         start, guess = (1.0, -0.5, 0.25, -0.0), (0.5, 0.5, -0.5, 0.0)
         cases = [(k, p) for k in (0.01, 0.01, 0.02) for p in problems * 2]
         monkeypatch.setattr(newton, "_replays", {})
-        warm = []
+        monkeypatch.setattr(newton, "_REPLAY_CACHE_SIZE", cache_size)
+        warm, names = [], set()
         for k, p in cases:
             warm.append(_outcome(implicit_euler_stage, p, 0.5, k, start, guess, CFG))
-            assert newton._plan_slot[2] is not None
-        # one compiled replay for each Jacobian, at both ks
-        assert [pattern[2] for pattern in newton._replays] == [(1, 0, 2, 3), None]
+            solve = newton._plan_slot[2][0]
+            assert solve in newton._replays.values()
+            names.add(solve.__code__.co_filename)
+        # one replay for each Jacobian, at both ks; a cleared cache takes
+        # the linecache entries of its replays with it
+        kept = [solve.__code__.co_filename for solve in newton._replays.values()]
+        assert len(names) == 2 and len(kept) == min(2, cache_size)
+        assert [name in linecache.cache for name in sorted(names)] == [
+            name in kept for name in sorted(names)]
+        if cache_size > 1:
+            assert [pattern[2] for pattern in newton._replays] == [(1, 0, 2, 3), None]
         for (k, p), got in zip(cases, warm):
             monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
             monkeypatch.setattr(newton, "_replays", {})
