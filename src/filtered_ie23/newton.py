@@ -377,7 +377,8 @@ def stage_d{d}(p, t_next, k_n, y_tilde, y_guess, update):
 def _stage_kernel(d: int):
     """implicit_euler_stage written out for dimension d, on float locals,
     with the update from _newton_update: the generic iteration's residual,
-    norms, tests and update, with its float operations in their order."""
+    norms, tests and update, with its float operations in their order.
+    Kept for the 16 dimensions used last."""
     return _compile(f"stage d={d}", _STAGE_SOURCE.format(
         d=d, y=_names("y", d), yt=_names("yt", d), b=_names("b", d),
         s=_names("s", d),

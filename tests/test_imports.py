@@ -146,8 +146,8 @@ def test_every_export_resolves_once():
     assert [n for n in names if not hasattr(filtered_ie23, n)] == []
 
 
-# a compiled replay: the solve of a plan whose elimination swaps rows 0
-# and 1 and updates rows 1 and 2
+# a compiled replay: the solve of a plan with two updates of row 0 and
+# the row order [1, 2, 0]
 _REPLAY = newton._replay(newton._factor(
     [[2.0, 1.0, 0.0], [4.0, 3.0, 1.0], [0.0, 1.0, 4.0]], [1.0, 1.0, 1.0])[1])[0]
 

@@ -337,7 +337,6 @@ class TestPlanCache:
         assert len(factored) == out.iterations - 1
         assert math.copysign(1.0, out.y[1]) == 1.0
 
-
     @pytest.mark.parametrize("cache_size", [64, 1])
     def test_alternating_patterns_give_cold_stages(self, monkeypatch, cache_size):
         # two 4-D Jacobians whose eliminations differ in their updates and
@@ -585,8 +584,8 @@ def _signed_zeros_or(s):
 def _stages(draw):
     """(kind, problem, k, y_tilde, y_guess): a stage of dimension 1 to 6
     with an analytic Jacobian; d <= 2 take the written-out branches and
-    d >= 3 the kernel written out for d.  States may hold -0.0.  linear and nonlinear
-    stages mostly converge; on the generic path they return J as one tuple
+    d >= 3 the kernel generated for d.  States may hold -0.0.  linear and
+    nonlinear stages mostly converge; for d >= 3 they return J as one tuple
     of tuples per value, fresh lists or one list changed in place, and
     linear ones may have zero Jacobian rows.  singular ones make I - k*J
     exactly singular, at the first pivot or after the elimination;
