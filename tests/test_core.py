@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from filtered_ie23 import (DimensionMismatch, NonMonotonicTimes, SolverConfig,
                            Trajectory)
-from filtered_ie23.core import _BLOCK, all_finite
+from filtered_ie23.core import _BLOCK, _COLUMNS, all_finite
 
 from oracles import maxnorm
 
@@ -175,9 +175,10 @@ class TestTrajectory:
             traj.times
 
 
-class TestTakeStates:
-    """Rows whose states alone are stored, with a function that gives their
-    times, est and ks, as an RK4 run stores its grid."""
+class TestExtend:
+    """Rows that extend a trajectory past the ones it stores: a block whose
+    states alone are stored, with a function that gives their times, est
+    and ks, as an RK4 run stores its grid, and rows appended after it."""
 
     ROWS = {4: (2.0, 1e-6, 0.5), 5: (3.0, 2e-6, 1.0)}
 
@@ -191,6 +192,11 @@ class TestTakeStates:
         traj.append(1.5, (4.0, -4.0), 0.0, 0.5)
         return traj
 
+    @staticmethod
+    def _snapshot(traj):
+        return ([bytes(c) for c in (traj._times, traj._flat, traj._est, traj._ks)],
+                [list(c) for c in traj._pending], traj._t_last, traj._deferred)
+
     def test_rows_land_after_the_appended_ones(self):
         traj = self._sample()
         traj._take_states([5.0, -5.0, 6.0, -6.0], 3.0, self._columns)
@@ -199,6 +205,41 @@ class TestTakeStates:
         assert list(traj.est)[4:6] == [1e-6, 2e-6]
         assert list(traj.ks)[4:] == [0.5, 1.0, 1.0]
         assert traj.states[4:] == [(5.0, -5.0), (6.0, -6.0), (7.0, -7.0)]
+
+    @pytest.mark.parametrize("times", [
+        [3.0], [2.5], [math.nan],    # the first row after the block: equal, smaller, NaN
+        [4.0, 4.0], [4.0, 3.5], [4.0, math.nan],    # the second row after it
+    ])
+    def test_times_must_increase(self, times):
+        # the block's newest time bounds the rows appended after it; a
+        # rejected row changes nothing
+        traj = self._sample()
+        traj._take_states([5.0, -5.0, 6.0, -6.0], 3.0, self._columns)
+        *good, bad = times
+        for t in good:
+            traj.append(t, (7.0, -7.0), 0.0, 1.0)
+        before = self._snapshot(traj)
+        with pytest.raises(NonMonotonicTimes):
+            traj.append(bad, (8.0, -8.0), 0.0, 1.0)
+        assert self._snapshot(traj) == before
+        assert len(traj) == 6 + len(good)
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_a_value_that_is_not_real_changes_nothing(self, column):
+        # the bad value sits in the last of three pending rows; the failed
+        # move keeps the stored columns and every pending row, each read
+        columns = [[2.0, 3.0], [5.0, -5.0, 6.0, -6.0], [0.0, 0.0], [1.0, 1.0]]
+        columns[column][-1] = "x" if column else _Later()
+        times, flat, est, ks = columns
+        traj = self._sample()
+        traj.append(times[0], flat[:2], est[0], ks[0])
+        traj.append(times[1], flat[2:], est[1], ks[1])
+        before = self._snapshot(traj)
+        for _ in range(2):
+            with pytest.raises(TypeError, match=f"row 5, column {_COLUMNS[column]} "):
+                traj.times
+            assert self._snapshot(traj) == before
+        assert len(traj) == 6
 
     def test_a_bad_pending_row_stops_the_block(self):
         # the pending rows move first; when they fail, the states are not stored
