@@ -19,11 +19,11 @@ every attempt, that took scalar-analog from 0.578 to 0.475 s and
 vdp-stiff from 0.821 to 0.727 s (BENCH_23.json).
 
 Only the per-component kernel (curvature, pre-filter, post-filter,
-estimate) branches on the dimension.  For d >= 3 it calls curvature,
-pre_filtered and post_filtered from filters.py, the reference for every
-formula.  For d = 1 and d = 2 it is written out on float locals, with
-the same floating-point operations in the same order, so it gives the
-reference's bits; the tests compare the two bit for bit.  Written out,
+estimate) branches on the dimension.  For d >= 3 it calls the kernels
+that filters.kernels(d) generates, curvature's on its two weights.  For
+d = 1 and d = 2 it is written out here on float locals, with the same
+floating-point operations in the same order, so it gives the kernels'
+bits; the tests compare the two bit for bit.  Written out here,
 they took the scalar-analog solves from 1.31 to 0.63 s and the vdp-stiff
 ones from 1.38 to 0.85 s (BENCH_11.json).  The timings are perfbench
 --seconds 35 medians of 10 alternating process pairs on a 2-CPU Xeon
@@ -39,7 +39,7 @@ from typing import Sequence
 from .core import OdeProblem, SolverConfig, Trajectory, all_finite
 from .errors import (MinStepReached, NewtonDiverged, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem)
-from .filters import curvature, post_filtered, pre_filtered, step_factors
+from .filters import kernels, step_factors
 from .newton import implicit_euler_stage
 # perfbench/tracing.py rebinds rk3_step here, though only bootstrap calls it
 from .steppers import bootstrap, rk3_step  # noqa: F401
@@ -127,6 +127,8 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
         (y_nm2_0,), (y_nm1_0,), (y_n0,) = y_nm2, y_nm1, y_n
     elif planar:
         (y_nm2_0, y_nm2_1), (y_nm1_0, y_nm1_1), (y_n0, y_n1) = y_nm2, y_nm1, y_n
+    else:
+        curvature, pre_filtered, post_filtered, _ = kernels(d)
 
     while t_n < t_edge:
         remaining = t_end - t_n
@@ -145,7 +147,7 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
             kappa0 = w_next * y_n0 - 2.0 * y_nm1_0 + w_prev * y_nm2_0
             kappa1 = w_next * y_n1 - 2.0 * y_nm1_1 + w_prev * y_nm2_1
         else:
-            kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
+            kappa_prev = curvature(2.0 * k_nm2 / s, 2.0 * k_nm1 / s, y_nm2, y_nm1, y_n)
 
         while True:
             key = (k, k_nm1, k_nm2, k_nm3)

@@ -29,6 +29,7 @@ against 33.3 MiB.
 
 from __future__ import annotations
 
+import linecache
 import math
 import struct
 from array import array
@@ -318,9 +319,13 @@ class Trajectory:
     def final_error(self, exact: Callable[[float], Sequence[float]],
                     component: Optional[int] = None) -> float:
         """Max-norm distance (or one component's distance) from `exact`
-        at the final time."""
+        at the final time; DimensionMismatch unless `exact` gives as many
+        components as the state has."""
         ref = exact(self.final_time())
         y = self.final_state()
+        if len(ref) != len(y):
+            raise DimensionMismatch(
+                f"exact solution has {len(ref)} components, the state {len(y)}")
         if component is not None:
             return abs(y[component] - ref[component])
         return max(abs(a - b) for a, b in zip(y, ref))
@@ -328,3 +333,32 @@ class Trajectory:
 
 def all_finite(v: Sequence[float]) -> bool:
     return all(map(math.isfinite, v))
+
+
+# The generator of the kernels that newton.py and filters.py write out per d
+def _names(prefix: str, n: int) -> str:
+    """prefix0, prefix1, ..., as a tuple display or an unpacking target."""
+    return ", ".join([f"{prefix}{i}" for i in range(n)]) + ("," if n == 1 else "")
+
+
+def _running_max(name: str, term: str, d: int) -> str:
+    """Lines, indented 8 spaces, that leave in name the max of abs(term)
+    over i < d as max(map(abs, ...)) does: a later value replaces the
+    running one only when it compares greater."""
+    lines = [f"        {name} = abs({term.format(i=0)})"]
+    for i in range(1, d):
+        lines += [f"        a = abs({term.format(i=i)})",
+                  f"        if a > {name}:",
+                  f"            {name} = a"]
+    return "\n".join(lines)
+
+
+def _compile(module_globals: dict, label: str, source: str) -> tuple:
+    """The functions that source defines, in order, executed against
+    module_globals as dataclasses builds __init__, and registered with
+    linecache as <module label> for tracebacks and inspect.getsource."""
+    filename = f"<{module_globals['__name__']} {label}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), module_globals, namespace)
+    return tuple(namespace.values())

@@ -9,30 +9,35 @@ Each formula exists once here.  step_factors gives the factors that
 depend only on a step's history (k_n, k_nm1, k_nm2, k_nm3), which
 pre_filtered and post_filtered take: the constant-step drivers once per
 run and for a clamped final step, the adaptive loop once per history.
+The per-component formulas (curvature, the pre-filter, the post-filter
+and its uniform-step closed form, each post-filter with its estimate)
+live once, in the template _KERNEL_SOURCE.  kernels(d) compiles it once
+per d, as newton._stage_kernel does the stage, into straight-line code
+on float locals with the float operations of the plain loops that
+tests/oracles.py keeps as the reference, in their order.  The public
+functions check their arguments and call the kernel for their d; the
+constant-step drivers and the adaptive loop's d >= 3 branch call the
+kernels.  The adaptive loop writes d = 1 and 2 out in its own source,
+with the same operations in the same order: a formula changed here must
+change there too, and the tests compare the three bit for bit.
 
-The adaptive loop (adaptive.solve_filtered_ie23) calls curvature,
-pre_filtered and post_filtered for three or more components.  For one and
-two it writes them out on float locals, with the same floating-point
-operations in the same order.  The functions here are the reference: a
-change to a formula here must be made there too, and the tests compare
-the two bit for bit.
-
-The per-step code of the package builds its vectors with index loops over
-a local list, never with a comprehension or generator expression.  Under
-CPython 3.10 and 3.11 a comprehension that reads a function's locals makes
-them closure cells, which every call creates and every read goes through
-(PEP 709 inlines comprehensions from 3.12 on).  Each loop here keeps the
-comprehension's float operations in their order, so the same bits.  On a
-2-CPU Xeon under CPython 3.11, curvature took 705 ns per 4-D call against
-957 ns as a comprehension, its new length check included.
+The per-step code of the package, the generated kernels included, has no
+comprehension or generator expression.  Under CPython 3.10 and 3.11 one
+that reads a function's locals makes them closure cells, which every
+call creates and every read goes through (PEP 709 inlines comprehensions
+from 3.12 on).  On a 2-CPU Xeon under CPython 3.11, 4-D calls took
+262 ns for the curvature kernel, 155 for the pre-filter's and 540-575
+for the uniform post-filter's, against 615-645, 365-390 and 960-1000 ns
+for the loops (best of 7 timeit runs, the call included).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import Vector
+from .core import Vector, _compile, _names, _running_max
 from .errors import DimensionMismatch, NonPositiveStep
 
 # Relative floor for the post-filter denominator.  The denominator is a
@@ -82,28 +87,11 @@ def step_factors(k_n: float, k_nm1: float, k_nm2: float,
             2.0 * k_nm1 / ksum, 2.0 * k_n / ksum)
 
 
-def _estimate(y_second: Sequence[float], y_third: Sequence[float],
-              component: Optional[int]) -> float:
-    if component is not None:
-        return abs(y_third[component] - y_second[component])
-    # max()'s rule: replace only on a > est, so a NaN counts only in the
-    # first component
-    est = abs(y_third[0] - y_second[0])
-    for i in range(1, len(y_second)):
-        a = abs(y_third[i] - y_second[i])
-        if a > est:
-            est = a
-    return est
-
-
 def pre_filtered(half_a: float, y_n: Sequence[float],
                  kappa_prev: Sequence[float]) -> Vector:
     """The state handed to the implicit stage: y_n with half_a (alpha / 2,
     1/2 on a uniform grid) times the trailing curvature kappa_prev removed."""
-    y_tilde = []
-    for i in range(len(y_n)):
-        y_tilde.append(y_n[i] - half_a * kappa_prev[i])
-    return tuple(y_tilde)
+    return kernels(len(y_n))[1](half_a, y_n, kappa_prev)
 
 
 def post_filtered(beta: float, v_next: float, v_prev: float,
@@ -111,14 +99,11 @@ def post_filtered(beta: float, v_next: float, v_prev: float,
                   kappa_prev: Sequence[float], y_second: Sequence[float],
                   component: Optional[int]) -> tuple[Vector, float]:
     """The third-order value of a step whose implicit stage gave y_second,
-    and the embedded estimate.  Its loop writes the step's curvature out,
-    as curvature(k_nm1, k_n, y_nm1, y_n, y_second) on step_factors' weights."""
-    y_third = []
-    for i in range(len(y_second)):
-        y_third.append(y_second[i] - beta * (
-            (v_next * y_second[i] - 2.0 * y_n[i] + v_prev * y_nm1[i]) - kappa_prev[i]))
-    y_third = tuple(y_third)
-    return y_third, _estimate(y_second, y_third, component)
+    and the embedded estimate: the max-norm of y_third - y_second, or its
+    component'th entry.  The step's curvature is written out, as
+    curvature(k_nm1, k_n, y_nm1, y_n, y_second) on step_factors' weights."""
+    return kernels(len(y_second))[2](beta, v_next, v_prev, y_nm1, y_n, kappa_prev,
+                                     y_second, component)
 
 
 def post_filtered_uniform(y_nm2: Sequence[float], y_nm1: Sequence[float],
@@ -127,12 +112,7 @@ def post_filtered_uniform(y_nm2: Sequence[float], y_nm1: Sequence[float],
     """post_filtered at beta = 5/11 in closed form, a few ulps off the
     general form; perfbench/pins.json pins the constant-step answers made
     with it (post_filtered moves the 2000-step quasi-periodic error)."""
-    y_third = []
-    for i in range(len(y_second)):
-        y_third.append(y_second[i] - 5.0 / 11.0 * (
-            y_second[i] - 3.0 * y_n[i] + 3.0 * y_nm1[i] - y_nm2[i]))
-    y_third = tuple(y_third)
-    return y_third, _estimate(y_second, y_third, component)
+    return kernels(len(y_second))[3](y_nm2, y_nm1, y_n, y_second, component)
 
 
 def curvature(k_prev: float, k_cur: float,
@@ -150,15 +130,68 @@ def curvature(k_prev: float, k_cur: float,
     if not (0.0 < k_prev < math.inf and 0.0 < k_cur < math.inf):
         raise NonPositiveStep(
             f"curvature needs positive finite steps, got {k_prev!r}, {k_cur!r}")
-    d = len(y_mid)
-    if len(y_prev) != d or len(y_next) != d:
-        raise DimensionMismatch(
-            f"curvature needs states of equal length, got {len(y_prev)}, {d} "
-            f"and {len(y_next)}")
     s = k_cur + k_prev
-    w_next = 2.0 * k_prev / s
-    w_prev = 2.0 * k_cur / s
-    kappa = []
-    for i in range(d):
-        kappa.append(w_next * y_next[i] - 2.0 * y_mid[i] + w_prev * y_prev[i])
-    return tuple(kappa)
+    return kernels(len(y_mid))[0](2.0 * k_prev / s, 2.0 * k_cur / s, y_prev, y_mid, y_next)
+
+
+# The template of kernels(d), on float locals: y_nm2 as q0, q1, ..., y_nm1
+# as m0, ..., y_n as n0, ..., kappa_prev as c0, ..., y_second as s0, ...
+# and y_third as t0, ...; the curvature kernel takes curvature's weights.
+_KERNEL_SOURCE = """\
+def curvature_d{d}(w_next, w_prev, y_nm2, y_nm1, y_n):
+{unpack[qmn]}
+    return ({curvature},)
+
+
+def pre_filtered_d{d}(half_a, y_n, kappa_prev):
+{unpack[nc]}
+    return ({pre},)
+
+
+def post_filtered_d{d}(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second,
+                       component):
+{unpack[mncs]}
+{post}
+{estimate}
+
+
+def post_filtered_uniform_d{d}(y_nm2, y_nm1, y_n, y_second, component):
+{unpack[qmns]}
+{post_uniform}
+{estimate}
+"""
+
+
+@lru_cache(maxsize=16)
+def kernels(d: int) -> tuple:
+    """(curvature, pre_filtered, post_filtered, post_filtered_uniform)
+    written out for d components, each with its plain loop's float
+    operations in their order (tests/oracles.py keeps the loops), and
+    DimensionMismatch for a state of another length.  The estimate's
+    running max replaces only on a > est, so a NaN counts only in the
+    first component.  Kept for the 16 dimensions used last."""
+    if d < 1:
+        raise DimensionMismatch(f"filter states need length 1 or more, got {d}")
+    states = {"q": "y_nm2", "m": "y_nm1", "n": "y_n", "c": "kappa_prev", "s": "y_second"}
+    unpack = {}
+    for keys in ("qmn", "nc", "mncs", "qmns"):
+        unpack[keys] = "\n".join(
+            ["    try:"] + [f"        {_names(key, d)} = {states[key]}" for key in keys]
+            + ["    except ValueError:",
+               f'        raise DimensionMismatch(f"filter states need length {d}, got "',
+               f'            f"{{tuple(map(len, ({", ".join(map(states.get, keys))})))}}") from None'])
+
+    def each(term: str, sep: str = ", ") -> str:
+        return sep.join([term.format(i=i) for i in range(d)])
+
+    return _compile(globals(), f"kernels d={d}", _KERNEL_SOURCE.format(
+        d=d, unpack=unpack,
+        curvature=each("w_next * n{i} - 2.0 * m{i} + w_prev * q{i}"),
+        pre=each("n{i} - half_a * c{i}"),
+        post=each("    t{i} = s{i} - beta * ((v_next * s{i} - 2.0 * n{i} + v_prev * m{i}) - c{i})", "\n"),
+        post_uniform=each("    t{i} = s{i} - 5.0 / 11.0 * (s{i} - 3.0 * n{i} + 3.0 * m{i} - q{i})", "\n"),
+        estimate="\n".join([f"    y_third = ({_names('t', d)})",
+                            "    if component is None:",
+                            _running_max("est", "t{i} - s{i}", d),
+                            "        return y_third, est",
+                            "    return y_third, abs(y_third[component] - y_second[component])"])))

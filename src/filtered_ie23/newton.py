@@ -6,8 +6,7 @@ generic elimination's float operations in the same order, so with its bits.
 
 Every other stage (d >= 3, and finite differences at every d) runs a
 kernel written out for its dimension.  _stage_kernel fills one source
-template for d and compiles it once, with exec against this module's
-globals as dataclasses builds __init__.  Its residual, max-norms,
+template for d and compiles it once with core._compile.  Its residual, max-norms,
 finiteness tests, stopping rule and update are the generic iteration's,
 on locals y0, y1, ..., with the float operations in their order.  It takes
 each update from _newton_update, ordinary source, which reuses its last
@@ -18,12 +17,9 @@ plan's first reuse gets the straight-line solve of its pattern (its
 dimension, the (i, j) of its updates and its row order), compiled once per
 pattern (_replay); every later hit calls it with the multipliers and U's
 entries as one tuple.  Values never enter the source, so -0.0, subnormals
-and zero entries keep their bits.  Generated source is registered with
-linecache under a name like <filtered_ie23.newton stage d=4>, so
-tracebacks and inspect.getsource show its lines.  A kernel's source grows
-with d and a replay's with d**2: compiling took about 0.45 ms for a
-kernel at d = 4, and 0.37 ms for a dense replay at d = 8 and 15 ms at
-d = 50.
+and zero entries keep their bits.  A kernel's source grows with d and a
+replay's with d**2: compiling took about 0.45 ms for a kernel at d = 4,
+and 0.37 ms for a dense replay at d = 8 and 15 ms at d = 50.
 
 Like all per-step code, the stages, _newton_update and _fd_jacobian have
 no comprehension that reads their locals (the rule is in filters.py's
@@ -42,7 +38,8 @@ from math import isfinite, sqrt
 from operator import is_
 from typing import NamedTuple, Sequence
 
-from .core import OdeProblem, SolverConfig, Vector, short_rhs
+from .core import (OdeProblem, SolverConfig, Vector, _compile, _names, _running_max,
+                   short_rhs)
 from .errors import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
                      SingularLinearSystem)
 
@@ -307,25 +304,9 @@ def _replay(plan):
             for old in list(_replays.values()):
                 linecache.cache.pop(old.__code__.co_filename, None)
             _replays.clear()
-        solve = _replays[pattern] = _compile(*_replay_source(*pattern))
+        solve, = _compile(globals(), *_replay_source(*pattern))
+        _replays[pattern] = solve
     return solve, tuple(values)
-
-
-def _names(prefix: str, n: int) -> str:
-    """prefix0, prefix1, ..., as a tuple display or an unpacking target."""
-    return ", ".join([f"{prefix}{i}" for i in range(n)]) + ("," if n == 1 else "")
-
-
-def _compile(label: str, source: str):
-    """The function that source defines, executed against this module's
-    globals and registered with linecache under label, so that tracebacks
-    and inspect.getsource show its lines."""
-    filename = f"<filtered_ie23.newton {label}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    function, = namespace.values()
-    return function
 
 
 # The template of _stage_kernel: the generic iteration for one dimension,
@@ -379,27 +360,16 @@ def _stage_kernel(d: int):
     with the update from _newton_update: the generic iteration's residual,
     norms, tests and update, with its float operations in their order.
     Kept for the 16 dimensions used last."""
-    return _compile(f"stage d={d}", _STAGE_SOURCE.format(
+    stage, = _compile(globals(), f"stage d={d}", _STAGE_SOURCE.format(
         d=d, y=_names("y", d), yt=_names("yt", d), b=_names("b", d),
         s=_names("s", d),
         residual="\n".join([f"            b{i} = -(y{i} - yt{i} - k_n * f[{i}])"
                             for i in range(d)]),
-        res_max=_running_max("res", "b", d), top_max=_running_max("top", "y", d),
+        res_max=_running_max("res", "b{i}", d), top_max=_running_max("top", "y{i}", d),
         b_finite=" and ".join([f"isfinite(b{i})" for i in range(d)]),
         y_finite=" and ".join([f"isfinite(y{i})" for i in range(d)]),
         step="\n".join([f"        y{i} += s{i}" for i in range(d)])))
-
-
-def _running_max(name: str, prefix: str, d: int) -> str:
-    """Lines that leave in name the max of abs(prefix0), abs(prefix1), ...
-    as max(map(abs, ...)) does: the first of equal values, a later one
-    only when it compares greater."""
-    lines = [f"        {name} = abs({prefix}0)"]
-    for i in range(1, d):
-        lines += [f"        a = abs({prefix}{i})",
-                  f"        if a > {name}:",
-                  f"            {name} = a"]
-    return "\n".join(lines)
+    return stage
 
 
 def _replay_source(d: int, pairs: tuple, order):

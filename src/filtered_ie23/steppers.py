@@ -19,8 +19,7 @@ from .core import (_BLOCK, OdeProblem, SolverConfig, Trajectory, Vector,
                    all_finite, initial_state, short_rhs)
 from .errors import (DegenerateBeta, DimensionMismatch, NonFiniteState,
                      NonMonotonicTimes, NonPositiveStep)
-from .filters import (curvature, post_filtered, post_filtered_uniform,
-                      pre_filtered, step_factors)
+from .filters import kernels, step_factors
 from .newton import implicit_euler_stage
 
 
@@ -113,6 +112,10 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     n_start = 3 if third_order else 2
     if len(times) <= n_start:
         raise ValueError("too few steps: the startup leaves no room for a filtered step")
+    uniform_factors = step_factors(dt, dt, dt, dt)
+    if math.isnan(uniform_factors[0]):
+        raise NonPositiveStep(
+            f"step {dt!r} is too small for the pre-filter: dt * dt underflows to 0")
 
     traj = Trajectory(p.dimension)
     y = initial_state(p, y0)
@@ -136,21 +139,22 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
 
     y_nm2, y_nm1, y_n = history[-3:]
     t_prev = times[n_start - 1]
-    uniform_factors = step_factors(dt, dt, dt, dt)
+    # curvature(dt, dt, ...) as its kernel on its weights: SolverConfig keeps dt > 0 finite
+    curvature, pre_filtered, post_filtered, post_filtered_uniform = kernels(p.dimension)
+    w = 2.0 * dt / (dt + dt)
     for t_next in times[n_start:]:
         k = t_next - t_prev
         # steps run at dt exactly, but a clamped final step at its own k
         uniform = abs(k - dt) <= 1e-9 * dt
         h = dt if uniform else k
         half_a, beta, v_next, v_prev = uniform_factors if uniform else step_factors(k, dt, dt, dt)
-        kappa_prev = curvature(dt, dt, y_nm2, y_nm1, y_n)
+        kappa_prev = curvature(w, w, y_nm2, y_nm1, y_n)
         y_tilde = pre_filtered(half_a, y_n, kappa_prev)
         y_second = implicit_euler_stage(p, t_next, h, y_tilde, y_n, cfg).y
         if not third_order:
             y_next, est = y_second, 0.0
         elif uniform:
-            y_next, est = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second,
-                                                p.est_component)
+            y_next, est = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second, p.est_component)
         else:
             if beta is None:
                 raise DegenerateBeta(f"post-filter degenerate at final step {k!r}, dt {dt!r}")

@@ -1,7 +1,9 @@
 """Oracles that the tests pin the package's formulas to: exact-arithmetic
-ones, and the generic Newton elimination as a reference stage, solved by
-its own two-pass elimination rather than the package's one-pass _factor;
-and the digest that pins a whole run bit for bit."""
+ones; the filters as plain loops over the components, the reference for
+the kernels that filters.kernels writes out per dimension; the generic
+Newton elimination as a reference stage, solved by its own two-pass
+elimination rather than the package's one-pass _factor; and the digest
+that pins a whole run bit for bit."""
 
 import dataclasses
 import hashlib
@@ -59,6 +61,55 @@ def beta_oracle(k_n: float, k_nm1: float, k_nm2: float, k_nm3: float) -> float:
     if dk == 0:
         raise DegenerateBeta("curvature difference vanishes on cubic data")
     return float((y_ie - t4 ** 3) / dk)
+
+
+def curvature_oracle(w_next, w_prev, y_prev, y_mid, y_next):
+    """filters.curvature's loop on its two weights, 2 k_prev / s and
+    2 k_cur / s with s = k_cur + k_prev."""
+    kappa = []
+    for i in range(len(y_mid)):
+        kappa.append(w_next * y_next[i] - 2.0 * y_mid[i] + w_prev * y_prev[i])
+    return tuple(kappa)
+
+
+def pre_filtered_oracle(half_a, y_n, kappa_prev):
+    y_tilde = []
+    for i in range(len(y_n)):
+        y_tilde.append(y_n[i] - half_a * kappa_prev[i])
+    return tuple(y_tilde)
+
+
+def estimate_oracle(y_second, y_third, component):
+    """The embedded estimate: one component's difference, or the max-norm
+    by max()'s rule, replacing only on a > est, so that a NaN counts only
+    in the first component."""
+    if component is not None:
+        return abs(y_third[component] - y_second[component])
+    est = abs(y_third[0] - y_second[0])
+    for i in range(1, len(y_second)):
+        a = abs(y_third[i] - y_second[i])
+        if a > est:
+            est = a
+    return est
+
+
+def post_filtered_oracle(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second,
+                         component):
+    y_third = []
+    for i in range(len(y_second)):
+        y_third.append(y_second[i] - beta * (
+            (v_next * y_second[i] - 2.0 * y_n[i] + v_prev * y_nm1[i]) - kappa_prev[i]))
+    y_third = tuple(y_third)
+    return y_third, estimate_oracle(y_second, y_third, component)
+
+
+def post_filtered_uniform_oracle(y_nm2, y_nm1, y_n, y_second, component):
+    y_third = []
+    for i in range(len(y_second)):
+        y_third.append(y_second[i] - 5.0 / 11.0 * (
+            y_second[i] - 3.0 * y_n[i] + 3.0 * y_nm1[i] - y_nm2[i]))
+    y_third = tuple(y_third)
+    return y_third, estimate_oracle(y_second, y_third, component)
 
 
 def two_pass_factor(m: list[list[float]]):

@@ -87,6 +87,13 @@ class TestSolveCommand:
         assert code == 1
         assert "solver failure: step fell to" in capsys.readouterr().err
 
+    def test_a_step_whose_square_underflows_is_a_solver_failure(self, capsys):
+        # used to exit 1 with "non-finite residual at t=4e-200", no cause named
+        code = main(["solve", "--problem", "model", "--method", "ie-pre-post-3",
+                     "--dt0", "1e-200", "--t1", "1e-199"])
+        assert code == 1
+        assert "dt * dt underflows to 0" in capsys.readouterr().err
+
     def test_nan_residual_is_a_solver_failure(self, capsys):
         # mu * (1 - x**2) overflows to -inf at x = 2, and -inf * v is nan at
         # v = 0: the first implicit stage sees a NaN in component 1 only

@@ -122,6 +122,16 @@ class TestTrajectory:
         assert traj.final_error(exact, component=0) == 0.0
         assert traj.final_error(exact, component=1) == 0.5
 
+    @pytest.mark.parametrize("exact, component", [
+        ((3.0,), None),              # used to return 0.0
+        ((3.0, -3.5, 1.0), None),    # used to be accepted
+        ((3.0,), 1),                 # used to raise a bare IndexError
+    ])
+    def test_final_error_of_the_wrong_length_raises(self, exact, component):
+        traj = self._sample()
+        with pytest.raises(DimensionMismatch, match=f"has {len(exact)} components, the state 2"):
+            traj.final_error(lambda t: exact, component)
+
     def test_state_of_the_wrong_length_raises(self):
         # a short state used to shift every later row: state(0) read
         # (1.0, 2.0) and state(1) read (3.0,)

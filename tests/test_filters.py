@@ -1,16 +1,20 @@
+import inspect
 import itertools
 import math
 import random
+import struct
+import traceback
 from fractions import Fraction
 
 import pytest
 
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, NonPositiveStep,
                            curvature)
-from filtered_ie23.filters import (_beta, _estimate, post_filtered,
+from filtered_ie23.filters import (_beta, kernels, post_filtered,
                                    post_filtered_uniform, pre_filtered,
                                    step_factors)
-from oracles import beta_oracle
+from oracles import (beta_oracle, curvature_oracle, post_filtered_oracle,
+                     post_filtered_uniform_oracle, pre_filtered_oracle)
 
 UNIFORM_BETA = 5.0 / 11.0
 
@@ -188,13 +192,119 @@ class TestErrorEstimate:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_maxnorm_keeps_the_rule_of_max(self, d):
         # NaN, -0.0 and 0.0 in every position: a NaN counts only when it
-        # comes first, as in max()
+        # comes first, as in max().  With beta = 1, zero weights and zero
+        # y_nm1 and y_n, y_third is y_second + (0 - kappa_prev), so
+        # kappa_prev = -v puts v - its rounding aside - into y_third
         values = [math.nan, 0.0, -0.0, 1.0, -1.0, math.inf]
-        for y_third in itertools.product(values, repeat=d):
+        zeros = (0.0,) * d
+        for v in itertools.product(values, repeat=d):
+            kappa_prev = tuple(-x for x in v)
             for y_second in [(0.0,) * d, (-0.0,) * d, (1.0,) * d]:
+                y_third, got = post_filtered(1.0, 0.0, 0.0, zeros, zeros, kappa_prev,
+                                             y_second, None)
+                assert [math.isnan(x) for x in y_third] == [math.isnan(x) for x in v]
                 expected = max([abs(y_third[i] - y_second[i]) for i in range(d)])
-                got = _estimate(y_second, y_third, None)
                 assert repr(got) == repr(expected), (y_second, y_third)
+
+
+def _bits(value):
+    """value's floats as their bit patterns, so that -0.0 and NaN compare."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return struct.pack("<d", value)
+
+
+# every kind of float the kernels must carry through with the loops' bits
+SPECIAL = (-0.0, 0.0, 5e-324, -2.5e-310, math.inf, -math.inf, 1e308, -3.75)
+
+
+def _states(rng, d, count):
+    """count states of d components: random normal values with, in turn,
+    each special value in each position, and a NaN in the last component."""
+    states = []
+    for n in range(count):
+        y = [rng.uniform(-2.0, 2.0) for _ in range(d)]
+        y[n % d] = SPECIAL[n % len(SPECIAL)]
+        states.append(tuple(y))
+    nan_last = list(states[0])
+    nan_last[-1] = math.nan
+    return states + [tuple(nan_last)]
+
+
+class TestKernels:
+    """Each kernel of kernels(d) against its plain loop in oracles.py, bit
+    for bit, and the public functions, which call the kernel for their d."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_every_kernel_gives_the_loops_bits(self, d):
+        rng = random.Random(2800 + d)
+        curv, pre, post, post_uniform = kernels(d)
+        states = _states(rng, d, 16)
+        weights = [(1.0, 1.0), (0.75, 1.25), (5e-324, 2.0), (-0.0, 1e300)]
+        components = [None, *range(d)]
+        for n, y_nm2 in enumerate(states):
+            y_nm1, y_n, y_second = (states[(n + j) % len(states)] for j in (3, 7, 11))
+            w_next, w_prev = weights[n % len(weights)]
+            kappa = curvature_oracle(w_next, w_prev, y_nm2, y_nm1, y_n)
+            assert _bits(curv(w_next, w_prev, y_nm2, y_nm1, y_n)) == _bits(kappa)
+            for half_a in (0.5, 2.0, -0.0):
+                assert _bits(pre(half_a, y_n, kappa)) == _bits(
+                    pre_filtered_oracle(half_a, y_n, kappa))
+                assert _bits(pre_filtered(half_a, y_n, kappa)) == _bits(
+                    pre_filtered_oracle(half_a, y_n, kappa))
+            for comp in components:
+                for beta, v_next, v_prev in ((5.0 / 11.0, 1.0, 1.0), (0.6, 2.0 / 3.0, 4.0 / 3.0)):
+                    args = (beta, v_next, v_prev, y_nm1, y_n, kappa, y_second, comp)
+                    want = _bits(post_filtered_oracle(*args))
+                    assert _bits(post(*args)) == want
+                    assert _bits(post_filtered(*args)) == want
+                args = (y_nm2, y_nm1, y_n, y_second, comp)
+                want = _bits(post_filtered_uniform_oracle(*args))
+                assert _bits(post_uniform(*args)) == want
+                assert _bits(post_filtered_uniform(*args)) == want
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_a_nan_after_the_first_component_leaves_the_estimate(self, d):
+        # the running max replaces only on a > est, as max() does
+        y = tuple(float(i) for i in range(d))
+        y_second = y[:-1] + (math.nan,)
+        for post in (kernels(d)[3], post_filtered_uniform):
+            y_third, est = post(y, y, y, y_second, None)
+            assert math.isnan(y_third[-1]) and est == post_filtered_uniform_oracle(
+                y, y, y, y_second, None)[1]
+            assert not math.isnan(est)
+
+    def test_public_curvature_passes_its_weights(self):
+        y_prev, y_mid, y_next = (1.0, -0.0, 3.0), (4.0, 5e-324, -1.0), (9.0, 2.0, 0.5)
+        s = 0.3 + 0.7
+        want = curvature_oracle(2.0 * 0.7 / s, 2.0 * 0.3 / s, y_prev, y_mid, y_next)
+        assert _bits(curvature(0.7, 0.3, y_prev, y_mid, y_next)) == _bits(want)
+
+    @pytest.mark.parametrize("call", [
+        lambda: pre_filtered(0.5, (1.0, 2.0), (1.0, 2.0, 3.0)),   # used to drop the 3
+        lambda: pre_filtered(0.5, (1.0, 2.0), (1.0,)),            # used to raise IndexError
+        lambda: post_filtered(0.5, 1.0, 1.0, (1.0,), (1.0, 2.0), (1.0, 2.0),
+                              (1.0, 2.0), None),
+        lambda: post_filtered_uniform((1.0, 2.0), (1.0, 2.0), (1.0,), (1.0, 2.0), None),
+        lambda: curvature(1.0, 1.0, (), (), ()),
+    ], ids=["pre long", "pre short", "post short", "uniform short", "empty"])
+    def test_states_of_the_wrong_length_raise(self, call):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+    def test_a_traceback_shows_the_generated_kernel(self):
+        # the kernels' source is registered with linecache, as the Newton
+        # stage's is, so a failure shows the generated line and getsource works
+        with pytest.raises(DimensionMismatch) as info:
+            kernels(4)[1](0.5, (1.0,) * 4, (1.0,) * 3)
+        frames = [frame for frame in traceback.extract_tb(info.value.__traceback__)
+                  if frame.filename == "<filtered_ie23.filters kernels d=4>"]
+        assert [frame.line for frame in frames] == [
+            'raise DimensionMismatch(f"filter states need length 4, got "']
+        assert "got (4, 3)" in str(info.value)
+        source = inspect.getsource(kernels(4)[2])
+        assert source.startswith("def post_filtered_d4(beta, v_next, v_prev, y_nm1, y_n,")
+        assert "    t3 = s3 - beta * ((v_next * s3 - 2.0 * n3 + v_prev * m3) - c3)\n" in source
 
 
 class TestUniformClosedForm:

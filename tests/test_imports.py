@@ -154,8 +154,8 @@ _REPLAY = newton._replay(newton._factor(
 # the code that runs once per step, attempt or Newton iteration, the
 # generated kernels included
 PER_STEP = [filters.curvature, filters.pre_filtered, filters.post_filtered,
-            filters.post_filtered_uniform, filters._estimate, filters._beta,
-            filters.step_factors,
+            filters.post_filtered_uniform, filters._beta, filters.step_factors,
+            *filters.kernels(1), *filters.kernels(2), *filters.kernels(4),
             steppers.rk3_step, steppers._solve_ie_filtered,
             steppers.solve_rk4_reference, steppers._rk4, steppers._grid_columns,
             newton._fd_jacobian, newton._factor, newton._newton_update,
