@@ -320,12 +320,12 @@ class Trajectory:
                     component: Optional[int] = None) -> float:
         """Max-norm distance (or one component's distance) from `exact`
         at the final time; DimensionMismatch unless `exact` gives as many
-        components as the state has."""
+        components as the state has and component indexes them."""
         ref = exact(self.final_time())
         y = self.final_state()
-        if len(ref) != len(y):
-            raise DimensionMismatch(
-                f"exact solution has {len(ref)} components, the state {len(y)}")
+        if len(ref) != len(y) or component is not None and not -len(y) <= component < len(y):
+            raise DimensionMismatch(f"exact solution has {len(ref)} components, the state "
+                                    f"{len(y)}, component {component!r}")
         if component is not None:
             return abs(y[component] - ref[component])
         return max(abs(a - b) for a, b in zip(y, ref))

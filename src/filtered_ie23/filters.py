@@ -9,6 +9,7 @@ Each formula exists once here.  step_factors gives the factors that
 depend only on a step's history (k_n, k_nm1, k_nm2, k_nm3), which
 pre_filtered and post_filtered take: the constant-step drivers once per
 run and for a clamped final step, the adaptive loop once per history.
+
 The per-component formulas (curvature, the pre-filter, the post-filter
 and its uniform-step closed form, each post-filter with its estimate)
 live once, in the template _KERNEL_SOURCE.  kernels(d) compiles it once
@@ -17,18 +18,20 @@ on float locals with the float operations of the plain loops that
 tests/oracles.py keeps as the reference, in their order.  The public
 functions check their arguments and call the kernel for their d; the
 constant-step drivers and the adaptive loop's d >= 3 branch call the
-kernels.  The adaptive loop writes d = 1 and 2 out in its own source,
-with the same operations in the same order: a formula changed here must
-change there too, and the tests compare the three bit for bit.
+kernels.  On a 2-CPU Xeon under CPython 3.11, 4-D calls took 262 ns for
+the curvature kernel, 155 for the pre-filter's and 540-575 for the
+uniform post-filter's, against 615-645, 365-390 and 960-1000 ns for the
+loops (best of 7 timeit runs, the call included).  The adaptive loop
+writes d = 1 and 2 out in its own source, with the same operations in
+the same order: a formula changed here must change there too, and the
+tests compare the three bit for bit.
 
 The per-step code of the package, the generated kernels included, has no
 comprehension or generator expression.  Under CPython 3.10 and 3.11 one
 that reads a function's locals makes them closure cells, which every
 call creates and every read goes through (PEP 709 inlines comprehensions
-from 3.12 on).  On a 2-CPU Xeon under CPython 3.11, 4-D calls took
-262 ns for the curvature kernel, 155 for the pre-filter's and 540-575
-for the uniform post-filter's, against 615-645, 365-390 and 960-1000 ns
-for the loops (best of 7 timeit runs, the call included).
+from 3.12 on): a 4-D curvature loop took 705 ns a call, and 957 ns as a
+comprehension.
 """
 
 from __future__ import annotations

@@ -126,11 +126,14 @@ class TestTrajectory:
         ((3.0,), None),              # used to return 0.0
         ((3.0, -3.5, 1.0), None),    # used to be accepted
         ((3.0,), 1),                 # used to raise a bare IndexError
+        ((3.0, -3.5), 2),            # so did these two
+        ((3.0, -3.5), -3),
     ])
     def test_final_error_of_the_wrong_length_raises(self, exact, component):
         traj = self._sample()
         with pytest.raises(DimensionMismatch, match=f"has {len(exact)} components, the state 2"):
             traj.final_error(lambda t: exact, component)
+        assert traj.final_error(lambda t: (3.0, -3.5), -1) == 0.5
 
     def test_state_of_the_wrong_length_raises(self):
         # a short state used to shift every later row: state(0) read
