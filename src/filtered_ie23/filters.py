@@ -178,11 +178,12 @@ def kernels(d: int) -> tuple:
     states = {"q": "y_nm2", "m": "y_nm1", "n": "y_n", "c": "kappa_prev", "s": "y_second"}
     unpack = {}
     for keys in ("qmn", "nc", "mncs", "qmns"):
+        names = ", ".join(map(states.get, keys))
         unpack[keys] = "\n".join(
             ["    try:"] + [f"        {_names(key, d)} = {states[key]}" for key in keys]
             + ["    except ValueError:",
                f'        raise DimensionMismatch(f"filter states need length {d}, got "',
-               f'            f"{{tuple(map(len, ({", ".join(map(states.get, keys))})))}}") from None'])
+               f'            f"{{tuple(map(len, ({names})))}}") from None'])
 
     def each(term: str, sep: str = ", ") -> str:
         return sep.join([term.format(i=i) for i in range(d)])
@@ -191,8 +192,10 @@ def kernels(d: int) -> tuple:
         d=d, unpack=unpack,
         curvature=each("w_next * n{i} - 2.0 * m{i} + w_prev * q{i}"),
         pre=each("n{i} - half_a * c{i}"),
-        post=each("    t{i} = s{i} - beta * ((v_next * s{i} - 2.0 * n{i} + v_prev * m{i}) - c{i})", "\n"),
-        post_uniform=each("    t{i} = s{i} - 5.0 / 11.0 * (s{i} - 3.0 * n{i} + 3.0 * m{i} - q{i})", "\n"),
+        post=each("    t{i} = s{i} - beta * ((v_next * s{i} - 2.0 * n{i} + v_prev * m{i})"
+                  " - c{i})", "\n"),
+        post_uniform=each("    t{i} = s{i} - 5.0 / 11.0 * (s{i} - 3.0 * n{i} + 3.0 * m{i}"
+                          " - q{i})", "\n"),
         estimate="\n".join([f"    y_third = ({_names('t', d)})",
                             "    if component is None:",
                             _running_max("est", "t{i} - s{i}", d),
