@@ -7,39 +7,46 @@ otherwise, and when est < tol*k / 2**6 the next candidate step is
 doubled.  Newton failures and degenerate post-filter coefficients are
 handled exactly like est-too-large rejections.
 
-solve_filtered_ie23 holds the one adaptive loop, so the step-control
-policy exists once: the clamp to the span, the factors of the step
-history, reject/halve and the k_min floor, the append, the doubling rule
-and the statistics.  It calls filters.step_factors once per distinct
-step history (k_n, k_nm1, k_nm2, k_nm3) and keeps the factors for the
-solve.  On the halve/double ladder histories repeat: the benchmark's
-analog gamma = 3 solve meets 193 distinct ones in 118,511 attempts, van
-der Pol mu = 100 454 in 110,942.  Against beta recomputed inline on
-every attempt, that took scalar-analog from 0.578 to 0.475 s and
-vdp-stiff from 0.821 to 0.727 s (BENCH_23.json).
+The adaptive loop exists once, as the template _LOOP_SOURCE: the clamp
+to the span, the factors of the step history, the pre-filter, the
+implicit stage, the post-filter and the estimate, reject/halve and the
+k_min floor, the append, the doubling rule and the statistics.
+_loop(d, est_component) fills it for one dimension and estimate and
+compiles it once with core._compile, as newton._stage_kernel does the
+stage: straight-line code on float locals, whose per-component terms
+(curvature, pre-filter, post-filter, estimate) are the strings that
+filters.kernels formats too.  The estimate is fixed when the loop is
+generated: the max-norm, whose running max replaces only on a > est as
+max() does, or est_component's entry.  solve_filtered_ie23 checks its
+input, runs the bootstrap and hands the rest to the loop, with the stage,
+step_factors and the cache size read at each solve, so that rebinding
+them in this module (perfbench/tracing.py does) reaches every attempt.
 
-Only the per-component kernel (curvature, pre-filter, post-filter,
-estimate) branches on the dimension.  For d >= 3 it calls the kernels
-that filters.kernels(d) generates, curvature's on its two weights.  For
-d = 1 and d = 2 it is written out here on float locals, with the same
-floating-point operations in the same order, so it gives the kernels'
-bits; the tests compare the two bit for bit.  Written out here,
-they took the scalar-analog solves from 1.31 to 0.63 s and the vdp-stiff
-ones from 1.38 to 0.85 s (BENCH_11.json).  The timings are perfbench
---seconds 35 medians of 10 alternating process pairs on a 2-CPU Xeon
-under CPython 3.11.
+The loop calls step_factors once per distinct step history (k_n, k_nm1,
+k_nm2, k_nm3) and keeps the factors for the solve.  On the halve/double
+ladder histories repeat: the benchmark's analog gamma = 3 solve meets 193
+distinct ones in 118,511 attempts, van der Pol mu = 100 454 in 110,942.
+Against beta recomputed inline on every attempt, that took scalar-analog
+from 0.578 to 0.475 s and vdp-stiff from 0.821 to 0.727 s (BENCH_23.json).
+Written out on float locals, the per-component work took the
+scalar-analog solves from 1.31 to 0.63 s and the vdp-stiff ones from 1.38
+to 0.85 s against loops over the components (BENCH_11.json).  The
+timings are perfbench --seconds 35 medians of 10 alternating process
+pairs on a 2-CPU Xeon under CPython 3.11.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Optional, Sequence
 
-from .core import OdeProblem, SolverConfig, Trajectory, all_finite
-from .errors import (MinStepReached, NewtonDiverged, NonMonotonicTimes,
+from .core import OdeProblem, SolverConfig, Trajectory, _compile, _names, _running_max, _terms
+from .errors import (DegenerateBeta, MinStepReached, NewtonDiverged, NonMonotonicTimes,
                      NonPositiveStep, SingularLinearSystem)
-from .filters import kernels, step_factors
+from .filters import (_CURVATURE, _ESTIMATE, _POST_FILTER, _PRE_FILTER, step_factors,
+                      uniform_step_factors)
 from .newton import implicit_euler_stage
 # perfbench/tracing.py rebinds rk3_step here, though only bootstrap calls it
 from .steppers import bootstrap, rk3_step  # noqa: F401
@@ -93,147 +100,131 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
 
     Attempts that produce a non-finite state or estimate are rejected and
     retried at half the step; a non-finite bootstrap state raises
-    NonFiniteState outright.
+    NonFiniteState outright.  A dt0 that no filtered step can use is
+    named before the bootstrap: NonPositiveStep when dt0 * dt0
+    underflows, DegenerateBeta when beta of four steps of dt0 leaves float
+    range (dt0 from about 1e77 up, or below about 1e-81).
     """
-    d = p.dimension
-    comp = p.est_component
-    tol, k_min, k_max, t_end = cfg.tol, cfg.k_min, cfg.k_max, cfg.t_end
-    t_edge = t_end - 1e-14 * cfg.span
-    divisor = _DOUBLING_DIVISOR
-    isfinite = math.isfinite
-    scalar, planar = d == 1, d == 2
-    # step_factors by history; keys of positive floats, so a hit gives a miss's bits
-    factors = {}
-    factor = factors.get
-
     if 3.0 * cfg.dt0 >= cfg.span:
         raise ValueError("dt0 too large: the three bootstrap steps must fit in the span")
+    if uniform_step_factors(cfg.dt0)[1] is None:
+        raise DegenerateBeta(
+            f"post-filter degenerate on steps of dt0 {cfg.dt0!r}: beta leaves float range")
 
-    traj = Trajectory(d)
+    traj = Trajectory(p.dimension)
     append = traj.append
-    k = cfg.dt0
-    times, states = bootstrap(p, cfg.t_begin, y0, k)
-    for t, y, k_row in zip(times, states, (0.0, k, k, k)):
-        append(t, y, 0.0, k_row)
+    times, states = bootstrap(p, cfg.t_begin, y0, cfg.dt0)
+    for t, y, k in zip(times, states, (0.0, cfg.dt0, cfg.dt0, cfg.dt0)):
+        append(t, y, 0.0, k)
+    # read at each solve, so that rebinding them in this module reaches the loop
+    counts = _loop(p.dimension, p.est_component)(
+        p, cfg, times, states, append, implicit_euler_stage, step_factors, _FACTOR_CACHE_SIZE)
+    return traj, AdaptiveRunStats(*counts)
+
+
+# The template of _loop: the adaptive loop after the bootstrap, for one
+# dimension and estimate, on the float locals of filters.py's terms (y_nm2
+# as q0, q1, ..., y_nm1 as m0, ..., y_n as n0, ..., kappa_prev as c0, ...,
+# y_second as s0, ... and y_third as t0, ...), with y_n also as a tuple.
+# It returns AdaptiveRunStats' fields in their order.
+_LOOP_SOURCE = """\
+def loop_d{d}(p, cfg, times, states, append, stage, step_factors, cache_size):
+    tol, k_min, k_max, t_end = cfg.tol, cfg.k_min, cfg.k_max, cfg.t_end
+    t_edge = t_end - 1e-14 * cfg.span
+    isfinite = math.isfinite
+    # step_factors by history; keys of positive floats, so a hit gives a miss's bits
+    factors = {{}}
+    factor = factors.get
     accepted = rejected = doublings = failures = 0
     k_lo, k_hi = math.inf, 0.0
-
+    k = cfg.dt0
     t_nm3, t_nm2, t_nm1, t_n = times
-    _, y_nm2, y_nm1, y_n = states
+    _, ({q}), ({m}), y_n = states
+    {n} = y_n
     k_nm3, k_nm2, k_nm1 = t_nm2 - t_nm3, t_nm1 - t_nm2, t_n - t_nm1
-    # the d <= 2 kernels hold the history in float locals as well, and
-    # advance it when they accept
-    if scalar:
-        (y_nm2_0,), (y_nm1_0,), (y_n0,) = y_nm2, y_nm1, y_n
-    elif planar:
-        (y_nm2_0, y_nm2_1), (y_nm1_0, y_nm1_1), (y_n0, y_n1) = y_nm2, y_nm1, y_n
-    else:
-        curvature, pre_filtered, post_filtered, _ = kernels(d)
 
     while t_n < t_edge:
         remaining = t_end - t_n
         if k > remaining:
             k = remaining
-
         if k_nm2 <= 0.0 or k_nm1 <= 0.0:
-            raise NonPositiveStep(f"curvature needs positive steps, got {k_nm2!r}, {k_nm1!r}")
-        # kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
+            raise NonPositiveStep(f"curvature needs positive steps, got {{k_nm2!r}}, {{k_nm1!r}}")
         s = k_nm1 + k_nm2
-        if scalar:
-            kappa0 = 2.0 * k_nm2 / s * y_n0 - 2.0 * y_nm1_0 + 2.0 * k_nm1 / s * y_nm2_0
-        elif planar:
-            w_next = 2.0 * k_nm2 / s
-            w_prev = 2.0 * k_nm1 / s
-            kappa0 = w_next * y_n0 - 2.0 * y_nm1_0 + w_prev * y_nm2_0
-            kappa1 = w_next * y_n1 - 2.0 * y_nm1_1 + w_prev * y_nm2_1
-        else:
-            kappa_prev = curvature(2.0 * k_nm2 / s, 2.0 * k_nm1 / s, y_nm2, y_nm1, y_n)
+        w_next = 2.0 * k_nm2 / s
+        w_prev = 2.0 * k_nm1 / s
+{curvature}
 
         while True:
             key = (k, k_nm1, k_nm2, k_nm3)
             entry = factor(key)
             if entry is None:
-                if len(factors) >= _FACTOR_CACHE_SIZE:
+                if len(factors) >= cache_size:
                     factors.clear()
                 entry = factors[key] = step_factors(k, k_nm1, k_nm2, k_nm3)
             half_a, beta, v_next, v_prev = entry
-            # pre_filtered(half_a, y_n, kappa_prev)
-            if scalar:
-                y_tilde = (y_n0 - half_a * kappa0,)
-            elif planar:
-                y_tilde = (y_n0 - half_a * kappa0, y_n1 - half_a * kappa1)
-            else:
-                y_tilde = pre_filtered(half_a, y_n, kappa_prev)
+            y_tilde = ({pre},)
             t_next = t_n + k
             try:
-                y_second = implicit_euler_stage(p, t_next, k, y_tilde, y_n, cfg).y
+                {s} = stage(p, t_next, k, y_tilde, y_n, cfg).y
             except (NewtonDiverged, SingularLinearSystem):
                 failures += 1
             else:
                 # a degenerate beta is rejected like a failed estimate
                 if beta is not None:
                     tk = tol * k
-                    # post_filtered(beta, v_next, v_prev, y_nm1, y_n,
-                    # kappa_prev, y_second, comp); a NaN est fails est <= tk too
-                    if scalar:
-                        y2_0, = y_second
-                        y3_0 = y2_0 - beta * (
-                            (v_next * y2_0 - 2.0 * y_n0 + v_prev * y_nm1_0) - kappa0)
-                        est = abs(y3_0 - y2_0)
-                        if est <= tk and isfinite(y3_0):
-                            y_nm2_0, y_nm1_0, y_n0 = y_nm1_0, y_n0, y3_0
-                            y_third = (y3_0,)
-                            break
-                    elif planar:
-                        y2_0, y2_1 = y_second
-                        y3_0 = y2_0 - beta * (
-                            (v_next * y2_0 - 2.0 * y_n0 + v_prev * y_nm1_0) - kappa0)
-                        y3_1 = y2_1 - beta * (
-                            (v_next * y2_1 - 2.0 * y_n1 + v_prev * y_nm1_1) - kappa1)
-                        if comp == 0:
-                            est = abs(y3_0 - y2_0)
-                        elif comp is None:
-                            # max() keeps the first of equal or unordered values
-                            e0 = abs(y3_0 - y2_0)
-                            e1 = abs(y3_1 - y2_1)
-                            est = e1 if e1 > e0 else e0
-                        else:
-                            est = abs(y3_1 - y2_1)
-                        if est <= tk and isfinite(y3_0) and isfinite(y3_1):
-                            y_nm2_0, y_nm1_0, y_n0 = y_nm1_0, y_n0, y3_0
-                            y_nm2_1, y_nm1_1, y_n1 = y_nm1_1, y_n1, y3_1
-                            y_third = (y3_0, y3_1)
-                            break
-                    else:
-                        y_third, est = post_filtered(beta, v_next, v_prev, y_nm1, y_n,
-                                                     kappa_prev, y_second, comp)
-                        if est <= tk and all_finite(y_third):
-                            break
+{post}
+{estimate}
+                    # a NaN est fails est <= tk too
+                    if est <= tk and {finite}:
+                        break
             rejected += 1
             k = 0.5 * k
             if k < k_min:
                 raise MinStepReached(
-                    f"step fell to {k!r} at t={t_n!r} without an acceptable attempt"
-                )
+                    f"step fell to {{k!r}} at t={{t_n!r}} without an acceptable attempt")
 
+        y_n = ({t})
         try:
-            append(t_next, y_third, est, k)
+            append(t_next, y_n, est, k)
         except NonMonotonicTimes:
             # an accepted step below the resolution of t leaves t where it was
             raise MinStepReached(
-                f"step {k!r} is below the resolution of t={t_n!r}") from None
+                f"step {{k!r}} is below the resolution of t={{t_n!r}}") from None
         k_nm3, k_nm2, k_nm1 = k_nm2, k_nm1, t_next - t_n
-        y_nm2, y_nm1, y_n = y_nm1, y_n, y_third
+{rotate}
         t_n = t_next
         accepted += 1
         if k < k_lo:
             k_lo = k
         if k > k_hi:
             k_hi = k
-        if est < tk / divisor and 2.0 * k <= k_max:
+        if est < tk / {divisor!r} and 2.0 * k <= k_max:
             k = 2.0 * k
             doublings += 1
+    return accepted, rejected, doublings, k_lo, k_hi, failures
+"""
 
-    return traj, AdaptiveRunStats(accepted=accepted, rejected=rejected,
-                                  doublings=doublings, min_k_used=k_lo,
-                                  max_k_used=k_hi, newton_failures=failures)
+
+@lru_cache(maxsize=16)
+def _loop(d: int, est_component: Optional[int]):
+    """The adaptive loop for d components, compiled from _LOOP_SOURCE, with
+    the max-norm estimate, whose running max replaces only on a > est as
+    max() does, or est_component's.  Kept for the 16 pairs used last."""
+    if est_component is None:
+        estimate = _running_max("est", _ESTIMATE, d, 20)
+    else:
+        estimate = f"                    est = abs({_ESTIMATE.format(i=est_component)})"
+    # the loop's globals, so that it reads no name this module's source does not
+    namespace = {"__name__": __name__, "math": math, "MinStepReached": MinStepReached,
+                 "NewtonDiverged": NewtonDiverged, "NonMonotonicTimes": NonMonotonicTimes,
+                 "NonPositiveStep": NonPositiveStep,
+                 "SingularLinearSystem": SingularLinearSystem}
+    source = _LOOP_SOURCE.format(
+        d=d, **{key: _names(key, d) for key in "qmnst"},
+        curvature=_terms("        c{i} = " + _CURVATURE, d, "\n"), pre=_terms(_PRE_FILTER, d),
+        post=_terms("                    t{i} = " + _POST_FILTER, d, "\n"), estimate=estimate,
+        finite=_terms("isfinite(t{i})", d, " and "),
+        rotate=_terms("        q{i}, m{i}, n{i} = m{i}, n{i}, t{i}", d, "\n"),
+        divisor=_DOUBLING_DIVISOR)
+    loop, = _compile(namespace, f"loop d={d} est_component={est_component}", source)
+    return loop

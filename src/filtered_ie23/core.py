@@ -335,21 +335,28 @@ def all_finite(v: Sequence[float]) -> bool:
     return all(map(math.isfinite, v))
 
 
-# The generator of the kernels that newton.py and filters.py write out per d
+# The generator of the code that newton.py, filters.py and adaptive.py
+# write out per d
 def _names(prefix: str, n: int) -> str:
     """prefix0, prefix1, ..., as a tuple display or an unpacking target."""
     return ", ".join([f"{prefix}{i}" for i in range(n)]) + ("," if n == 1 else "")
 
 
-def _running_max(name: str, term: str, d: int) -> str:
-    """Lines, indented 8 spaces, that leave in name the max of abs(term)
-    over i < d as max(map(abs, ...)) does: a later value replaces the
-    running one only when it compares greater."""
-    lines = [f"        {name} = abs({term.format(i=0)})"]
+def _terms(term: str, d: int, sep: str = ", ") -> str:
+    """term formatted with i = 0, 1, ..., d - 1, joined by sep."""
+    return sep.join([term.format(i=i) for i in range(d)])
+
+
+def _running_max(name: str, term: str, d: int, indent: int = 8) -> str:
+    """Lines, indented indent spaces, that leave in name the max of
+    abs(term) over i < d as max(map(abs, ...)) does: a later value
+    replaces the running one only when it compares greater."""
+    pad = " " * indent
+    lines = [f"{pad}{name} = abs({term.format(i=0)})"]
     for i in range(1, d):
-        lines += [f"        a = abs({term.format(i=i)})",
-                  f"        if a > {name}:",
-                  f"            {name} = a"]
+        lines += [f"{pad}a = abs({term.format(i=i)})",
+                  f"{pad}if a > {name}:",
+                  f"{pad}    {name} = a"]
     return "\n".join(lines)
 
 

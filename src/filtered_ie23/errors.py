@@ -28,8 +28,9 @@ class DimensionMismatch(SolverError):
 class DegenerateBeta(SolverError):
     """The post-filter denominator is too close to zero for the current
     step-size history.  Raised by the constant-step ie-pre-post-3 method at
-    a clamped final step, which it cannot shorten; the adaptive driver
-    halves such a step instead."""
+    a clamped final step, which it cannot shorten, and by the adaptive
+    driver before its bootstrap when four steps of dt0 already leave beta
+    outside float range; it halves any later degenerate step instead."""
 
 
 class NewtonDiverged(SolverError):

@@ -6,25 +6,26 @@ follow the naming k_n (candidate step), k_nm1, k_nm2, k_nm3 (the three
 most recent accepted steps, newest first).
 
 Each formula exists once here.  step_factors gives the factors that
-depend only on a step's history (k_n, k_nm1, k_nm2, k_nm3), which
-pre_filtered and post_filtered take: the constant-step drivers once per
-run and for a clamped final step, the adaptive loop once per history.
+depend only on a step's history (k_n, k_nm1, k_nm2, k_nm3): alpha / 2,
+beta and the post-filter's curvature weights.  uniform_step_factors gives
+them for the uniform history every filtered solve starts from, and
+refuses a step whose square underflows; both drivers call it first.  The
+constant-step drivers call step_factors for a clamped final step, the
+adaptive loop once per history.
 
-The per-component formulas (curvature, the pre-filter, the post-filter
-and its uniform-step closed form, each post-filter with its estimate)
-live once, in the template _KERNEL_SOURCE.  kernels(d) compiles it once
-per d, as newton._stage_kernel does the stage, into straight-line code
-on float locals with the float operations of the plain loops that
-tests/oracles.py keeps as the reference, in their order.  The public
-functions check their arguments and call the kernel for their d; the
-constant-step drivers and the adaptive loop's d >= 3 branch call the
-kernels.  On a 2-CPU Xeon under CPython 3.11, 4-D calls took 262 ns for
-the curvature kernel, 155 for the pre-filter's and 540-575 for the
-uniform post-filter's, against 615-645, 365-390 and 960-1000 ns for the
-loops (best of 7 timeit runs, the call included).  The adaptive loop
-writes d = 1 and 2 out in its own source, with the same operations in
-the same order: a formula changed here must change there too, and the
-tests compare the three bit for bit.
+The per-component formulas are the terms _CURVATURE (on curvature's two
+weights), _PRE_FILTER, _POST_FILTER and _ESTIMATE, each written once on
+float locals.  Two templates format them: _KERNEL_SOURCE here, which adds
+the post-filter's uniform-step closed form, and the adaptive loop's
+adaptive._LOOP_SOURCE.  kernels(d) compiles the first once per d, as
+newton._stage_kernel does the stage, into straight-line code with the
+float operations of the plain loops that tests/oracles.py keeps as the
+reference, in their order.  curvature checks its arguments and calls its
+kernel; the constant-step drivers call the kernels.  On a 2-CPU Xeon
+under CPython 3.11, 4-D calls took 262 ns for the curvature kernel, 155
+for the pre-filter's and 540-575 for the uniform post-filter's, against
+615-645, 365-390 and 960-1000 ns for the loops (best of 7 timeit runs,
+the call included).
 
 The per-step code of the package, the generated kernels included, has no
 comprehension or generator expression.  Under CPython 3.10 and 3.11 one
@@ -40,7 +41,7 @@ import math
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import Vector, _compile, _names, _running_max
+from .core import Vector, _compile, _names, _running_max, _terms
 from .errors import DimensionMismatch, NonPositiveStep
 
 # Relative floor for the post-filter denominator.  The denominator is a
@@ -90,32 +91,15 @@ def step_factors(k_n: float, k_nm1: float, k_nm2: float,
             2.0 * k_nm1 / ksum, 2.0 * k_n / ksum)
 
 
-def pre_filtered(half_a: float, y_n: Sequence[float],
-                 kappa_prev: Sequence[float]) -> Vector:
-    """The state handed to the implicit stage: y_n with half_a (alpha / 2,
-    1/2 on a uniform grid) times the trailing curvature kappa_prev removed."""
-    return kernels(len(y_n))[1](half_a, y_n, kappa_prev)
-
-
-def post_filtered(beta: float, v_next: float, v_prev: float,
-                  y_nm1: Sequence[float], y_n: Sequence[float],
-                  kappa_prev: Sequence[float], y_second: Sequence[float],
-                  component: Optional[int]) -> tuple[Vector, float]:
-    """The third-order value of a step whose implicit stage gave y_second,
-    and the embedded estimate: the max-norm of y_third - y_second, or its
-    component'th entry.  The step's curvature is written out, as
-    curvature(k_nm1, k_n, y_nm1, y_n, y_second) on step_factors' weights."""
-    return kernels(len(y_second))[2](beta, v_next, v_prev, y_nm1, y_n, kappa_prev,
-                                     y_second, component)
-
-
-def post_filtered_uniform(y_nm2: Sequence[float], y_nm1: Sequence[float],
-                          y_n: Sequence[float], y_second: Sequence[float],
-                          component: Optional[int]) -> tuple[Vector, float]:
-    """post_filtered at beta = 5/11 in closed form, a few ulps off the
-    general form; perfbench/pins.json pins the constant-step answers made
-    with it (post_filtered moves the 2000-step quasi-periodic error)."""
-    return kernels(len(y_second))[3](y_nm2, y_nm1, y_n, y_second, component)
+def uniform_step_factors(dt: float) -> tuple[float, Optional[float], float, float]:
+    """step_factors of four steps of dt, the history every filtered solve
+    starts from; NonPositiveStep when dt * dt underflows, which leaves
+    alpha / 2 nan and every filtered step with it."""
+    factors = step_factors(dt, dt, dt, dt)
+    if math.isnan(factors[0]):
+        raise NonPositiveStep(
+            f"step {dt!r} is too small for the pre-filter: dt * dt underflows to 0")
+    return factors
 
 
 def curvature(k_prev: float, k_cur: float,
@@ -137,9 +121,17 @@ def curvature(k_prev: float, k_cur: float,
     return kernels(len(y_mid))[0](2.0 * k_prev / s, 2.0 * k_cur / s, y_prev, y_mid, y_next)
 
 
-# The template of kernels(d), on float locals: y_nm2 as q0, q1, ..., y_nm1
-# as m0, ..., y_n as n0, ..., kappa_prev as c0, ..., y_second as s0, ...
-# and y_third as t0, ...; the curvature kernel takes curvature's weights.
+# The filters' per-component terms, for component i, on float locals: y_nm2
+# as q0, q1, ..., y_nm1 as m0, ..., y_n as n0, ..., kappa_prev as c0, ...,
+# y_second as s0, ... and y_third as t0, ...  Curvature takes its two
+# weights; the post-filter forms the step's curvature on step_factors'
+# v_next and v_prev.
+_CURVATURE = "w_next * n{i} - 2.0 * m{i} + w_prev * q{i}"
+_PRE_FILTER = "n{i} - half_a * c{i}"
+_POST_FILTER = "s{i} - beta * ((v_next * s{i} - 2.0 * n{i} + v_prev * m{i}) - c{i})"
+_ESTIMATE = "t{i} - s{i}"
+
+# The template of kernels(d); the curvature kernel takes curvature's weights.
 _KERNEL_SOURCE = """\
 def curvature_d{d}(w_next, w_prev, y_nm2, y_nm1, y_n):
 {unpack[qmn]}
@@ -185,19 +177,14 @@ def kernels(d: int) -> tuple:
                f'        raise DimensionMismatch(f"filter states need length {d}, got "',
                f'            f"{{tuple(map(len, ({names})))}}") from None'])
 
-    def each(term: str, sep: str = ", ") -> str:
-        return sep.join([term.format(i=i) for i in range(d)])
-
     return _compile(globals(), f"kernels d={d}", _KERNEL_SOURCE.format(
         d=d, unpack=unpack,
-        curvature=each("w_next * n{i} - 2.0 * m{i} + w_prev * q{i}"),
-        pre=each("n{i} - half_a * c{i}"),
-        post=each("    t{i} = s{i} - beta * ((v_next * s{i} - 2.0 * n{i} + v_prev * m{i})"
-                  " - c{i})", "\n"),
-        post_uniform=each("    t{i} = s{i} - 5.0 / 11.0 * (s{i} - 3.0 * n{i} + 3.0 * m{i}"
-                          " - q{i})", "\n"),
+        curvature=_terms(_CURVATURE, d), pre=_terms(_PRE_FILTER, d),
+        post=_terms("    t{i} = " + _POST_FILTER, d, "\n"),
+        post_uniform=_terms("    t{i} = s{i} - 5.0 / 11.0 * (s{i} - 3.0 * n{i} + 3.0 * m{i}"
+                            " - q{i})", d, "\n"),
         estimate="\n".join([f"    y_third = ({_names('t', d)})",
                             "    if component is None:",
-                            _running_max("est", "t{i} - s{i}", d),
+                            _running_max("est", _ESTIMATE, d),
                             "        return y_third, est",
                             "    return y_third, abs(y_third[component] - y_second[component])"])))

@@ -39,7 +39,7 @@ from operator import is_
 from typing import NamedTuple, Sequence
 
 from .core import (OdeProblem, SolverConfig, Vector, _compile, _names, _running_max,
-                   short_rhs)
+                   _terms, short_rhs)
 from .errors import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
                      SingularLinearSystem)
 
@@ -363,12 +363,11 @@ def _stage_kernel(d: int):
     stage, = _compile(globals(), f"stage d={d}", _STAGE_SOURCE.format(
         d=d, y=_names("y", d), yt=_names("yt", d), b=_names("b", d),
         s=_names("s", d),
-        residual="\n".join([f"            b{i} = -(y{i} - yt{i} - k_n * f[{i}])"
-                            for i in range(d)]),
+        residual=_terms("            b{i} = -(y{i} - yt{i} - k_n * f[{i}])", d, "\n"),
         res_max=_running_max("res", "b{i}", d), top_max=_running_max("top", "y{i}", d),
-        b_finite=" and ".join([f"isfinite(b{i})" for i in range(d)]),
-        y_finite=" and ".join([f"isfinite(y{i})" for i in range(d)]),
-        step="\n".join([f"        y{i} += s{i}" for i in range(d)])))
+        b_finite=_terms("isfinite(b{i})", d, " and "),
+        y_finite=_terms("isfinite(y{i})", d, " and "),
+        step=_terms("        y{i} += s{i}", d, "\n")))
     return stage
 
 

@@ -19,7 +19,7 @@ from .core import (_BLOCK, OdeProblem, SolverConfig, Trajectory, Vector,
                    all_finite, initial_state, short_rhs)
 from .errors import (DegenerateBeta, DimensionMismatch, NonFiniteState,
                      NonMonotonicTimes, NonPositiveStep)
-from .filters import kernels, step_factors
+from .filters import kernels, step_factors, uniform_step_factors
 from .newton import implicit_euler_stage
 
 
@@ -112,10 +112,7 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     n_start = 3 if third_order else 2
     if len(times) <= n_start:
         raise ValueError("too few steps: the startup leaves no room for a filtered step")
-    uniform_factors = step_factors(dt, dt, dt, dt)
-    if math.isnan(uniform_factors[0]):
-        raise NonPositiveStep(
-            f"step {dt!r} is too small for the pre-filter: dt * dt underflows to 0")
+    uniform_factors = uniform_step_factors(dt)
 
     traj = Trajectory(p.dimension)
     y = initial_state(p, y0)

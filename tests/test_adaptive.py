@@ -1,10 +1,13 @@
+import inspect
 import math
 import re
+import traceback
 
 import pytest
 
-from filtered_ie23 import (MinStepReached, NonFiniteState, OdeProblem,
-                           SolverConfig, SolverError, curvature,
+from filtered_ie23 import (DegenerateBeta, MinStepReached, NonFiniteState,
+                           NonPositiveStep, OdeProblem, SolverConfig,
+                           SolverError, curvature,
                            implicit_euler_stage, model_analog_problem,
                            model_problem, quasi_periodic_problem,
                            solve_filtered_ie23, van_der_pol_problem)
@@ -18,7 +21,8 @@ P = SPEC.problem
 
 def _compose(p, points, k, cfg):
     """One step written out from the public formulas: pre-filter,
-    implicit stage, post-filter and max-norm estimate."""
+    implicit stage, post-filter and the estimate, the max-norm or
+    p.est_component's entry."""
     (t_nm3, _), (t_nm2, y_nm2), (t_nm1, y_nm1), (t_n, y_n) = points
     k_nm1, k_nm2, k_nm3 = t_n - t_nm1, t_nm1 - t_nm2, t_nm2 - t_nm3
     kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
@@ -29,7 +33,10 @@ def _compose(p, points, k, cfg):
     beta = _beta(k, k_nm1, k_nm2, k_nm3)
     y_third = tuple([y_second[i] - beta * (kappa_cur[i] - kappa_prev[i])
                      for i in range(len(y_second))])
-    est = max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])
+    if p.est_component is None:
+        est = max([abs(y_third[i] - y_second[i]) for i in range(len(y_second))])
+    else:
+        est = abs(y_third[p.est_component] - y_second[p.est_component])
     return y_second, y_third, est
 
 
@@ -55,12 +62,15 @@ def _copies(p, n):
 
 
 VDP5 = van_der_pol_problem(5.0).problem
-# (problem, y0, t_end) for d = 1, 2 and 3, each with est_component None,
-# as _compose's max-norm estimate needs
+QP = quasi_periodic_problem()
+# (problem, y0, t_end): each loop the solver generates for these, one per
+# (d, est_component), in turn: (1, None), (2, None), (3, None), (2, 0), (4, 0)
 KERNEL_CASES = {
     "model": (P, (1.0,), 2.0),
     "vdp-mu5-max-norm": (OdeProblem(2, VDP5.rhs, VDP5.jacobian), (2.0, 0.0), 12.0),
     "analog-gamma3-copies3": (_copies(model_analog_problem(3.0).problem, 3), (1.0,) * 3, 3.0),
+    "vdp-mu5-component0": (VDP5, (2.0, 0.0), 12.0),
+    "quasi-periodic": (QP.problem, QP.default_initial_state, 4.0),
 }
 
 
@@ -107,8 +117,8 @@ class TestAdaptiveSolve:
     def test_unreachable_region_hits_step_floor(self):
         # rhs turns non-finite just past the bootstrap, so every attempt
         # fails at its one rhs call, and the cascade halves k = 0.01 until
-        # it falls below k_min = 1e-12 * span: 34 attempts, with the d = 1
-        # and d = 2 kernels and with the generic one (d = 3)
+        # it falls below k_min = 1e-12 * span: 34 attempts, in the loops of
+        # d = 1, 2 and 3
         cfg = SolverConfig(tol=1e-3, dt0=0.01, t_end=1.0)
         k_last = 0.01 / 2.0 ** 34
         assert k_last < cfg.k_min < 2.0 * k_last
@@ -131,7 +141,7 @@ class TestAdaptiveSolve:
     def test_step_below_resolution_of_t(self, d):
         # k_min = 1e-12 is far below the spacing of floats near 1e9 (1.2e-7):
         # the cascade reaches a k with t_n + k == t_n, whose attempt passes,
-        # with the d = 1 and d = 2 kernels and with the generic one (d = 3)
+        # in the loops of d = 1, 2 and 3
         p = _copies(P, d)
         cfg = SolverConfig(tol=1e-9, dt0=1e-3, t_begin=1e9, t_end=1e9 + 1.0)
         with pytest.raises(MinStepReached,
@@ -185,8 +195,7 @@ class TestDegenerateBeta:
         # zeroes beta's denominator.  The state is constant, so est = 0 on
         # every attempt, and the one rejection is the degenerate beta that
         # _beta's test reports: the driver halves r and takes r/2 twice,
-        # doubling after each, with the d = 1 and d = 2 kernels and with
-        # the generic one (d = 3)
+        # doubling after each, in the loops of d = 1, 2 and 3
         r = 0.6
         for _ in range(5):
             r -= (((3.0 * r + 12.0) * r + 2.0) * r - 6.0) / ((9.0 * r + 24.0) * r + 2.0)
@@ -201,27 +210,38 @@ class TestDegenerateBeta:
         assert traj.final_state() == (1.0,) * d
 
     def test_steps_past_float_range_end_in_a_solver_error(self):
-        # the bootstrap's steps of 1e79 stay in every history, so every
-        # attempt is degenerate until the step falls below k_min; this
-        # used to raise OverflowError from _beta's max(steps) ** 4
+        # the bootstrap's steps of 1e79 would stay in every history, so
+        # every attempt would be degenerate; the solve names dt0 before
+        # its bootstrap.  This used to raise OverflowError from _beta's
+        # max(steps) ** 4, then MinStepReached after 37 attempts
         const = OdeProblem(1, lambda t, y: (0.0,), lambda t, y: ((0.0,),))
         cfg = SolverConfig(tol=1e-3, dt0=1e79, t_end=1e80, k_max=1e80)
-        with pytest.raises(MinStepReached):
+        with pytest.raises(DegenerateBeta, match=r"on steps of dt0 1e\+79"):
             solve_filtered_ie23(const, cfg, (1.0,))
 
     def test_steps_below_float_range_end_in_a_solver_error(self):
         # beta's numerator, denominator and scale all underflow to 0 at
-        # steps of 1e-83, so every attempt is degenerate; this used to
-        # raise ZeroDivisionError from _beta's num / den
-        with pytest.raises(MinStepReached):
+        # steps of 1e-83; this used to raise ZeroDivisionError from _beta's
+        # num / den, then MinStepReached after 35 attempts
+        with pytest.raises(DegenerateBeta, match="on steps of dt0 1e-83"):
             solve_filtered_ie23(P, SolverConfig(dt0=1e-83, t_end=4e-82), (1.0,))
+
+    def test_steps_whose_square_underflows_end_before_the_bootstrap(self, monkeypatch):
+        # alpha / 2 is nan once dt0 * dt0 underflows: the constant-step
+        # methods' NonPositiveStep, before the bootstrap runs the rhs
+        def no_rhs(t, y):
+            raise AssertionError("the rhs ran")
+
+        p = OdeProblem(1, no_rhs, lambda t, y: ((0.0,),))
+        with pytest.raises(NonPositiveStep, match=r"step 1e-200 .* dt \* dt underflows"):
+            solve_filtered_ie23(p, SolverConfig(dt0=1e-200, t_end=1e-199), (1.0,))
 
 
 class TestOneKernel:
     # The loop takes its factors from step_factors, once per step history,
-    # for every dimension and writes the d = 1 and d = 2 kernels out on
-    # float locals; the d >= 3 kernel calls filters.py.  A replay from
-    # _beta, curvature and alpha written out checks each of them.
+    # and is generated for each (d, est_component) from one template.  A
+    # replay from _beta, curvature and alpha written out checks the loop of
+    # each case.
     @pytest.mark.parametrize("case, tol, dt0", [
         pytest.param(case, tol, dt0,
                      id=f"{tol}-{dt0}" if case == "model" else f"{case}-{tol}-{dt0}")
@@ -262,11 +282,10 @@ class TestOneKernel:
 
 
 class TestStraightLineLoops:
-    # The loop's written-out d = 1 and d = 2 kernels against its generic
-    # kernel, which runs for copies of the same problem (d = 3 and 4) and
-    # calls curvature, pre_filtered and post_filtered.  Every branch reads
-    # beta from the same step-history factors, so these runs do not check
-    # it against _beta; TestOneKernel does.  Each case has rejected attempts
+    # The loops generated for d = 1 and d = 2 against those for copies of
+    # the same problem (d = 3 and 4).  Every loop reads beta from the same
+    # step-history factors, so these runs do not check it against _beta;
+    # TestOneKernel does.  Each case has rejected attempts
     # and a last step clamped to the end of the span; van der Pol at
     # mu = 100 recovers from a Newton failure, and the 2-D est_component
     # None case takes the max over both components.
@@ -294,6 +313,28 @@ class TestStraightLineLoops:
         assert list(traj.est) == list(ref.est)
         assert traj.states == [y[:p.dimension] for y in ref.states]
         assert stats == ref_stats
+
+
+def test_a_traceback_shows_the_generated_loop():
+    # the loop's source is registered with linecache, as the stage's and the
+    # filter kernels' are, so a failure mid-solve shows the generated line
+    # and inspect.getsource reads it
+    def rhs(t, y):
+        if t > 0.5:
+            raise RuntimeError("rhs failed")
+        return VDP5.rhs(t, y)
+
+    p = OdeProblem(2, rhs, VDP5.jacobian)
+    with pytest.raises(RuntimeError, match="rhs failed") as info:
+        solve_filtered_ie23(p, SolverConfig(tol=1e-3, dt0=1e-2, t_end=2.0), (2.0, 0.0))
+    frames = [frame for frame in traceback.extract_tb(info.value.__traceback__)
+              if frame.filename.startswith("<filtered_ie23.adaptive loop d=2 ")]
+    assert [(frame.filename, frame.line) for frame in frames] == [
+        ("<filtered_ie23.adaptive loop d=2 est_component=None>",
+         "s0, s1 = stage(p, t_next, k, y_tilde, y_n, cfg).y")]
+    source = inspect.getsource(adaptive._loop(2, None))
+    assert source.startswith("def loop_d2(p, cfg, times, states, append, stage, step_factors,")
+    assert "    t1 = s1 - beta * ((v_next * s1 - 2.0 * n1 + v_prev * m1) - c1)\n" in source
 
 
 # y' = 100 sin(y): two attempts whose Newton iteration fails, recovered

@@ -82,10 +82,28 @@ class TestSolveCommand:
         assert "is below the resolution of t=1000000000000.015" in capsys.readouterr().err
 
     def test_underflowing_steps_are_a_solver_failure(self, capsys):
-        # used to exit 2 with "usage error: float division by zero"
+        # used to exit 2 with "usage error: float division by zero", then 1
+        # with "step fell to ..." after halving through Newton stages
         code = main(["solve", "--problem", "model", "--t1", "4e-82", "--dt0", "1e-83"])
         assert code == 1
-        assert "solver failure: step fell to" in capsys.readouterr().err
+        assert "solver failure: post-filter degenerate on steps of dt0 1e-83" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("dt0, t1, message", [
+        ("1e-83", "1e-80", "post-filter degenerate on steps of dt0 1e-83"),
+        ("1e-200", "1e-199", "step 1e-200 is too small for the pre-filter: dt * dt underflows"),
+    ], ids=["beta", "alpha"])
+    def test_a_hopeless_dt0_is_named_before_the_adaptive_solve(self, monkeypatch, capsys,
+                                                               dt0, t1, message):
+        # both used to halve through Newton stages to k_min and end with
+        # "step fell to ... without an acceptable attempt"
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(filtered_ie23.adaptive, "implicit_euler_stage", no_stage)
+        code = main(["solve", "--problem", "model", "--dt0", dt0, "--t1", t1])
+        assert code == 1
+        assert f"solver failure: {message}" in capsys.readouterr().err
 
     def test_a_step_whose_square_underflows_is_a_solver_failure(self, capsys):
         # used to exit 1 with "non-finite residual at t=4e-200", no cause named

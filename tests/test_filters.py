@@ -10,9 +10,7 @@ import pytest
 
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, NonPositiveStep,
                            curvature)
-from filtered_ie23.filters import (_beta, kernels, post_filtered,
-                                   post_filtered_uniform, pre_filtered,
-                                   step_factors)
+from filtered_ie23.filters import _beta, kernels, step_factors
 from oracles import (beta_oracle, curvature_oracle, post_filtered_oracle,
                      post_filtered_uniform_oracle, pre_filtered_oracle)
 
@@ -61,7 +59,7 @@ class TestCurvature:
 def _alpha(k_n, k_nm1, k_nm2):
     """alpha, read off the pre-filter: y_n = 0 and kappa_prev = -2 give
     -0.5 * alpha * -2 = alpha, exactly."""
-    return pre_filtered(step_factors(k_n, k_nm1, k_nm2, 1.0)[0], (0.0,), (-2.0,))[0]
+    return kernels(1)[1](step_factors(k_n, k_nm1, k_nm2, 1.0)[0], (0.0,), (-2.0,))[0]
 
 
 class TestAlpha:
@@ -167,13 +165,13 @@ KAPPA_PREV = curvature(1.0, 1.0, Y_NM2, Y_NM1, Y_N)
 
 def _post_filtered(y_second, component=None):
     _, beta, v_next, v_prev = step_factors(1.0, 1.0, 1.0, 1.0)
-    return post_filtered(beta, v_next, v_prev, Y_NM1, Y_N, KAPPA_PREV, y_second, component)
+    return kernels(2)[2](beta, v_next, v_prev, Y_NM1, Y_N, KAPPA_PREV, y_second, component)
 
 
 class TestFilters:
     def test_pre_filter_uniform_arithmetic(self):
         # gain 1 removes half of the trailing curvature
-        assert pre_filtered(step_factors(1.0, 1.0, 1.0, 1.0)[0], Y_N, KAPPA_PREV) == (8.0, 0.0)
+        assert kernels(2)[1](step_factors(1.0, 1.0, 1.0, 1.0)[0], Y_N, KAPPA_PREV) == (8.0, 0.0)
 
     def test_post_filter_uniform_arithmetic(self):
         # y_second = (27, -22) gives kappa_cur = (13, -22) against
@@ -200,7 +198,7 @@ class TestErrorEstimate:
         for v in itertools.product(values, repeat=d):
             kappa_prev = tuple(-x for x in v)
             for y_second in [(0.0,) * d, (-0.0,) * d, (1.0,) * d]:
-                y_third, got = post_filtered(1.0, 0.0, 0.0, zeros, zeros, kappa_prev,
+                y_third, got = kernels(d)[2](1.0, 0.0, 0.0, zeros, zeros, kappa_prev,
                                              y_second, None)
                 assert [math.isnan(x) for x in y_third] == [math.isnan(x) for x in v]
                 expected = max([abs(y_third[i] - y_second[i]) for i in range(d)])
@@ -233,7 +231,7 @@ def _states(rng, d, count):
 
 class TestKernels:
     """Each kernel of kernels(d) against its plain loop in oracles.py, bit
-    for bit, and the public functions, which call the kernel for their d."""
+    for bit, and curvature, which calls the kernel for its d."""
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_every_kernel_gives_the_loops_bits(self, d):
@@ -250,29 +248,22 @@ class TestKernels:
             for half_a in (0.5, 2.0, -0.0):
                 assert _bits(pre(half_a, y_n, kappa)) == _bits(
                     pre_filtered_oracle(half_a, y_n, kappa))
-                assert _bits(pre_filtered(half_a, y_n, kappa)) == _bits(
-                    pre_filtered_oracle(half_a, y_n, kappa))
             for comp in components:
                 for beta, v_next, v_prev in ((5.0 / 11.0, 1.0, 1.0), (0.6, 2.0 / 3.0, 4.0 / 3.0)):
                     args = (beta, v_next, v_prev, y_nm1, y_n, kappa, y_second, comp)
-                    want = _bits(post_filtered_oracle(*args))
-                    assert _bits(post(*args)) == want
-                    assert _bits(post_filtered(*args)) == want
+                    assert _bits(post(*args)) == _bits(post_filtered_oracle(*args))
                 args = (y_nm2, y_nm1, y_n, y_second, comp)
-                want = _bits(post_filtered_uniform_oracle(*args))
-                assert _bits(post_uniform(*args)) == want
-                assert _bits(post_filtered_uniform(*args)) == want
+                assert _bits(post_uniform(*args)) == _bits(post_filtered_uniform_oracle(*args))
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_a_nan_after_the_first_component_leaves_the_estimate(self, d):
         # the running max replaces only on a > est, as max() does
         y = tuple(float(i) for i in range(d))
         y_second = y[:-1] + (math.nan,)
-        for post in (kernels(d)[3], post_filtered_uniform):
-            y_third, est = post(y, y, y, y_second, None)
-            assert math.isnan(y_third[-1]) and est == post_filtered_uniform_oracle(
-                y, y, y, y_second, None)[1]
-            assert not math.isnan(est)
+        y_third, est = kernels(d)[3](y, y, y, y_second, None)
+        assert math.isnan(y_third[-1]) and est == post_filtered_uniform_oracle(
+            y, y, y, y_second, None)[1]
+        assert not math.isnan(est)
 
     def test_public_curvature_passes_its_weights(self):
         y_prev, y_mid, y_next = (1.0, -0.0, 3.0), (4.0, 5e-324, -1.0), (9.0, 2.0, 0.5)
@@ -281,11 +272,11 @@ class TestKernels:
         assert _bits(curvature(0.7, 0.3, y_prev, y_mid, y_next)) == _bits(want)
 
     @pytest.mark.parametrize("call", [
-        lambda: pre_filtered(0.5, (1.0, 2.0), (1.0, 2.0, 3.0)),   # used to drop the 3
-        lambda: pre_filtered(0.5, (1.0, 2.0), (1.0,)),            # used to raise IndexError
-        lambda: post_filtered(0.5, 1.0, 1.0, (1.0,), (1.0, 2.0), (1.0, 2.0),
+        lambda: kernels(2)[1](0.5, (1.0, 2.0), (1.0, 2.0, 3.0)),   # used to drop the 3
+        lambda: kernels(2)[1](0.5, (1.0, 2.0), (1.0,)),            # used to raise IndexError
+        lambda: kernels(2)[2](0.5, 1.0, 1.0, (1.0,), (1.0, 2.0), (1.0, 2.0),
                               (1.0, 2.0), None),
-        lambda: post_filtered_uniform((1.0, 2.0), (1.0, 2.0), (1.0,), (1.0, 2.0), None),
+        lambda: kernels(2)[3]((1.0, 2.0), (1.0, 2.0), (1.0,), (1.0, 2.0), None),
         lambda: curvature(1.0, 1.0, (), (), ()),
     ], ids=["pre long", "pre short", "post short", "uniform short", "empty"])
     def test_states_of_the_wrong_length_raise(self, call):
@@ -309,7 +300,7 @@ class TestKernels:
 
 class TestUniformClosedForm:
     def test_agrees_with_general_post_filter(self):
-        # post_filtered_uniform is post_filtered at beta = 5/11 rewritten
+        # the uniform post-filter is the general one at beta = 5/11 rewritten
         # as one closed form; the two round differently, by a few ulps of
         # the largest intermediate, |y_second - 3 y_n + 3 y_nm1 - y_nm2|
         # <= 8 * scale
@@ -320,9 +311,9 @@ class TestUniformClosedForm:
                 tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(4))
             kappa_prev = curvature(k, k, y_nm2, y_nm1, y_n)
             _, beta, v_next, v_prev = step_factors(k, k, k, k)
-            general = post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev,
+            general = kernels(3)[2](beta, v_next, v_prev, y_nm1, y_n, kappa_prev,
                                     y_second, None)
-            uniform = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second, None)
+            uniform = kernels(3)[3](y_nm2, y_nm1, y_n, y_second, None)
             ulps = 4 * math.ulp(8.0 * max(map(abs, y_nm2 + y_nm1 + y_n + y_second)))
             for a, b in zip(general[0], uniform[0]):
                 assert abs(a - b) <= ulps
@@ -340,6 +331,7 @@ def _step_map(k_n, k_nm1, k_nm2, k_nm3, stiff):
     y_nm2, y_nm1, y_n = UNIT
     half_a, beta, v_next, v_prev = step_factors(k_n, k_nm1, k_nm2, k_nm3)
     kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
+    _, pre_filtered, post_filtered, _ = kernels(3)
     y_tilde = pre_filtered(half_a, y_n, kappa_prev)
     y_second = (0.0, 0.0, 0.0) if stiff else y_tilde
     y_third, _ = post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second, None)

@@ -60,19 +60,58 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(source, {"os"}) == [(4, "Vector")]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(node):
+    """The nodes under node, without those of a nested function or class."""
+    todo = list(ast.iter_child_nodes(node))
+    while todo:
+        child = todo.pop()
+        yield child
+        if not isinstance(child, _SCOPES):
+            todo.extend(ast.iter_child_nodes(child))
+
+
+def _locals(scope):
+    """The names a function binds in its own scope, its arguments included,
+    less those it declares global; none for a class body."""
+    if isinstance(scope, ast.ClassDef):
+        return set()
+    args = scope.args
+    names = {arg.arg for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                 args.vararg, args.kwarg] if arg is not None}
+    declared = set()
+    for node in _own_scope(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+    return names - declared
+
+
+def _reads(scope, shadowed=frozenset()):
+    """The module-level names read under scope, as a Name load outside the
+    functions that bind the name as a local, an attribute or a from-import."""
+    for node in _own_scope(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in shadowed:
+                yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, _SCOPES):
+            yield from _reads(node, shadowed | _locals(node))
+
+
 def _unread_names(sources, wanted):
     """Module-level names for which wanted(name) holds and that no module
-    reads, as a Name load, an attribute or a from-import, as (module, name)."""
+    reads (see _reads), as (module, name)."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+        read.update(_reads(tree))
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -134,10 +173,22 @@ def test_the_check_sees_an_unread_public_name():
                  "def parts(x):\n    return x\n"
                  "def helper(x):\n    return x\n"
                  "def f(x):\n    return parts(x) * SCALE\n"
-                 "def g(x):\n    return x\n"),
+                 "def g(x):\n    return x\n"
+                 # a local of the same name is not a read of the module's
+                 "def shadowed(x):\n    return x\n"
+                 "def h(x, step):\n    shadowed = step\n    return shadowed(x) + step(x)\n"
+                 "def step(x):\n    return x\n"
+                 # a nested function reads the module's name unless an
+                 # enclosing function binds it
+                 "def nested(x):\n    return x\n"
+                 "def closed(x):\n    return x\n"
+                 "def k(x, closed):\n    def inner(y):\n"
+                 "        return nested(y) + closed(y)\n    return inner(x)\n"),
         "b.py": "from .a import g\n",
     }
-    assert _unread_public_names(sources, {"f"}) == [("a.py", "LIMIT"), ("a.py", "helper")]
+    assert _unread_public_names(sources, {"f", "h", "k"}) == [
+        ("a.py", "LIMIT"), ("a.py", "closed"), ("a.py", "helper"), ("a.py", "shadowed"),
+        ("a.py", "step")]
 
 
 def test_every_export_resolves_once():
@@ -153,14 +204,14 @@ _REPLAY = newton._replay(newton._factor(
 
 # the code that runs once per step, attempt or Newton iteration, the
 # generated kernels included
-PER_STEP = [filters.curvature, filters.pre_filtered, filters.post_filtered,
-            filters.post_filtered_uniform, filters._beta, filters.step_factors,
+PER_STEP = [filters.curvature, filters._beta, filters.step_factors,
             *filters.kernels(1), *filters.kernels(2), *filters.kernels(4),
             steppers.rk3_step, steppers._solve_ie_filtered,
             steppers.solve_rk4_reference, steppers._rk4, steppers._grid_columns,
             newton._fd_jacobian, newton._factor, newton._newton_update,
             newton._stage_kernel(3), newton._stage_kernel(4), _REPLAY,
             newton.implicit_euler_stage, adaptive.solve_filtered_ie23,
+            adaptive._loop(1, None), adaptive._loop(2, 0), adaptive._loop(4, 0),
             core.Trajectory.append, core.Trajectory._take_states]
 
 

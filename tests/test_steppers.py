@@ -12,7 +12,7 @@ from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
                            solve_filtered_ie23, quasi_periodic_problem,
                            solve_ie_pre_2, solve_ie_pre_post_3,
                            solve_rk4_reference, van_der_pol_problem)
-from filtered_ie23 import newton, steppers
+from filtered_ie23 import filters, newton, steppers
 from filtered_ie23.bench import constant_run
 from filtered_ie23.core import _BLOCK
 from filtered_ie23.filters import step_factors
@@ -127,7 +127,8 @@ class TestThirdOrderConstant:
 
 class TestStepFactors:
     # _solve_ie_filtered takes its factors from filters.step_factors: once
-    # per run for the uniform steps, once more for a clamped final step
+    # per run for the uniform steps (through filters.uniform_step_factors),
+    # once more for a clamped final step
     @pytest.mark.parametrize("solve", [solve_ie_pre_2, solve_ie_pre_post_3])
     @pytest.mark.parametrize("t_end, calls", [(1.0, 1), (1.005, 2)],
                              ids=["snapping", "clamped"])
@@ -139,6 +140,7 @@ class TestStepFactors:
             return step_factors(*steps)
 
         monkeypatch.setattr(steppers, "step_factors", counted)
+        monkeypatch.setattr(filters, "step_factors", counted)
         traj = solve(P, _cfg(0.01, t_end=t_end), (1.0,)).trajectory
         assert len(seen) == calls
         assert seen[0] == (0.01,) * 4
