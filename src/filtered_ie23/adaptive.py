@@ -47,7 +47,7 @@ from .errors import (DegenerateBeta, MinStepReached, NewtonDiverged, NonMonotoni
                      NonPositiveStep, SingularLinearSystem)
 from .filters import (_CURVATURE, _ESTIMATE, _POST_FILTER, _PRE_FILTER, step_factors,
                       uniform_step_factors)
-from .newton import implicit_euler_stage
+from .newton import _stage_for, implicit_euler_stage
 # perfbench/tracing.py rebinds rk3_step here, though only bootstrap calls it
 from .steppers import bootstrap, rk3_step  # noqa: F401
 
@@ -103,7 +103,7 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     NonFiniteState outright.  A dt0 that no filtered step can use is
     named before the bootstrap: NonPositiveStep when dt0 * dt0
     underflows, DegenerateBeta when beta of four steps of dt0 leaves float
-    range (dt0 from about 1e77 up, or below about 1e-81).
+    range (dt0 from about 1e77 up, or below about 1e-77).
     """
     if 3.0 * cfg.dt0 >= cfg.span:
         raise ValueError("dt0 too large: the three bootstrap steps must fit in the span")
@@ -118,7 +118,8 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
         append(t, y, 0.0, k)
     # read at each solve, so that rebinding them in this module reaches the loop
     counts = _loop(p.dimension, p.est_component)(
-        p, cfg, times, states, append, implicit_euler_stage, step_factors, _FACTOR_CACHE_SIZE)
+        p, cfg, times, states, append, _stage_for(implicit_euler_stage, p.dimension),
+        step_factors, _FACTOR_CACHE_SIZE)
     return traj, AdaptiveRunStats(*counts)
 
 

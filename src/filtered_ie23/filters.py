@@ -38,6 +38,7 @@ comprehension.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -49,6 +50,8 @@ from .errors import DimensionMismatch, NonPositiveStep
 # compared against a degree-4 scale; max(steps)**4 keeps the test
 # meaningful for steps both far above and far below 1.
 _DEGENERACY_RTOL = 1e-12
+# The smallest normal float; beta's num and den must reach it
+_NORMAL_MIN = sys.float_info.min
 
 
 def _beta(k_n: float, k_nm1: float, k_nm2: float,
@@ -73,9 +76,11 @@ def _beta(k_n: float, k_nm1: float, k_nm2: float,
         scale = max(k_n, k_nm1, k_nm2, k_nm3) ** 4
     except OverflowError:     # a step past about 1e77
         scale = math.inf
-    # None too once num or den leaves float range (their ratio would be 0,
-    # inf or nan, not beta) or den underflows to 0 with the scale
-    if not _DEGENERACY_RTOL * max(scale, abs(num)) <= abs(den) < math.inf or not den:
+    # None too once num or den leaves the normal float range: their ratio
+    # would be 0, inf or nan, or, below it, lose significant bits (four
+    # steps of 1e-79 gave 0.4545454541 and of 1e-81 0.5, not 5/11)
+    if not (_DEGENERACY_RTOL * max(scale, abs(num)) <= abs(den) < math.inf
+            and abs(num) >= _NORMAL_MIN and abs(den) >= _NORMAL_MIN):
         return None
     return num / den
 

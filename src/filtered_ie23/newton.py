@@ -1,41 +1,54 @@
 """Newton iteration for the implicit Euler stage equation y = y_tilde +
-k * f(t_next, y), with a dense hand-rolled solve with partial pivoting: the
-systems are tiny (d <= 4 in every bundled problem).  With an analytic
-Jacobian, d = 1 and d = 2 take written-out branches on float locals with the
-generic elimination's float operations in the same order, so with its bits.
+k * f(t_next, y), with a dense solve by partial pivoting: the systems are
+tiny (d <= 4 in every bundled problem).
 
-Every other stage (d >= 3, and finite differences at every d) runs a
-kernel written out for its dimension.  _stage_kernel fills one source
-template for d and compiles it once with core._compile.  Its residual, max-norms,
-finiteness tests, stopping rule and update are the generic iteration's,
-on locals y0, y1, ..., with the float operations in their order.  It takes
-each update from _newton_update, ordinary source, which reuses its last
-factorization of I - k*J while k and J repeat (_plan_slot); a jac that
-returns the stored J itself hits on identity, with no key built.  A miss
-eliminates the matrix and the right-hand side in one pass (_factor).  A
-plan's first reuse gets the straight-line solve of its pattern (its
-dimension, the (i, j) of its updates and its row order), compiled once per
-pattern (_replay); every later hit calls it with the multipliers and U's
-entries as one tuple.  Values never enter the source, so -0.0, subnormals
-and zero entries keep their bits.  A kernel's source grows with d and a
-replay's with d**2: compiling took about 0.45 ms for a kernel at d = 4,
-and 0.37 ms for a dense replay at d = 8 and 15 ms at d = 50.
+The stage exists once, as the template _STAGE_SOURCE.  _stage_kernel(d)
+fills it for one dimension and compiles it once with core._compile:
+straight-line code on float locals y0, y1, ... for the residual, its
+max-norms and finiteness tests, the stopping rule and the update.  Each
+update solves (I - k*J) x = -g by Gaussian elimination on locals, which
+_elimination writes out: the first row of maximal magnitude wins the
+pivot, the pivot row swaps its remaining entries and its right-hand side,
+a zero multiplier is skipped, and back substitution subtracts left to
+right before it divides by the pivot.  tests/oracles.py's two-pass
+reference_stage pins those float operations and their order bit for bit.
+Values never enter the source, so -0.0, subnormals and zero entries keep
+their bits.
 
-Like all per-step code, the stages, _newton_update and _fd_jacobian have
-no comprehension that reads their locals (the rule is in filters.py's
+From d = _REUSE_FROM on, a kernel keeps its last factorization in the
+plan slot of its globals and replays its pivots and multipliers on the
+right-hand side while k and J repeat, which a jac that returns one tuple
+of tuples for a constant J (the 4-D table's) makes them do.  Below that
+it does not pay: van der Pol and the 1-D problems change J every update.
+On a 2-CPU Xeon under CPython 3.11, reuse at every d took d = 1 stages
+from 0.95 to 1.03 us and d = 2 from 2.54 to 2.85-2.95 us, and no reuse at
+d = 4 took a constant-J stage from 2.3 to 2.9 us, about 4% of perfbench's
+constant-step wall_s.
+
+The source grows as d**3.  Compiling a kernel took 0.36-0.38 ms at d = 1,
+1.5 ms at d = 4, 5.2-5.4 ms at d = 8, 25-27 ms at d = 16 and 198-210 ms at
+d = 32.  Against the list-based elimination that the kernels replaced
+(min of 5 runs of 2,000 calls, 500 from d = 16, on the same machine), a
+linear stage (rhs included) whose J changes on every call took 8.4-9.0
+against 15.3-15.9 us at d = 4 and 521-524 against 868-919 us at d = 32.
+A J built fresh with the same values on every call is never reused
+(the old value key reused it): 7.9-12.5 against 7.5 us at d = 4, 26-34
+against 18-20 us at d = 8, 126-134 against 51-53 us at d = 16 and
+483-773 against 197-202 us at d = 32.  No bundled problem has d > 4.
+
+Like all per-step code, the kernels and _fd_jacobian have no
+comprehension that reads their locals (the rule is in filters.py's
 docstring); 5 cells cost the d = 1 stage about 0.12 us.  Medians of 10
-alternating 35 s perfbench pairs (2-CPU Xeon, CPython 3.11): the reuse took
-constant-step wall_s from 0.500 to 0.423 s (BENCH_12.json), the one-pass
-generic stage from 0.409 to 0.359 s (BENCH_18.json), and the written-out
-kernel from 0.274 to 0.240 s (BENCH_27.json).
+alternating 35 s perfbench pairs: the reuse took constant-step wall_s
+from 0.500 to 0.423 s (BENCH_12.json), the one-pass elimination from
+0.409 to 0.359 s (BENCH_18.json), and the written-out kernel from 0.274
+to 0.240 s (BENCH_27.json).
 """
 
 from __future__ import annotations
 
-import linecache
 from functools import lru_cache
 from math import isfinite, sqrt
-from operator import is_
 from typing import NamedTuple, Sequence
 
 from .core import (OdeProblem, SolverConfig, Vector, _compile, _names, _running_max,
@@ -48,23 +61,8 @@ _PIVOT_FLOOR = 1e-300
 # implicit_euler_stage's stopping rule, the same for every caller
 _NEWTON_TOL = 1e-10
 _NEWTON_MAX_ITER = 25
-
-# The generic stage's last factorization of I - k*J, as (key, plan, replay)
-# with key = (k, d, J as tuples) and replay None until the plan's first
-# reuse.  A hit gives the bits of a miss, which eliminates the matrix and
-# the right-hand side in one pass: the key holds J's values, so a jac that
-# mutates and returns one list misses once they change, and J itself only
-# as an exact tuple of exact tuples, whose rows cannot change; the matrix
-# reads only J's first d rows and columns, hence d; with k > 0,
-# 0.0 - k*(+-0.0) and 1.0 - k*(+-0.0) do not depend on the sign of the zero;
-# a singular matrix raises in _factor and is never stored.  The slot is
-# replaced by one tuple assignment and nothing in it changes, so under
-# threads or a nested solve a stored plan whose key matches is correct.
-_plan_slot: tuple = (None, None, None)
-
-# Compiled replays by pattern (_replay); a full cache is cleared
-_REPLAY_CACHE_SIZE = 64
-_replays: dict = {}
+# The smallest dimension whose kernel reuses its last factorization
+_REUSE_FROM = 3
 
 
 class NewtonOutcome(NamedTuple):
@@ -88,45 +86,22 @@ def _fd_jacobian(p: OdeProblem, t: float, y: list[float], f0: Sequence[float]):
     return tuple(zip(*cols))
 
 
-def _factor(m: list[list[float]], rhs: list[float]):
-    """Gaussian elimination with partial pivoting on m and rhs together, in
-    place (the first row of maximal magnitude wins a tie), then back
-    substitution.  Returns the solution and the plan (updates, order, m)
-    that replays the solve: each update as (i, factor, j) for rhs[i] -=
-    factor * rhs[j], rows named by their index before the swaps; the row
-    order after the swaps, or None; and m, whose upper triangle is U."""
-    d = len(m)
-    order = list(range(d))
-    updates = []
-    for col in range(d):
-        piv, best = col, abs(m[col][col])
-        for r in range(col + 1, d):
-            a = abs(m[r][col])
-            if a > best:
-                piv, best = r, a
-        if best < _PIVOT_FLOOR:
-            raise SingularLinearSystem("Newton matrix is numerically singular")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            order[col], order[piv] = order[piv], order[col]
-        pivot_row = m[col]
-        inv = 1.0 / pivot_row[col]
-        for r in range(col + 1, d):
-            row = m[r]
-            factor = row[col] * inv
-            if factor != 0.0:
-                for c in range(col + 1, d):
-                    row[c] -= factor * pivot_row[c]
-                rhs[r] -= factor * rhs[col]
-                updates.append((order[r], factor, order[col]))
-    for r in range(d - 1, -1, -1):
-        acc = rhs[r]
-        row = m[r]
-        for c in range(r + 1, d):
-            acc -= row[c] * rhs[c]
-        rhs[r] = acc / row[r]
-    return rhs, (updates, (None if order == sorted(order) else order), m)
+# The kernels' globals: the names they read, and the plan slot, the last
+# factorization a kernel of d >= _REUSE_FROM stored, as (k, J, d, plan).
+# A kernel reuses it only when its own J is the stored J and k and d are
+# equal.  It stores only a J that is a tuple whose first d rows are
+# tuples, which cannot change; a J of lists may be changed in place and
+# returned again.  The matrix reads only J's first d rows and columns,
+# hence d.  A singular matrix raises before the store.  The slot is
+# replaced by one tuple assignment and read once per update, so under
+# threads or a nested solve a stored plan that a kernel reuses is its own.
+_kernel_globals = {
+    "__name__": __name__, "DimensionMismatch": DimensionMismatch,
+    "NewtonDiverged": NewtonDiverged, "NewtonOutcome": NewtonOutcome,
+    "NonPositiveStep": NonPositiveStep, "SingularLinearSystem": SingularLinearSystem,
+    "_NEWTON_MAX_ITER": _NEWTON_MAX_ITER, "_NEWTON_TOL": _NEWTON_TOL,
+    "_PIVOT_FLOOR": _PIVOT_FLOOR, "_fd_jacobian": _fd_jacobian, "isfinite": isfinite,
+    "short_rhs": short_rhs, "_plan_slot": (None, None, None, None)}
 
 
 def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
@@ -138,189 +113,43 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
     state), stops once max |g_i| <= _NEWTON_TOL * (1 + max |y_i|) for the
     residual g, and raises NewtonDiverged after _NEWTON_MAX_ITER updates
     without that.  Each update solves (I - k_n * J) delta = -g, with J
-    analytic when provided, else forward finite differences; off the d <= 2
-    analytic branches the elimination is reused while k_n and J repeat.
-    y_tilde and y_guess need p.dimension >= 1 components each and rhs
-    values at least as many, else DimensionMismatch.  cfg is not read:
-    perfbench/tracing.py wraps this function with these six arguments.
+    analytic when provided, else forward finite differences, by the
+    elimination that _stage_kernel writes out for p.dimension; from
+    dimension _REUSE_FROM on it is reused while k_n and J repeat.
+    y_tilde and y_guess need p.dimension >= 1 components each, rhs values
+    at least as many and J at least p.dimension rows and columns, else
+    DimensionMismatch.  cfg is not read: perfbench/tracing.py wraps this
+    function with these six arguments.
     """
-    if k_n <= 0.0:
-        raise NonPositiveStep(f"implicit stage needs a positive step, got {k_n!r}")
     d = p.dimension
-    rhs = p.rhs
-    jac = p.jacobian
-    iterations = 0
-    # Outcomes are built with tuple.__new__, as NamedTuple's _make does: an
-    # equal object without the Python-level __new__ and its frame.
-    if d == 1 and jac is not None:
-        try:
-            yt0, = y_tilde
-            y0, = y_guess
-        except ValueError:
-            raise DimensionMismatch(
-                f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}") from None
-        while True:
-            f = rhs(t_next, (y0,))
-            try:
-                g0 = y0 - yt0 - k_n * f[0]
-            except IndexError as err:
-                raise short_rhs(p, err, f)
-            res = abs(g0)
-            if not isfinite(res):
-                raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
-            if res <= _NEWTON_TOL * (1.0 + abs(y0)):
-                return tuple.__new__(NewtonOutcome, ((y0,), iterations, res))
-            if iterations >= _NEWTON_MAX_ITER:
-                raise NewtonDiverged(
-                    f"no convergence in {_NEWTON_MAX_ITER} iterations at "
-                    f"t={t_next!r} (residual {res!r})")
-            m00 = 1.0 - k_n * jac(t_next, (y0,))[0][0]
-            if abs(m00) < _PIVOT_FLOOR:
-                raise SingularLinearSystem("Newton matrix is numerically singular")
-            y0 += (-g0) / m00
-            iterations += 1
-            if not isfinite(y0):
-                raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")
-    if d == 2 and jac is not None:
-        try:
-            yt0, yt1 = y_tilde
-            y0, y1 = y_guess
-        except ValueError:
-            raise DimensionMismatch(
-                f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}") from None
-        while True:
-            f = rhs(t_next, (y0, y1))
-            try:
-                g0 = y0 - yt0 - k_n * f[0]
-                g1 = y1 - yt1 - k_n * f[1]
-            except IndexError as err:
-                raise short_rhs(p, err, f)
-            a0 = abs(g0)
-            a1 = abs(g1)
-            res = a1 if a1 > a0 else a0
-            # both, not res alone: a NaN a1 loses the comparison above
-            if not (isfinite(a0) and isfinite(a1)):
-                raise NewtonDiverged(f"non-finite residual at t={t_next!r}")
-            b0 = abs(y0)
-            b1 = abs(y1)
-            if res <= _NEWTON_TOL * (1.0 + (b1 if b1 > b0 else b0)):
-                return tuple.__new__(NewtonOutcome, ((y0, y1), iterations, res))
-            if iterations >= _NEWTON_MAX_ITER:
-                raise NewtonDiverged(
-                    f"no convergence in {_NEWTON_MAX_ITER} iterations at "
-                    f"t={t_next!r} (residual {res!r})")
-            j = jac(t_next, (y0, y1))
-            jr = j[0]
-            m00 = 1.0 - k_n * jr[0]
-            m01 = 0.0 - k_n * jr[1]
-            jr = j[1]
-            m10 = 0.0 - k_n * jr[0]
-            m11 = 1.0 - k_n * jr[1]
-            r0 = -g0
-            r1 = -g1
-            # partial pivoting on column 0, then one elimination step
-            if abs(m10) > abs(m00):
-                m00, m10 = m10, m00
-                m01, m11 = m11, m01
-                r0, r1 = r1, r0
-            if abs(m00) < _PIVOT_FLOOR:
-                raise SingularLinearSystem("Newton matrix is numerically singular")
-            factor = m10 * (1.0 / m00)
-            if factor != 0.0:
-                m11 -= factor * m01
-                r1 -= factor * r0
-            if abs(m11) < _PIVOT_FLOOR:
-                raise SingularLinearSystem("Newton matrix is numerically singular")
-            d1 = r1 / m11
-            d0 = (r0 - m01 * d1) / m00
-            y0 += d0
-            y1 += d1
-            iterations += 1
-            if not (isfinite(y0) and isfinite(y1)):
-                raise NewtonDiverged(f"non-finite iterate at t={t_next!r}")
     if d < 1:
         raise DimensionMismatch(
             f"stage needs {d} components, got {len(y_tilde)} and {len(y_guess)}")
-    # the update reaches the kernel as an argument: generated code reads no
-    # name that this module's own source does not
-    return _stage_kernel(d)(p, t_next, k_n, y_tilde, y_guess, _newton_update)
+    return _stage_kernel(d)(p, t_next, k_n, y_tilde, y_guess, cfg)
 
 
-def _newton_update(p: OdeProblem, t_next: float, k_n: float, y: Vector,
-                   f: Sequence[float], b: Vector):
-    """The Newton update at the iterate y, whose rhs values are f: the
-    solution of (I - k_n * J) delta = b, with J from p.jacobian at
-    (t_next, y), else by forward differences, from the plan in _plan_slot
-    when k_n and J repeat."""
-    global _plan_slot
-    jac = p.jacobian
-    jm = jac(t_next, y) if jac is not None else _fd_jacobian(p, t_next, list(y), f)
-    d = len(y)
-    key, plan, replay = _plan_slot
-    if key is None or key[2] is not jm or key[0] != k_n or key[1] != d:
-        jt = tuple(map(tuple, jm))   # the matrix's J: jac may change jm later
-        if key != (k_n, d, jt):
-            # not -k_n * jr[c] off the diagonal: that turns a 0.0 entry into -0.0
-            m = []
-            for r, jr in zip(range(d), jt):
-                row = []
-                for c in range(d):
-                    row.append((1.0 if r == c else 0.0) - k_n * jr[c])
-                m.append(row)
-            delta, plan = _factor(m, list(b))
-            _plan_slot = ((k_n, d, jt), plan, None)
-            return delta
-        if replay is None:
-            replay = _replay(plan)
-            if type(jm) is tuple and all(map(is_, jm, jt)):
-                jt = jm     # rows that cannot change: hit on identity
-            _plan_slot = ((k_n, d, jt), plan, replay)
-    solve, values = replay
-    return solve(b, values)
+def _stage_for(stage, d: int):
+    """The stage a driver calls for dimension d: _stage_kernel(d) while
+    stage is implicit_euler_stage, which saves a frame per stage, and any
+    other stage (a tracer's or a test's wrapper) as given."""
+    return _stage_kernel(d) if stage is implicit_euler_stage else stage
 
 
-def _replay(plan):
-    """(solve, values) for a plan from _factor: solve(b, values) gives the
-    plan's solution of b with its float operations in their order.  solve
-    is the straight-line code of the plan's pattern (its dimension, the
-    (i, j) of its updates and its row order), compiled once per pattern;
-    values holds the multipliers, then U's rows, last first, each as its
-    entries right of the diagonal and then the diagonal."""
-    updates, order, m = plan
-    pairs = []
-    values = []
-    for i, factor, j in updates:
-        pairs.append((i, j))
-        values.append(factor)
-    d = len(m)
-    for r in range(d - 1, -1, -1):
-        row = m[r]
-        values.extend(row[r + 1:])
-        values.append(row[r])
-    pattern = (d, tuple(pairs), order and tuple(order))
-    solve = _replays.get(pattern)
-    if solve is None:
-        if len(_replays) >= _REPLAY_CACHE_SIZE:
-            for old in list(_replays.values()):
-                linecache.cache.pop(old.__code__.co_filename, None)
-            _replays.clear()
-        solve, = _compile(globals(), *_replay_source(*pattern))
-        _replays[pattern] = solve
-    return solve, tuple(values)
-
-
-# The template of _stage_kernel: the generic iteration for one dimension,
-# with y as y0, y1, ..., y_tilde as yt0, ..., -g as b0, ... and the update
-# as s0, ...; the max-norms keep max()'s first of equal values.
+# The template of _stage_kernel: the stage for one dimension, with y as
+# y0, y1, ..., y_tilde as yt0, ... and -g as b0, ...; the max-norms keep
+# max()'s first of equal values.  {update} leaves the update in x0, ...
 _STAGE_SOURCE = """\
-def stage_d{d}(p, t_next, k_n, y_tilde, y_guess, update):
+def stage_d{d}(p, t_next, k_n, y_tilde, y_guess, cfg):
+{declare}    if k_n <= 0.0:
+        raise NonPositiveStep(f"implicit stage needs a positive step, got {{k_n!r}}")
     rhs = p.rhs
+    jac = p.jacobian
     try:
         {yt} = y_tilde
         {y} = y_guess
     except ValueError:
         raise DimensionMismatch(
-            f"stage needs {{p.dimension}} components, "
+            f"stage needs {d} components, "
             f"got {{len(y_tilde)}} and {{len(y_guess)}}") from None
     iterations = 0
     while True:
@@ -346,7 +175,8 @@ def stage_d{d}(p, t_next, k_n, y_tilde, y_guess, update):
             raise NewtonDiverged(
                 f"no convergence in {{_NEWTON_MAX_ITER}} iterations at "
                 f"t={{t_next!r}} (residual {{res!r}})")
-        {s} = update(p, t_next, k_n, y, f, ({b}))
+        jm = jac(t_next, y) if jac is not None else _fd_jacobian(p, t_next, list(y), f)
+{update}
 {step}
         iterations += 1
         if not ({y_finite}):
@@ -354,44 +184,91 @@ def stage_d{d}(p, t_next, k_n, y_tilde, y_guess, update):
 """
 
 
+def _elimination(d: int, pad: str) -> list[str]:
+    """Lines that form I - k_n*J from jm's first d rows and columns as
+    m{r}_{c} and eliminate it together with b{r}, in place: at column c,
+    the pivot search leaves the pivot's row in p{c}, and row r's
+    multiplier is f{r}_{c}.  U is left in m{r}_{c}, c >= r."""
+    lines = [f"{pad}try:"]
+    for r in range(d):
+        lines.append(f"{pad}    j{r} = jm[{r}]")
+        # not -k_n * j[c] off the diagonal: that turns a 0.0 entry into -0.0
+        lines += [f"{pad}    m{r}_{c} = {'1.0' if r == c else '0.0'} - k_n * j{r}[{c}]"
+                  for c in range(d)]
+    lines += [f"{pad}except IndexError as err:",
+              f"{pad}    raise DimensionMismatch(",
+              f'{pad}        f"jacobian of {{p.name!r}} is smaller than {d}x{d}") from err']
+    singular = (f'{pad}    raise SingularLinearSystem("Newton matrix is numerically singular")',)
+    for c in range(d - 1):
+        lines += [f"{pad}best = abs(m{c}_{c})", f"{pad}p{c} = {c}"]
+        for r in range(c + 1, d):
+            lines += [f"{pad}a = abs(m{r}_{c})", f"{pad}if a > best:",
+                      f"{pad}    p{c} = {r}", f"{pad}    best = a"]
+        lines += [f"{pad}if best < _PIVOT_FLOOR:", *singular]
+        for r in range(c + 1, d):
+            ours = [f"m{c}_{j}" for j in range(c, d)] + [f"b{c}"]
+            theirs = [f"m{r}_{j}" for j in range(c, d)] + [f"b{r}"]
+            lines += [f"{pad}{'if' if r == c + 1 else 'elif'} p{c} == {r}:",
+                      f"{pad}    {', '.join(ours + theirs)} = {', '.join(theirs + ours)}"]
+        lines.append(f"{pad}inv = 1.0 / m{c}_{c}")
+        for r in range(c + 1, d):
+            lines += [f"{pad}f{r}_{c} = m{r}_{c} * inv", f"{pad}if f{r}_{c} != 0.0:"]
+            lines += [f"{pad}    m{r}_{j} -= f{r}_{c} * m{c}_{j}" for j in range(c + 1, d)]
+            lines.append(f"{pad}    b{r} -= f{r}_{c} * b{c}")
+    return lines + [f"{pad}if abs(m{d - 1}_{d - 1}) < _PIVOT_FLOOR:", *singular]
+
+
+def _rhs_elimination(d: int, pad: str) -> list[str]:
+    """Lines that apply a stored elimination's row swaps and nonzero
+    multipliers to b{r} alone, in the elimination's order."""
+    lines = []
+    for c in range(d - 1):
+        for r in range(c + 1, d):
+            lines += [f"{pad}{'if' if r == c + 1 else 'elif'} p{c} == {r}:",
+                      f"{pad}    b{c}, b{r} = b{r}, b{c}"]
+        for r in range(c + 1, d):
+            lines += [f"{pad}if f{r}_{c} != 0.0:", f"{pad}    b{r} -= f{r}_{c} * b{c}"]
+    return lines
+
+
+def _update(d: int) -> str:
+    """The source of one Newton update: the elimination, or from
+    _REUSE_FROM on a replay of the plan slot's when k_n and J repeat, then
+    back substitution into x0, ..."""
+    pad = " " * 8
+    if d < _REUSE_FROM:
+        lines = _elimination(d, pad)
+    else:
+        plan = ", ".join([f"p{c}" for c in range(d - 1)]
+                         + [f"f{r}_{c}" for c in range(d - 1) for r in range(c + 1, d)]
+                         + [f"m{r}_{c}" for r in range(d) for c in range(r, d)])
+        rows = " and ".join([f"type(j{r}) is tuple" for r in range(d)])
+        lines = [f"{pad}k_s, j_s, d_s, plan = _plan_slot",
+                 f"{pad}if jm is j_s and k_n == k_s and d_s == {d}:",
+                 f"{pad}    {plan} = plan",
+                 *_rhs_elimination(d, pad + "    "),
+                 f"{pad}else:",
+                 *_elimination(d, pad + "    "),
+                 f"{pad}    if jac is not None and type(jm) is tuple and {rows}:",
+                 f"{pad}        _plan_slot = (k_n, jm, {d}, ({plan}))"]
+    for r in range(d - 1, -1, -1):
+        terms = [f"b{r}"] + [f"m{r}_{c} * x{c}" for c in range(r + 1, d)]
+        acc = terms[0] if len(terms) == 1 else f"({' - '.join(terms)})"
+        lines.append(f"{pad}x{r} = {acc} / m{r}_{r}")
+    return "\n".join(lines)
+
+
 @lru_cache(maxsize=16)
 def _stage_kernel(d: int):
-    """implicit_euler_stage written out for dimension d, on float locals,
-    with the update from _newton_update: the generic iteration's residual,
-    norms, tests and update, with its float operations in their order.
-    Kept for the 16 dimensions used last."""
-    stage, = _compile(globals(), f"stage d={d}", _STAGE_SOURCE.format(
-        d=d, y=_names("y", d), yt=_names("yt", d), b=_names("b", d),
-        s=_names("s", d),
+    """implicit_euler_stage written out for dimension d >= 1 on float
+    locals, compiled from _STAGE_SOURCE.  Kept for the 16 dimensions used
+    last."""
+    stage, = _compile(_kernel_globals, f"stage d={d}", _STAGE_SOURCE.format(
+        d=d, y=_names("y", d), yt=_names("yt", d),
         residual=_terms("            b{i} = -(y{i} - yt{i} - k_n * f[{i}])", d, "\n"),
         res_max=_running_max("res", "b{i}", d), top_max=_running_max("top", "y{i}", d),
-        b_finite=_terms("isfinite(b{i})", d, " and "),
-        y_finite=_terms("isfinite(y{i})", d, " and "),
-        step=_terms("        y{i} += s{i}", d, "\n")))
+        declare="    global _plan_slot\n" if d >= _REUSE_FROM else "",
+        b_finite=_terms("isfinite(b{i})", d, " and "), update=_update(d),
+        step=_terms("        y{i} += x{i}", d, "\n"),
+        y_finite=_terms("isfinite(y{i})", d, " and ")))
     return stage
-
-
-def _replay_source(d: int, pairs: tuple, order):
-    """The label and source of the replay for one pattern: the updates of
-    b, then back substitution with the rows in their order after the swaps
-    (renamed, not moved)."""
-    rows = order or range(d)
-    n = len(pairs) + d * (d + 1) // 2
-    lines = [f"def replay_d{d}(b, v):",
-             f"    {_names('b', d)} = b",
-             f"    {_names('v', n)} = v"]
-    k = 0
-    for i, j in pairs:
-        lines.append(f"    b{i} -= v{k} * b{j}")
-        k += 1
-    for r in range(d - 1, -1, -1):
-        terms = [f"b{rows[r]}"]
-        for c in range(r + 1, d):
-            terms.append(f"v{k} * x{c}")
-            k += 1
-        acc = terms[0] if len(terms) == 1 else f"({' - '.join(terms)})"
-        lines.append(f"    x{r} = {acc} / v{k}")
-        k += 1
-    lines.append(f"    return ({_names('x', d)})")
-    label = f"replay d={d} updates={list(pairs)} order={list(rows)}"
-    return label, "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from .core import (_BLOCK, OdeProblem, SolverConfig, Trajectory, Vector,
 from .errors import (DegenerateBeta, DimensionMismatch, NonFiniteState,
                      NonMonotonicTimes, NonPositiveStep)
 from .filters import kernels, step_factors, uniform_step_factors
-from .newton import implicit_euler_stage
+from .newton import _stage_for, implicit_euler_stage
 
 
 class Method(enum.Enum):
@@ -116,6 +116,7 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
 
     traj = Trajectory(p.dimension)
     y = initial_state(p, y0)
+    stage = _stage_for(implicit_euler_stage, p.dimension)
     traj.append(cfg.t_begin, y, 0.0, 0.0)
 
     # startup occupies the first grid points.  The third-order method seeds
@@ -129,7 +130,7 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     else:
         history = [y]
         for t in times[:n_start]:
-            y = implicit_euler_stage(p, t, dt, y, y, cfg).y
+            y = stage(p, t, dt, y, y, cfg).y
             history.append(y)
     for t, y in zip(times, history[1:]):
         traj.append(t, y, 0.0, dt)
@@ -147,7 +148,7 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
         half_a, beta, v_next, v_prev = uniform_factors if uniform else step_factors(k, dt, dt, dt)
         kappa_prev = curvature(w, w, y_nm2, y_nm1, y_n)
         y_tilde = pre_filtered(half_a, y_n, kappa_prev)
-        y_second = implicit_euler_stage(p, t_next, h, y_tilde, y_n, cfg).y
+        y_second = stage(p, t_next, h, y_tilde, y_n, cfg).y
         if not third_order:
             y_next, est = y_second, 0.0
         elif uniform:

@@ -91,8 +91,10 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("dt0, t1, message", [
         ("1e-83", "1e-80", "post-filter degenerate on steps of dt0 1e-83"),
+        # beta was 0.5 here, and the solve rejected 77 of its 157 attempts
+        ("1e-81", "1e-79", "post-filter degenerate on steps of dt0 1e-81"),
         ("1e-200", "1e-199", "step 1e-200 is too small for the pre-filter: dt * dt underflows"),
-    ], ids=["beta", "alpha"])
+    ], ids=["beta", "subnormal beta", "alpha"])
     def test_a_hopeless_dt0_is_named_before_the_adaptive_solve(self, monkeypatch, capsys,
                                                                dt0, t1, message):
         # both used to halve through Newton stages to k_min and end with

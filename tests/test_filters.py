@@ -96,6 +96,12 @@ class TestBeta:
         (1e-10, 1e-10, 1e-10, 1e78),    # it alone does
         (6e76, 6e76, 6e76, 6e76),       # the scale fits, den is inf
         (1e-83, 1e-83, 1e-83, 1e-83),   # den and the scale underflow to 0
+        # num and den are subnormal, with fewer significant bits: these gave
+        # 0.4545454541 (1e-79) and 0.5 (1e-81) against 5/11
+        (1e-78, 1e-78, 1e-78, 1e-78),
+        (1e-79, 1e-79, 1e-79, 1e-79),
+        (10.0 ** -80.5, 10.0 ** -80.5, 10.0 ** -80.5, 10.0 ** -80.5),
+        (1e-81, 1e-81, 1e-81, 1e-81),
     ])
     def test_out_of_range_history_is_degenerate(self, steps):
         # used to raise a bare OverflowError or ZeroDivisionError, or
@@ -104,6 +110,11 @@ class TestBeta:
 
     def test_large_in_range_history_keeps_its_value(self):
         assert _beta(1e76, 1e76, 1e76, 1e76) == pytest.approx(UNIFORM_BETA, rel=1e-15)
+
+    def test_small_in_range_history_keeps_its_value(self):
+        # num and den of four steps of 1e-77 are still normal floats
+        beta = _beta(1e-77, 1e-77, 1e-77, 1e-77)
+        assert abs(beta - UNIFORM_BETA) <= math.ulp(UNIFORM_BETA)
 
     def test_oracle_uniform_grid_value(self):
         assert beta_oracle(0.7, 0.7, 0.7, 0.7) == UNIFORM_BETA

@@ -8,12 +8,15 @@ does not export.  Exempt from the import check are
 `from __future__` imports, the names `__init__.py` re-exports through
 `__all__`, and lines marked `# noqa: F401`.
 
-The last check keeps the per-step code free of closure cells (see the
-docstring of filters.py).
+The last checks keep the per-step code free of closure cells (see the
+docstring of filters.py), and the generated code from reading a name that
+its globals do not hold, which would fail only when that line ran.
 """
 
 import ast
+import dis
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -197,22 +200,22 @@ def test_every_export_resolves_once():
     assert [n for n in names if not hasattr(filtered_ie23, n)] == []
 
 
-# a compiled replay: the solve of a plan with two updates of row 0 and
-# the row order [1, 2, 0]
-_REPLAY = newton._replay(newton._factor(
-    [[2.0, 1.0, 0.0], [4.0, 3.0, 1.0], [0.0, 1.0, 4.0]], [1.0, 1.0, 1.0])[1])[0]
-
 # the code that runs once per step, attempt or Newton iteration, the
 # generated kernels included
 PER_STEP = [filters.curvature, filters._beta, filters.step_factors,
             *filters.kernels(1), *filters.kernels(2), *filters.kernels(4),
             steppers.rk3_step, steppers._solve_ie_filtered,
             steppers.solve_rk4_reference, steppers._rk4, steppers._grid_columns,
-            newton._fd_jacobian, newton._factor, newton._newton_update,
-            newton._stage_kernel(3), newton._stage_kernel(4), _REPLAY,
+            newton._fd_jacobian, newton._stage_kernel(1), newton._stage_kernel(2),
+            newton._stage_kernel(3), newton._stage_kernel(4),
             newton.implicit_euler_stage, adaptive.solve_filtered_ie23,
             adaptive._loop(1, None), adaptive._loop(2, 0), adaptive._loop(4, 0),
             core.Trajectory.append, core.Trajectory._take_states]
+
+# the generated code, whose source no import check reads
+GENERATED = [newton._stage_kernel(d) for d in (1, 2, 3, 4)] + [
+    adaptive._loop(1, None), adaptive._loop(2, 0), adaptive._loop(4, 0),
+    *filters.kernels(1), *filters.kernels(2), *filters.kernels(4)]
 
 
 @pytest.mark.parametrize("function", PER_STEP, ids=lambda f: f.__qualname__)
@@ -227,3 +230,34 @@ def test_the_check_sees_a_cell():
         return tuple([h * y[i] for i in range(len(y))])
 
     assert scaled.__code__.co_cellvars == ("h", "y")
+
+
+def _unresolved_globals(function):
+    """The global names that function's code, nested code included, loads
+    and that neither its __globals__ nor its builtins hold."""
+    missing, codes = set(), [function.__code__]
+    while codes:
+        code = codes.pop()
+        for instruction in dis.get_instructions(code):
+            name = instruction.argval
+            if (instruction.opname == "LOAD_GLOBAL" and name not in function.__globals__
+                    and name not in function.__builtins__):
+                missing.add(name)
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+    return sorted(missing)
+
+
+@pytest.mark.parametrize("function", GENERATED, ids=lambda f: f.__qualname__)
+def test_generated_code_reads_only_names_its_globals_hold(function):
+    assert _unresolved_globals(function) == []
+
+
+def test_the_check_sees_a_missing_global():
+    scaled, = core._compile({"__name__": "check"}, "missing", (
+        "def scaled(h, y):\n"
+        "    if not h:\n"
+        "        raise Missing(h)\n"
+        "    def inner(v):\n"
+        "        return absent(v)\n"
+        "    return [h * abs(v) for v in inner(y)]\n"))
+    assert _unresolved_globals(scaled) == ["Missing", "absent"]

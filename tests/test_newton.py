@@ -1,5 +1,4 @@
 import inspect
-import linecache
 import math
 import sys
 import threading
@@ -11,14 +10,20 @@ from hypothesis import example, given, settings, strategies as st
 from filtered_ie23 import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
                            OdeProblem, SingularLinearSystem, SolverConfig,
                            SolverError, implicit_euler_stage,
-                           quasi_periodic_problem, solve_filtered_ie23)
+                           quasi_periodic_problem, solve_filtered_ie23,
+                           solve_ie_pre_2, solve_ie_pre_post_3)
 from filtered_ie23 import newton
-from filtered_ie23.newton import _NEWTON_TOL, _fd_jacobian, _factor
+from filtered_ie23.newton import _NEWTON_TOL, _fd_jacobian
 
-from oracles import (maxnorm, reference_stage, two_pass_factor,
-                     two_pass_substitute)
+from oracles import maxnorm, reference_stage
 
 CFG = SolverConfig()
+EMPTY_SLOT = (None, None, None, None)
+
+
+def _slot():
+    """The plan slot of the generated stages, (k, J, d, plan)."""
+    return newton._kernel_globals["_plan_slot"]
 
 
 def _linear_1d(lam, with_jac=True):
@@ -38,8 +43,8 @@ def _linear_2d(a, with_jac=True):
 
 
 def _uncoupled(d, f, df):
-    """d uncoupled copies of y' = f(y), with the diagonal Jacobian df(y).
-    d = 1 and d = 2 take the written-out branches, d = 3 the generic path."""
+    """d uncoupled copies of y' = f(y), with the diagonal Jacobian df(y),
+    as a fresh tuple of tuples on every call."""
     def jac(t, y):
         return tuple([tuple([df(c) if i == j else 0.0 for j in range(d)])
                       for i, c in enumerate(y)])
@@ -131,99 +136,25 @@ class TestNonlinearStage:
         assert out.iterations <= 2
 
 
-def _hex(x):
-    """x with every float as its hex string, so == compares bits."""
-    if isinstance(x, float):
-        return x.hex()
-    if isinstance(x, (list, tuple)):
-        return [_hex(v) for v in x]
-    return x
-
-
-class TestFactorSubstitute:
-    """_factor eliminates the matrix and the right-hand side in one pass;
-    it must give the solution and the plan of the two-pass elimination in
-    oracles.py, bit for bit."""
-
-    def _solve(self, m, rhs):
-        plan = two_pass_factor([list(row) for row in m])
-        want = two_pass_substitute(plan, list(rhs))
-        got, got_plan = _factor(m, list(rhs))
-        assert _hex(got) == _hex(want)
-        assert _hex(got_plan) == _hex(plan)
-        return got, got_plan
-
-    def test_first_of_tied_pivots_wins(self):
-        row0, row1 = [2.0, 1.0], [-2.0, 3.0]
-        m = [row0, row1]
-        assert self._solve(m, [1.0, 2.0])[0] == [0.125, 0.75]
-        assert m[0] is row0 and m[1] is row1    # no swap on a tie
-
-    def test_tie_below_a_smaller_pivot(self):
-        row0, row1, row2 = [1.0, 2.0, 0.0], [3.0, 0.0, 1.0], [-3.0, 1.0, 1.0]
-        m = [row0, row1, row2]
-        assert self._solve(m, [3.0, 4.0, -1.0])[0] == [1.0, 1.0, 1.0]
-        assert m[0] is row1
-
-    def test_two_row_swaps(self):
-        # column 0 takes row 2's 4.0, column 1 row 3's 5.0, column 2 keeps
-        # its row; row 3's 0.0 in column 0 gives a zero multiplier
-        m = [[1.0, 2.0, 3.0, 1.0], [2.0, 1.0, 1.0, 0.0],
-             [4.0, 0.0, 1.0, 2.0], [0.0, 5.0, 0.0, 1.0]]
-        _, (updates, order, _) = self._solve(m, [1.0, -0.0, 2.0, 3.0])
-        assert order == [2, 3, 0, 1]
-        assert [u[:3:2] for u in updates] == [(1, 2), (0, 2), (0, 3), (1, 3), (1, 0)]
-
-    def test_zero_multiplier_records_no_update(self):
-        m = [[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 0.0, 4.0]]
-        _, (updates, order, _) = self._solve(m, [1.0, 2.0, 3.0])
-        assert order is None
-        assert [u[0] for u in updates] == [2, 2]
-
-    def test_negative_zero_right_hand_side(self):
-        # row 1's update is -0.0 - (-0.5 * 0.0) = +0.0; row 2 has none and
-        # keeps its -0.0
-        m = [[2.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-        got, _ = self._solve(m, [0.0, -0.0, -0.0])
-        assert [math.copysign(1.0, v) for v in got] == [1.0, 1.0, -1.0]
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(st.integers(3, 5).flatmap(lambda d: st.tuples(
-        st.lists(st.lists(st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0,
-                                           3.0, 0.1, -2.0 / 3.0]),
-                          min_size=d, max_size=d), min_size=d, max_size=d),
-        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0 / 3.0, 7.0]),
-                 min_size=d, max_size=d))))
-    def test_matches_the_two_pass_elimination(self, case):
-        # entries from a small set, so ties, zero multipliers and singular
-        # matrices are common
-        m, rhs = case
-        try:
-            two_pass_factor([list(row) for row in m])
-        except SingularLinearSystem:
-            with pytest.raises(SingularLinearSystem):
-                _factor(m, list(rhs))
-            return
-        self._solve(m, rhs)
-
-
 class TestPlanCache:
-    """The generic stage reuses its last factorization of I - k*J while
-    k and J repeat; a reused one must give a fresh solve's bits."""
+    """From dimension 3 on a stage reuses its last factorization of
+    I - k*J while k and J repeat; a reused one must give a fresh solve's
+    bits."""
 
     @pytest.fixture(autouse=True)
     def _cleared_slot(self, monkeypatch):
-        monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
+        monkeypatch.setitem(newton._kernel_globals, "_plan_slot", EMPTY_SLOT)
 
     def test_warm_slot_gives_the_cold_outcome(self, monkeypatch):
         p = quasi_periodic_problem().problem
         y = p.exact(0.3)
         cold = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
         warm = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
-        monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
+        monkeypatch.setitem(newton._kernel_globals, "_plan_slot", EMPTY_SLOT)
         again = implicit_euler_stage(p, 0.35, 0.05, y, y, CFG)
         assert cold == warm == again
-        assert newton._plan_slot[0] == (0.05, 4, p.jacobian(0.35, y))
+        k, jm, d, _ = _slot()
+        assert (k, d) == (0.05, 4) and jm is p.jacobian(0.35, y)
 
     def test_mutated_jacobian_list_misses(self, monkeypatch):
         # one list, changed in place and returned by every call: a key on
@@ -246,9 +177,10 @@ class TestPlanCache:
         start = (1.0, 2.0, 3.0)
         outcomes = []
         for jac in (mutated, fresh):
-            monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
+            monkeypatch.setitem(newton._kernel_globals, "_plan_slot", EMPTY_SLOT)
             outcomes.append(implicit_euler_stage(OdeProblem(3, rhs, jac), 0.1,
                                                  0.1, start, start, CFG))
+            assert _slot() == EMPTY_SLOT
         assert outcomes[0].iterations >= 3
         assert outcomes[0] == outcomes[1]
 
@@ -258,14 +190,15 @@ class TestPlanCache:
         for _ in range(2):
             with pytest.raises(SingularLinearSystem):
                 implicit_euler_stage(singular, 1.0, 1.0, ones, ones, CFG)
-        assert newton._plan_slot == (None, None, None)
+        assert _slot() == EMPTY_SLOT
         # k = 0.5 leaves I - k*J = I/2, so y = y_tilde + 0.5 y gives 2 y_tilde
         out = implicit_euler_stage(singular, 1.0, 0.5, ones, ones, CFG)
         assert out.y == (2.0, 2.0, 2.0)
 
     def test_dimension_is_part_of_the_key(self, monkeypatch):
         # one 4x4 Jacobian serves a 3-D and a 4-D problem; the 3-D stage
-        # reads its top-left 3x3 block and must not reuse the 4-D plan
+        # reads its top-left 3x3 block and must not reuse the 4-D plan,
+        # which it meets with the same J and k
         big = ((-1.0, 0.5, 0.0, 0.25), (0.0, -2.0, 0.5, 0.0),
                (0.25, 0.0, -3.0, 0.5), (0.5, 0.25, 0.0, -4.0))
 
@@ -276,13 +209,11 @@ class TestPlanCache:
             return OdeProblem(d, rhs, lambda t, y: big)
 
         ones = (1.0,) * 4
-        # twice: the first reuse keys the plan on big itself, so the 3-D
-        # stage below meets it on identity as well as on value
-        for _ in range(2):
-            implicit_euler_stage(linear(4), 1.0, 0.1, ones, ones, CFG)
-        assert newton._plan_slot[0][2] is big
+        implicit_euler_stage(linear(4), 1.0, 0.1, ones, ones, CFG)
+        assert _slot()[:3] == (0.1, big, 4) and _slot()[1] is big
         warm = implicit_euler_stage(linear(3), 1.0, 0.1, ones[:3], ones[:3], CFG)
-        monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
+        assert _slot()[:3] == (0.1, big, 3)
+        monkeypatch.setitem(newton._kernel_globals, "_plan_slot", EMPTY_SLOT)
         cold = implicit_euler_stage(linear(3), 1.0, 0.1, ones[:3], ones[:3], CFG)
         assert warm == cold
 
@@ -317,35 +248,12 @@ class TestPlanCache:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
-    def test_positive_zero_survives_a_hit_on_negative_zeros(self, monkeypatch):
-        # test_zero_jacobian_entries_keep_positive_zero, right after a stage
-        # whose stored J held -0.0 where that test's first J holds 0.0: the
-        # keys are equal, so that first update reuses the stored plan
-        negative = ((-2.0, -0.0, -0.0), (-0.0, -0.0, -0.0), (-0.0, -0.0, -3.0))
-        linear = OdeProblem(3, lambda t, y: (-2.0 * y[0], -0.0, -3.0 * y[2]),
-                            lambda t, y: negative)
-        implicit_euler_stage(linear, 0.1, 0.1, ZERO_START, ZERO_START, CFG)
-        stored = newton._plan_slot[0]
-        assert stored == (0.1, 3, ZERO_COLUMN.jacobian(0.1, ZERO_START))
-        assert math.copysign(1.0, stored[2][0][1]) == -1.0
-        factored = []
-        factor = newton._factor
-        monkeypatch.setattr(newton, "_factor",
-                            lambda m, rhs: factored.append(1) or factor(m, rhs))
-        out = implicit_euler_stage(ZERO_COLUMN, 0.1, 0.1, ZERO_START,
-                                   ZERO_START, CFG)
-        assert len(factored) == out.iterations - 1
-        assert math.copysign(1.0, out.y[1]) == 1.0
-
-    @pytest.mark.parametrize("cache_size", [64, 1])
-    def test_alternating_patterns_give_cold_stages(self, monkeypatch, cache_size):
-        # two 4-D Jacobians whose eliminations differ in their updates and
-        # row order, alternated at one k and then at another: each stage
-        # finds the other's plan in the slot, and from its second update
-        # on reuses its own, whose compiled replay another stage may have
-        # built, or, with a cache of one pattern, compiles it again.  The
-        # rhs is not linear in y, so Newton's iteration with the constant
-        # J takes several updates.
+    def test_alternating_jacobians_give_cold_stages(self, monkeypatch):
+        # two 4-D Jacobians whose eliminations differ in their multipliers
+        # and row swaps, alternated at one k and then at another: each
+        # stage finds the other's plan in the slot, and from its second
+        # update on reuses its own.  The rhs is not linear in y, so
+        # Newton's iteration with the constant J takes several updates.
         swapped = ((-5.0, -400.0, 10.0, 1.0), (300.0, -2.5, 20.0, 0.0),
                    (10.0, -200.0, -350.0, 2.0), (0.5, 1.0, 3.0, -7.0))
         sparse = ((-3.0, 0.0, 0.0, 1.0), (0.0, -2.0, 0.0, 0.0),
@@ -360,43 +268,34 @@ class TestPlanCache:
         problems = [chord(swapped), chord(sparse)]
         start, guess = (1.0, -0.5, 0.25, -0.0), (0.5, 0.5, -0.5, 0.0)
         cases = [(k, p) for k in (0.01, 0.01, 0.02) for p in problems * 2]
-        monkeypatch.setattr(newton, "_replays", {})
-        monkeypatch.setattr(newton, "_REPLAY_CACHE_SIZE", cache_size)
-        warm, names = [], set()
+        warm, pivots = [], set()
         for k, p in cases:
             warm.append(_outcome(implicit_euler_stage, p, 0.5, k, start, guess, CFG))
-            solve = newton._plan_slot[2][0]
-            assert solve in newton._replays.values()
-            names.add(solve.__code__.co_filename)
-        # one replay for each Jacobian, at both ks; a cleared cache takes
-        # the linecache entries of its replays with it
-        kept = [solve.__code__.co_filename for solve in newton._replays.values()]
-        assert len(names) == 2 and len(kept) == min(2, cache_size)
-        assert [name in linecache.cache for name in sorted(names)] == [
-            name in kept for name in sorted(names)]
-        if cache_size > 1:
-            assert [pattern[2] for pattern in newton._replays] == [(1, 0, 2, 3), None]
+            stored_k, jm, _, plan = _slot()
+            assert stored_k == k and jm is p.jacobian(0.5, start)
+            pivots.add(plan[:3])
+        # the first Jacobian swaps rows 0 and 1, the second none
+        assert pivots == {(1, 1, 2), (0, 1, 2)}
         for (k, p), got in zip(cases, warm):
-            monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
-            monkeypatch.setattr(newton, "_replays", {})
+            monkeypatch.setitem(newton._kernel_globals, "_plan_slot", EMPTY_SLOT)
             cold = _outcome(implicit_euler_stage, p, 0.5, k, start, guess, CFG)
             assert got == cold == _outcome(reference_stage, p, 0.5, k, start, guess)
             assert got[1] >= 3
 
 
 class TestArrayJacobians:
-    """A jac that returns numpy arrays takes the generic path's value key:
-    every stage and run must give the bits of a jac that returns fresh
-    tuples of tuples, whether it returns a new ndarray, a tuple of ndarray
-    rows, or one ndarray changed in place."""
+    """A jac that returns numpy arrays reads np.float64 entries and is
+    never stored for reuse: every stage and run must give the bits of a jac
+    that returns fresh tuples of tuples, whether it returns a new ndarray,
+    a tuple of ndarray rows, or one ndarray changed in place."""
 
     A = ((-2.0, 1.0, 0.0), (0.5, -3.0, 0.25), (0.0, 0.0, -1.0))
 
     def _rows(self, t, y, cubic):
         # f = (1 + t)*A*y, less y_i**3/3 for the cubic problem; J is
         # s*A with s = 1.5 before t = 0.6 and 1.75 after, less diag(y_i**2),
-        # so the linear problem's stages reuse a plan until t passes 0.6 or
-        # k changes, and Newton's iteration still converges
+        # so the linear problem's J repeats its values until t passes 0.6,
+        # and Newton's iteration still converges
         s = 1.5 if t < 0.6 else 1.75
         return [[s * v - (y[i] * y[i] if cubic and i == j else 0.0)
                  for j, v in enumerate(row)] for i, row in enumerate(self.A)]
@@ -411,7 +310,7 @@ class TestArrayJacobians:
 
             p = OdeProblem(3, rhs, lambda t, y: jac(t, y, cubic))
             start, guess = (1.0, -0.5, 0.25), (0.5, 0.5, 0.5)
-            newton._plan_slot = (None, None, None)
+            newton._kernel_globals["_plan_slot"] = EMPTY_SLOT
             out += [_outcome(implicit_euler_stage, p, t, k, start, guess, CFG)
                     for t, k in [(0.5, 0.1)] * 3 + [(0.75, 0.1), (0.75, 0.2)]]
             cfg = SolverConfig(tol=1e-4, dt0=1e-3, t_end=0.7)
@@ -522,7 +421,7 @@ class TestFailureModes:
                   if frame.filename == "<filtered_ie23.newton stage d=3>"]
         assert [frame.line for frame in frames] == ["raise NewtonDiverged("]
         source = inspect.getsource(newton._stage_kernel(3))
-        assert source.startswith("def stage_d3(p, t_next, k_n, y_tilde, y_guess, update):")
+        assert source.startswith("def stage_d3(p, t_next, k_n, y_tilde, y_guess, cfg):")
 
     def test_singular_planar_matrix_after_elimination(self):
         # I - k*J = ((1, 1), (1, 1)): the first pivot is 1, the second 0
@@ -571,6 +470,55 @@ class TestStateLengths:
                            match=f"returned {d - 1} components, need {d}"):
             implicit_euler_stage(p, 0.5, 0.1, ones, ones, CFG)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("short", ["rows", "columns"])
+    def test_short_jacobian_raises_dimension_mismatch(self, d, short):
+        # a J one row or one column short, which used to fail with a bare
+        # IndexError or, for rows from d = 3 on, a ValueError
+        full = _uncoupled(d, lambda c: -c, lambda c: -1.0)
+
+        def jac(t, y):
+            j = full.jacobian(t, y)
+            return j[:-1] if short == "rows" else tuple([row[:-1] for row in j])
+
+        p = OdeProblem(d, full.rhs, jac, name="short")
+        ones = (1.0,) * d
+        with pytest.raises(DimensionMismatch,
+                           match=f"jacobian of 'short' is smaller than {d}x{d}"):
+            implicit_euler_stage(p, 0.5, 0.1, ones, ones, CFG)
+
+    def test_a_larger_jacobian_gives_its_top_left_block(self):
+        # J's rows and columns past d are not read
+        a = ((-1.0, 2.0), (1.0, -3.0))
+        big = ((-1.0, 2.0, 7.0), (1.0, -3.0, 7.0), (7.0, 7.0, 7.0))
+        p = _linear_2d(a)
+        want = implicit_euler_stage(p, 0.5, 0.2, (1.0, -1.0), (1.0, -1.0), CFG)
+        got = implicit_euler_stage(OdeProblem(2, p.rhs, lambda t, y: big), 0.5, 0.2,
+                                   (1.0, -1.0), (1.0, -1.0), CFG)
+        assert got == want
+
+
+@pytest.mark.parametrize("solve", [solve_filtered_ie23, solve_ie_pre_2, solve_ie_pre_post_3])
+@pytest.mark.parametrize("d", [1, 2])
+def test_the_drivers_call_the_kernel_itself(solve, d):
+    # while the drivers' implicit_euler_stage is newton's own, they call
+    # _stage_kernel(d) with no implicit_euler_stage frame in between; the
+    # counting tests in test_adaptive.py cover a rebound one
+    p = _uncoupled(d, lambda c: -c, lambda c: -1.0)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        solve(p, SolverConfig(dt0=0.01, t_end=0.1), (1.0,) * d)
+    finally:
+        sys.setprofile(None)
+    assert newton.implicit_euler_stage.__code__ not in calls
+    assert calls.count(newton._stage_kernel(d).__code__) >= 5
+
 
 def _vec(d, s):
     return st.tuples(*[s] * d)
@@ -580,24 +528,54 @@ def _signed_zeros_or(s):
     return st.sampled_from([0.0, -0.0]) | s
 
 
+def _matrix_stage(m, y_tilde, y_guess):
+    """("matrix", problem, k, y_tilde, y_guess): a linear stage at k = 1
+    with J = I - m, as one tuple of tuples, so that the Newton matrix
+    I - k*J is m whenever 1 - m_ii is exact.  f(y) = J*y sums from +0.0, so
+    from a guess of zeros the first right-hand side -g is y_tilde where
+    that is not zero."""
+    d = len(m)
+    jm = tuple([tuple([(1.0 if r == c else 0.0) - m[r][c] for c in range(d)])
+                for r in range(d)])
+
+    def rhs(t, y):
+        f = []
+        for row in jm:
+            acc = 0.0
+            for c in range(d):
+                acc += row[c] * y[c]
+            f.append(acc)
+        return tuple(f)
+
+    return "matrix", OdeProblem(d, rhs, lambda t, y: jm), 1.0, y_tilde, y_guess
+
+
 @st.composite
 def _stages(draw):
     """(kind, problem, k, y_tilde, y_guess): a stage of dimension 1 to 6
-    with an analytic Jacobian; d <= 2 take the written-out branches and
-    d >= 3 the kernel generated for d.  States may hold -0.0.  linear and
-    nonlinear stages mostly converge; for d >= 3 they return J as one tuple
-    of tuples per value, fresh lists or one list changed in place, and
-    linear ones may have zero Jacobian rows.  singular ones make I - k*J
-    exactly singular, at the first pivot or after the elimination;
+    with an analytic Jacobian, which runs the kernel generated for d.
+    States may hold -0.0.  linear and nonlinear stages mostly converge;
+    they return J as one tuple of tuples per value, fresh lists or one list
+    changed in place, and linear ones may have zero Jacobian rows.  matrix
+    ones (_matrix_stage) draw I - k*J from a few values, so that ties, zero
+    multipliers and singular matrices are common.  singular ones make
+    I - k*J exactly singular, at the first pivot or after the elimination;
     diverging ones have no real root or a NaN right-hand side."""
     d = draw(st.sampled_from([1, 2, 3, 4, 5, 6]))
-    kind = draw(st.sampled_from(["linear", "nonlinear", "singular", "diverging"]))
+    kind = draw(st.sampled_from(["linear", "nonlinear", "matrix", "singular", "diverging"]))
+    if kind == "matrix":
+        entries = st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0, 0.1,
+                                   -2.0 / 3.0])
+        return _matrix_stage(
+            draw(_vec(d, _vec(d, entries))),
+            draw(_vec(d, st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0 / 3.0, 7.0]))),
+            draw(_vec(d, st.sampled_from([0.0, -0.0]))))
     small = st.floats(-0.1, 0.1)
     big = st.floats(0.5, 10.0).flatmap(lambda v: st.sampled_from([v, -v]))
     k = draw(st.floats(1e-6, 10.0))
     y_tilde = draw(_vec(d, _signed_zeros_or(st.floats(-10.0, 10.0))))
     y_guess = draw(_vec(d, _signed_zeros_or(st.floats(-10.0, 10.0))))
-    form = draw(st.sampled_from(["tuple", "list", "mutated"])) if d > 2 else "tuple"
+    form = draw(st.sampled_from(["tuple", "list", "mutated"]))
     shared = [[0.0] * d for _ in range(d)]
     tuples = {}
 
@@ -690,6 +668,24 @@ def _outcome(stage, *args):
 @given(_stages())
 # tied pivots, |1 - k*a00| == |k*a10|: the first row must stay the pivot
 @example(("linear", _linear_2d(((0.0, 1.5), (1.0, -4.9))), 1.0, (7.5, 3.7), (0.3, -0.7)))
+# tied pivots, 2.0 and -2.0, in I - k*J itself
+@example(_matrix_stage(((2.0, 1.0), (-2.0, 3.0)), (1.0, 2.0), (0.0, 0.0)))
+# a tie in column 0 below a smaller diagonal entry: row 1 is the pivot
+@example(_matrix_stage(((1.0, 2.0, 0.0), (3.0, 0.0, 1.0), (-3.0, 1.0, 1.0)),
+                       (3.0, 4.0, -1.0), (0.0, 0.0, 0.0)))
+# two row swaps: column 0 takes row 2's 4.0 and column 1 row 3's 5.0, and
+# row 3's 0.0 in column 0 gives a zero multiplier
+@example(_matrix_stage(((1.0, 2.0, 3.0, 1.0), (2.0, 1.0, 1.0, 0.0),
+                        (4.0, 0.0, 1.0, 2.0), (0.0, 5.0, 0.0, 1.0)),
+                       (1.0, -0.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.0)))
+# zero multipliers for row 1 in column 0 and row 2 in column 1
+@example(_matrix_stage(((2.0, 1.0, 0.0), (0.0, 3.0, 1.0), (1.0, 0.0, 4.0)),
+                       (1.0, 2.0, 3.0), (0.0, 0.0, 0.0)))
+# -g = (0.0, -0.0, -0.0, 1.0): row 1's update is -0.0 - (-0.5 * 0.0) =
+# +0.0 and row 2 has none, so the stage ends at (0.0, 0.0, -0.0, 1.0)
+@example(_matrix_stage(((2.0, 0.0, 0.0, 0.0), (-1.0, 1.0, 0.0, 0.0),
+                        (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
+                       (0.0, -0.0, -0.0, 1.0), (-0.0, -0.0, -0.0, 0.0)))
 # a zero middle Jacobian row and -0.0 in the middle of both states: the
 # right-hand side -g there is -(0.0 - 0.0) = -0.0, which the update adds to
 # the -0.0 guess; k*f - (y - y_tilde) would give +0.0 and a +0.0 result
@@ -699,22 +695,22 @@ def _outcome(stage, *args):
                                              (0.25, 0.0, -3.0))),
           0.1, (1.0, -0.0, 2.0), (0.5, -0.0, 1.0)))
 # U's first row is (1, 0.0, 0.0) and -g's first entry -0.0: back substitution
-# subtracts 0.0 * (a negative delta), which turns it into +0.0, so a replay
+# subtracts 0.0 * (a negative delta), which turns it into +0.0, so a solve
 # that skipped U's zero entries would give -0.0
 @example(("linear", OdeProblem(3, lambda t, y: (0.0, 0.5 * y[0] - 2.0 * y[1] - 3.0,
                                                 y[1] - y[2] + 0.5),
                                lambda t, y: ((0.0, 0.0, 0.0), (0.5, -2.0, 0.0),
                                              (0.0, 1.0, -1.0))),
           0.1, (-0.0, 1.0, 1.0), (-0.0, 2.0, 0.5)))
-def test_written_out_branches_match_the_generic_elimination(case):
-    # d >= 3 runs from an empty plan slot: cold; warm, where the first reuse
-    # of a plan builds its replay; with the replay, after a hit on identity
-    # if jac returns one tuple of tuples; then at a t that moves J, where a
-    # list changed in place must miss
+def test_stage_matches_the_reference_elimination(case):
+    # from d = 3 on the stage runs from an empty plan slot, then twice at
+    # the same t, where a jac that returns one tuple of tuples per value of
+    # J reuses the stored plan, then at a t that moves J, where a list
+    # changed in place must miss
     kind, p, k, y_tilde, y_guess = case
-    times = (0.5, 0.5, 0.5, 0.75) if p.dimension > 2 else (0.5,)
+    times = (0.5, 0.5, 0.5, 0.75) if p.dimension >= newton._REUSE_FROM else (0.5,)
     want = {t: _outcome(reference_stage, p, t, k, y_tilde, y_guess) for t in set(times)}
-    newton._plan_slot = (None, None, None)
+    newton._kernel_globals["_plan_slot"] = EMPTY_SLOT
     for t_next in times:
         got = _outcome(implicit_euler_stage, p, t_next, k, y_tilde, y_guess, CFG)
         assert got == want[t_next]

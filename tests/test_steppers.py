@@ -549,10 +549,11 @@ class TestFrozenDigests:
 
     def test_the_stiff_system_swaps_rows(self, monkeypatch):
         # the elimination of I - k*A pivots on row 1 in column 0, so the
-        # stiff case pins a plan with a row order
-        monkeypatch.setattr(newton, "_plan_slot", (None, None, None))
+        # stiff case pins a plan with a row swap
+        monkeypatch.setitem(newton._kernel_globals, "_plan_slot", (None, None, None, None))
         solve_ie_pre_2(self.STIFF, SolverConfig(dt0=0.01, t_end=0.05), (1.0, -0.5, 0.25))
-        assert newton._plan_slot[1][1] == [1, 0, 2]
+        k, jm, d, plan = newton._kernel_globals["_plan_slot"]
+        assert (k, jm, d, plan[0]) == (0.01, self.STIFF_A, 3, 1)
 
 
 class TestInitialStateCheck:
