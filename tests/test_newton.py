@@ -15,7 +15,7 @@ from filtered_ie23 import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
 from filtered_ie23 import newton
 from filtered_ie23.newton import _NEWTON_TOL, _fd_jacobian
 
-from oracles import maxnorm, reference_stage
+from oracles import maxnorm, reference_stage, two_pass_factor
 
 CFG = SolverConfig()
 EMPTY_SLOT = (None, None, None, None)
@@ -136,6 +136,123 @@ class TestNonlinearStage:
         assert out.iterations <= 2
 
 
+def _hex(x):
+    """x with every float as its hex string, so == compares bits."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [_hex(v) for v in x]
+    return x
+
+
+def _two_pass_form(plan, d):
+    """A plan from the slot, (p0, ..., f1_0, ..., m0_0, ...), in
+    two_pass_factor's form: the updates (i, factor, j) of its nonzero
+    multipliers and the row order after its swaps, with rows named by their
+    index before the swaps, and U's rows."""
+    pivots, factors = plan[:d - 1], iter(plan[d - 1:])
+    order, updates = list(range(d)), []
+    for c, piv in enumerate(pivots):
+        order[c], order[piv] = order[piv], order[c]
+        for r in range(c + 1, d):
+            factor = next(factors)
+            if factor != 0.0:
+                updates.append((order[r], factor, order[c]))
+    u = list(factors)
+    rows = [u[sum(range(d, d - r, -1)):][:d - r] for r in range(d)]
+    return updates, (None if order == sorted(order) else order), rows
+
+
+class TestFactorSubstitute:
+    """The generated stage eliminates I - k*J together with the
+    right-hand side in one pass, and from d = _REUSE_FROM on stores its
+    pivots, multipliers and U in the plan slot.  On a linear stage with
+    J = I - M at k = 1 (_matrix_stage), the first update solves M x = -g;
+    the stage, cold and then reusing its plan, must give the outcome of
+    oracles.py's two-pass elimination and its plan, bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def _cleared_slot(self, monkeypatch):
+        monkeypatch.setitem(newton._kernel_globals, "_plan_slot", EMPTY_SLOT)
+
+    def _solve(self, m, y_tilde, y_guess=None):
+        """The stage's outcome, and its plan in two_pass_factor's form, or
+        None where no update ran."""
+        d = len(m)
+        _, p, k, y_tilde, y_guess = _matrix_stage(m, y_tilde, y_guess or (0.0,) * d)
+        want = _outcome(reference_stage, p, 0.5, k, y_tilde, y_guess)
+        got = [_outcome(implicit_euler_stage, p, 0.5, k, y_tilde, y_guess, CFG)
+               for _ in range(2)]
+        assert got == [want, want]
+        jm = p.jacobian(0.5, y_tilde)
+        newton_matrix = [[(1.0 if r == c else 0.0) - k * jm[r][c] for c in range(d)]
+                         for r in range(d)]
+        try:
+            updates, order, u = two_pass_factor(newton_matrix)
+        except SingularLinearSystem:
+            # no plan: the stage either needed no update or raised
+            assert _slot() == EMPTY_SLOT
+            assert want is SingularLinearSystem or want[1] == 0
+            return want, None
+        if want[1] == 0:    # -g was zero
+            assert _slot() == EMPTY_SLOT
+            return want, None
+        plan = _two_pass_form(_slot()[3], d)
+        assert _hex(plan) == _hex((updates, order, [row[r:] for r, row in enumerate(u)]))
+        return want, plan
+
+    def test_first_of_tied_pivots_wins(self):
+        # column 0 holds 2.0 and -2.0; row 2 only makes the stage store a plan
+        got, (_, order, _) = self._solve(
+            ((2.0, 1.0, 0.0), (-2.0, 3.0, 0.0), (0.0, 0.0, 1.0)), (1.0, 2.0, 4.0))
+        assert got[0] == [v.hex() for v in (0.125, 0.75, 4.0)]
+        assert order is None    # no swap on a tie
+
+    def test_tie_below_a_smaller_pivot(self):
+        got, (_, order, _) = self._solve(
+            ((1.0, 2.0, 0.0), (3.0, 0.0, 1.0), (-3.0, 1.0, 1.0)), (3.0, 4.0, -1.0))
+        assert got[0] == [v.hex() for v in (1.0, 1.0, 1.0)]
+        assert order[0] == 1
+
+    def test_two_row_swaps(self):
+        # column 0 takes row 2's 4.0, column 1 row 3's 5.0, column 2 keeps
+        # its row; row 3's 0.0 in column 0 gives a zero multiplier
+        m = ((1.0, 2.0, 3.0, 1.0), (2.0, 1.0, 1.0, 0.0),
+             (4.0, 0.0, 1.0, 2.0), (0.0, 5.0, 0.0, 1.0))
+        _, (updates, order, _) = self._solve(m, (1.0, -0.0, 2.0, 3.0))
+        assert order == [2, 3, 0, 1]
+        assert [u[:3:2] for u in updates] == [(1, 2), (0, 2), (0, 3), (1, 3), (1, 0)]
+
+    def test_zero_multiplier_records_no_update(self):
+        m = ((2.0, 1.0, 0.0), (0.0, 3.0, 1.0), (1.0, 0.0, 4.0))
+        _, (updates, order, _) = self._solve(m, (1.0, 2.0, 3.0))
+        assert order is None
+        assert [u[0] for u in updates] == [2, 2]
+
+    def test_negative_zero_right_hand_side(self):
+        # -g = (0.0, -0.0, -0.0, 1.0): row 1's update is
+        # -0.0 - (-0.5 * 0.0) = +0.0 and row 2 has none, so it keeps -0.0;
+        # row 3 only makes -g nonzero
+        m = ((2.0, 0.0, 0.0, 0.0), (-1.0, 1.0, 0.0, 0.0),
+             (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
+        got, _ = self._solve(m, (0.0, -0.0, -0.0, 1.0), (-0.0, -0.0, -0.0, 0.0))
+        assert [math.copysign(1.0, float.fromhex(v)) for v in got[0]] == [1.0, 1.0, -1.0, 1.0]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.integers(3, 5).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(st.sampled_from([-3.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0,
+                                           3.0, 0.1, -2.0 / 3.0]),
+                          min_size=d, max_size=d), min_size=d, max_size=d),
+        st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0 / 3.0, 7.0]),
+                 min_size=d, max_size=d))))
+    def test_matches_the_two_pass_elimination(self, case):
+        # entries from a small set, so ties, zero multipliers and singular
+        # matrices are common
+        m, rhs = case
+        newton._kernel_globals["_plan_slot"] = EMPTY_SLOT
+        self._solve(m, tuple(rhs))
+
+
 class TestPlanCache:
     """From dimension 3 on a stage reuses its last factorization of
     I - k*J while k and J repeat; a reused one must give a fresh solve's
@@ -248,12 +365,15 @@ class TestPlanCache:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
-    def test_alternating_jacobians_give_cold_stages(self, monkeypatch):
+    @pytest.mark.parametrize("run_length", [64, 1])
+    def test_alternating_patterns_give_cold_stages(self, monkeypatch, run_length):
         # two 4-D Jacobians whose eliminations differ in their multipliers
-        # and row swaps, alternated at one k and then at another: each
-        # stage finds the other's plan in the slot, and from its second
-        # update on reuses its own.  The rhs is not linear in y, so
-        # Newton's iteration with the constant J takes several updates.
+        # and row swaps, each for run_length stages in a row, alternated at
+        # one k and then at another: the first stage of a run finds the
+        # other's plan in the slot and from its second update on reuses its
+        # own, which the rest of the run reuse from their first update.
+        # The rhs is not linear in y, so Newton's iteration with the
+        # constant J takes several updates.
         swapped = ((-5.0, -400.0, 10.0, 1.0), (300.0, -2.5, 20.0, 0.0),
                    (10.0, -200.0, -350.0, 2.0), (0.5, 1.0, 3.0, -7.0))
         sparse = ((-3.0, 0.0, 0.0, 1.0), (0.0, -2.0, 0.0, 0.0),
@@ -267,7 +387,8 @@ class TestPlanCache:
 
         problems = [chord(swapped), chord(sparse)]
         start, guess = (1.0, -0.5, 0.25, -0.0), (0.5, 0.5, -0.5, 0.0)
-        cases = [(k, p) for k in (0.01, 0.01, 0.02) for p in problems * 2]
+        cases = [(k, p) for k in (0.01, 0.01, 0.02) for p in problems * 2
+                 for _ in range(run_length)]
         warm, pivots = [], set()
         for k, p in cases:
             warm.append(_outcome(implicit_euler_stage, p, 0.5, k, start, guess, CFG))
@@ -670,22 +791,6 @@ def _outcome(stage, *args):
 @example(("linear", _linear_2d(((0.0, 1.5), (1.0, -4.9))), 1.0, (7.5, 3.7), (0.3, -0.7)))
 # tied pivots, 2.0 and -2.0, in I - k*J itself
 @example(_matrix_stage(((2.0, 1.0), (-2.0, 3.0)), (1.0, 2.0), (0.0, 0.0)))
-# a tie in column 0 below a smaller diagonal entry: row 1 is the pivot
-@example(_matrix_stage(((1.0, 2.0, 0.0), (3.0, 0.0, 1.0), (-3.0, 1.0, 1.0)),
-                       (3.0, 4.0, -1.0), (0.0, 0.0, 0.0)))
-# two row swaps: column 0 takes row 2's 4.0 and column 1 row 3's 5.0, and
-# row 3's 0.0 in column 0 gives a zero multiplier
-@example(_matrix_stage(((1.0, 2.0, 3.0, 1.0), (2.0, 1.0, 1.0, 0.0),
-                        (4.0, 0.0, 1.0, 2.0), (0.0, 5.0, 0.0, 1.0)),
-                       (1.0, -0.0, 2.0, 3.0), (0.0, 0.0, 0.0, 0.0)))
-# zero multipliers for row 1 in column 0 and row 2 in column 1
-@example(_matrix_stage(((2.0, 1.0, 0.0), (0.0, 3.0, 1.0), (1.0, 0.0, 4.0)),
-                       (1.0, 2.0, 3.0), (0.0, 0.0, 0.0)))
-# -g = (0.0, -0.0, -0.0, 1.0): row 1's update is -0.0 - (-0.5 * 0.0) =
-# +0.0 and row 2 has none, so the stage ends at (0.0, 0.0, -0.0, 1.0)
-@example(_matrix_stage(((2.0, 0.0, 0.0, 0.0), (-1.0, 1.0, 0.0, 0.0),
-                        (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)),
-                       (0.0, -0.0, -0.0, 1.0), (-0.0, -0.0, -0.0, 0.0)))
 # a zero middle Jacobian row and -0.0 in the middle of both states: the
 # right-hand side -g there is -(0.0 - 0.0) = -0.0, which the update adds to
 # the -0.0 guess; k*f - (y - y_tilde) would give +0.0 and a +0.0 result
@@ -702,8 +807,11 @@ def _outcome(stage, *args):
                                lambda t, y: ((0.0, 0.0, 0.0), (0.5, -2.0, 0.0),
                                              (0.0, 1.0, -1.0))),
           0.1, (-0.0, 1.0, 1.0), (-0.0, 2.0, 0.5)))
-def test_stage_matches_the_reference_elimination(case):
-    # from d = 3 on the stage runs from an empty plan slot, then twice at
+def test_written_out_branches_match_the_generic_elimination(case):
+    # the kernel generated for d, written out on float locals, against the
+    # generic two-pass elimination of reference_stage; TestFactorSubstitute
+    # holds the matrices with ties, swaps, zero multipliers and -0.0.
+    # From d = 3 on the stage runs from an empty plan slot, then twice at
     # the same t, where a jac that returns one tuple of tuples per value of
     # J reuses the stored plan, then at a t that moves J, where a list
     # changed in place must miss
