@@ -101,9 +101,9 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     Attempts that produce a non-finite state or estimate are rejected and
     retried at half the step; a non-finite bootstrap state raises
     NonFiniteState outright.  A dt0 that no filtered step can use is
-    named before the bootstrap: NonPositiveStep when dt0 * dt0
-    underflows, DegenerateBeta when beta of four steps of dt0 leaves float
-    range (dt0 from about 1e77 up, or below about 1e-77).
+    named before the bootstrap: NonPositiveStep when dt0 * dt0 underflows
+    or overflows, else DegenerateBeta when beta of four steps of dt0 leaves
+    float range (dt0 from about 1e77 up, or below about 1e-77).
     """
     if 3.0 * cfg.dt0 >= cfg.span:
         raise ValueError("dt0 too large: the three bootstrap steps must fit in the span")

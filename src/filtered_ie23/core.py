@@ -97,9 +97,10 @@ def short_rhs(p: OdeProblem, err: IndexError, *values) -> Exception:
     return err
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Settings shared by all solvers.
+    """Settings shared by all solvers; frozen, as a field assigned after
+    construction would skip the checks of __post_init__.
 
     tol is an error-per-unit-step tolerance: a step of size k is accepted
     when the embedded estimate satisfies est <= tol * k.  dt0 is both the
@@ -122,7 +123,7 @@ class SolverConfig:
         if not span > 0.0:
             raise ValueError("t_end must exceed t_begin")
         if self.k_max is None:
-            self.k_max = max(span / 10.0, self.dt0)
+            object.__setattr__(self, "k_max", max(span / 10.0, self.dt0))
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if not self.dt0 > 0.0:

@@ -9,9 +9,9 @@ Each formula exists once here.  step_factors gives the factors that
 depend only on a step's history (k_n, k_nm1, k_nm2, k_nm3): alpha / 2,
 beta and the post-filter's curvature weights.  uniform_step_factors gives
 them for the uniform history every filtered solve starts from, and
-refuses a step whose square underflows; both drivers call it first.  The
-constant-step drivers call step_factors for a clamped final step, the
-adaptive loop once per history.
+refuses a step whose square underflows or overflows; both drivers call it
+first.  The constant-step drivers call step_factors for a clamped final
+step, the adaptive loop once per history.
 
 The per-component formulas are the terms _CURVATURE (on curvature's two
 weights), _PRE_FILTER, _POST_FILTER and _ESTIMATE, each written once on
@@ -89,7 +89,8 @@ def step_factors(k_n: float, k_nm1: float, k_nm2: float,
                  k_nm3: float) -> tuple[float, Optional[float], float, float]:
     """(alpha / 2, beta or None, v_next, v_prev) of a step: the filters'
     gains and the post-filter's curvature weights.  Never raises for
-    positive finite steps: alpha / 2 is nan once k_nm1 * k_nm2 underflows."""
+    positive finite steps: alpha / 2 is nan once k_nm1 * k_nm2 underflows,
+    or overflows with k_n * k_n."""
     kk = k_nm1 * k_nm2
     ksum = k_n + k_nm1
     return (0.5 * (k_n * k_n / kk) if kk else math.nan, _beta(k_n, k_nm1, k_nm2, k_nm3),
@@ -98,12 +99,12 @@ def step_factors(k_n: float, k_nm1: float, k_nm2: float,
 
 def uniform_step_factors(dt: float) -> tuple[float, Optional[float], float, float]:
     """step_factors of four steps of dt, the history every filtered solve
-    starts from; NonPositiveStep when dt * dt underflows, which leaves
-    alpha / 2 nan and every filtered step with it."""
+    starts from; NonPositiveStep when dt * dt underflows or overflows, which
+    leaves alpha / 2 nan and every filtered step with it."""
     factors = step_factors(dt, dt, dt, dt)
     if math.isnan(factors[0]):
-        raise NonPositiveStep(
-            f"step {dt!r} is too small for the pre-filter: dt * dt underflows to 0")
+        size, flow = ("large", "overflows to inf") if dt * dt else ("small", "underflows to 0")
+        raise NonPositiveStep(f"step {dt!r} is too {size} for the pre-filter: dt * dt {flow}")
     return factors
 
 

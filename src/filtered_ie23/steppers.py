@@ -4,7 +4,8 @@ rk3_step / bootstrap supply the four starting points every filtered
 method needs.  solve_ie_pre_2 and solve_ie_pre_post_3 are the fixed-step
 second- and third-order filtered implicit Euler methods (the adaptive
 driver's embedded pair, run at a constant step).  solve_rk4_reference is
-the high-accuracy oracle used where no closed-form solution exists.
+the high-accuracy oracle used where no closed-form solution exists; its
+loop is compiled once per dimension from one template, _RK4_SOURCE.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
-from .core import (_BLOCK, OdeProblem, SolverConfig, Trajectory, Vector,
-                   all_finite, initial_state, short_rhs)
+from .core import (_BLOCK, OdeProblem, SolverConfig, Trajectory, Vector, _compile, _names,
+                   _terms, all_finite, initial_state, short_rhs)
 from .errors import (DegenerateBeta, DimensionMismatch, NonFiniteState,
                      NonMonotonicTimes, NonPositiveStep)
 from .filters import kernels, step_factors, uniform_step_factors
@@ -181,14 +182,13 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     Serves as the reference oracle; callers are responsible for choosing
     dt small enough (checked by rerunning at dt/2 and comparing).
 
-    Dimension 2 (every van der Pol reference) takes a straight-line step
-    that performs the same floating-point operations in the same order as
-    the generic step, so results are bit-identical either way.  What it
-    saves, on a 2-CPU Xeon under CPython 3.11 over 3 alternating process
-    pairs of 3 calls each: vdp_reference(1.0), 150,000 steps in all, took
-    0.75-0.92 s with the generic step against 0.40-0.48 s.  The generic
-    step stays, as the only path for every other dimension (the 1-D model
-    problems, the 4-D quasi-periodic one).
+    Its loop, _rk4_loop(d), is compiled from _RK4_SOURCE with the float
+    operations, in their order, of the loop over the components and the
+    written-out 2-D step that it replaced: every row is the same to the
+    bit.  On a 2-CPU Xeon under CPython 3.11 (min of 7 runs in 6
+    alternating process pairs) vdp_reference(1.0) took 0.132-0.139 s
+    against 0.131-0.156 s; 100,000 steps of a 1-D and a 4-D linear problem
+    took 0.054-0.056 and 0.108-0.119 s against 0.112-0.117 and 0.189-0.211 s.
 
     The loop counts through the grid of _grid, t_next = t_begin + i * dt,
     and takes h = dt untested on the interior steps when the grid snaps;
@@ -223,30 +223,33 @@ def _rk4(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     """The RK4 loop of solve_rk4_reference.  Returns the final state and
     writes every row to traj, or none when traj is None."""
     dt = cfg.dt0
-    d = p.dimension
-    rhs = p.rhs
     n, snaps = _grid(cfg, dt)
     free = n if snaps else 0    # steps 1 .. free take h = dt untested
-    t0, t_end = cfg.t_begin, cfg.t_end
     y = initial_state(p, y0)
     tested = []    # the h of each step after the first `free`
-    keep = traj is not None
-    if keep:
-        traj.append(t0, y, 0.0, 0.0)
+    take = columns = None
+    if traj is not None:
+        traj.append(cfg.t_begin, y, 0.0, 0.0)
         take = traj._take_states
-        columns = partial(_grid_columns, t0, dt, t_end, n, free, tested)
+        columns = partial(_grid_columns, cfg.t_begin, dt, cfg.t_end, n, free, tested)
+    return _rk4_loop(p.dimension)(p, cfg, y, n, free, tested, take, columns)
+
+
+# The template of _rk4_loop: steps 1 .. n + 1 of _rk4's grid from y, on the
+# float locals u0, u1, ..., with the states to take _BLOCK rows at a time,
+# and a short rhs value's IndexError to short_rhs for DimensionMismatch.
+_RK4_SOURCE = """\
+def rk4_d{d}(p, cfg, y, n, free, tested, take, columns):
+    rhs = p.rhs
+    dt, t0, t_end = cfg.dt0, cfg.t_begin, cfg.t_end
+    isfinite = math.isfinite
+    {u} = y
     t_prev = t0
     h, half, sixth = dt, 0.5 * dt, dt / 6.0
     half_dt, sixth_dt = half, sixth
-    planar = d == 2
-    if planar:
-        isfinite = math.isfinite
-        y0, y1 = y
-    rng = range(d)
+    keep = take is not None
     flat = []
     put_y = flat.extend
-    # an rhs value with fewer than d components fails the loops with
-    # IndexError, which short_rhs turns into DimensionMismatch
     s1 = s2 = s3 = s4 = None
     try:
         for lo in range(1, n + 2, _BLOCK):
@@ -257,44 +260,22 @@ def _rk4(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
                         t_next = t_end
                     if not t_next > t_prev:
                         raise NonMonotonicTimes(
-                            f"time {t_next!r} does not advance past {t_prev!r}")
+                            f"time {{t_next!r}} does not advance past {{t_prev!r}}")
                     h = t_next - t_prev
                     if abs(h - dt) > 1e-9 * dt:
                         half, sixth = 0.5 * h, h / 6.0
                     else:
                         h, half, sixth = dt, half_dt, sixth_dt
                     tested.append(h)
-                if planar:
-                    t_half = t_prev + half
-                    s1 = rhs(t_prev, y)
-                    s2 = rhs(t_half, (y0 + half * s1[0], y1 + half * s1[1]))
-                    s3 = rhs(t_half, (y0 + half * s2[0], y1 + half * s2[1]))
-                    s4 = rhs(t_next, (y0 + h * s3[0], y1 + h * s3[1]))
-                    y0 = y0 + sixth * (s1[0] + 2.0 * (s2[0] + s3[0]) + s4[0])
-                    y1 = y1 + sixth * (s1[1] + 2.0 * (s2[1] + s3[1]) + s4[1])
-                    if not (isfinite(y0) and isfinite(y1)):
-                        raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
-                    y = (y0, y1)
-                else:
-                    s1 = rhs(t_prev, y)
-                    u = []
-                    for j in rng:
-                        u.append(y[j] + half * s1[j])
-                    s2 = rhs(t_prev + half, tuple(u))
-                    u = []
-                    for j in rng:
-                        u.append(y[j] + half * s2[j])
-                    s3 = rhs(t_prev + half, tuple(u))
-                    u = []
-                    for j in rng:
-                        u.append(y[j] + h * s3[j])
-                    s4 = rhs(t_next, tuple(u))
-                    u = []
-                    for j in rng:
-                        u.append(y[j] + sixth * (s1[j] + 2.0 * (s2[j] + s3[j]) + s4[j]))
-                    y = tuple(u)
-                    if not all_finite(y):
-                        raise NonFiniteState(f"reference solution blew up near t={t_next!r}")
+                t_half = t_prev + half
+                s1 = rhs(t_prev, y)
+                s2 = rhs(t_half, ({stage2},))
+                s3 = rhs(t_half, ({stage3},))
+                s4 = rhs(t_next, ({stage4},))
+{update}
+                if not ({finite}):
+                    raise NonFiniteState(f"reference solution blew up near t={{t_next!r}}")
+                y = ({u})
                 if keep:
                     put_y(y)
                 t_prev = t_next
@@ -304,6 +285,23 @@ def _rk4(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     except IndexError as err:
         raise short_rhs(p, err, s1, s2, s3, s4)
     return y
+"""
+
+
+@lru_cache(maxsize=16)
+def _rk4_loop(d: int):
+    """The RK4 loop for d components, compiled from _RK4_SOURCE.  Kept for
+    the 16 dimensions used last."""
+    # the loop's globals, so that it reads no name this module's source does not
+    namespace = {"__name__": __name__, "math": math, "_BLOCK": _BLOCK, "short_rhs": short_rhs,
+                 "NonFiniteState": NonFiniteState, "NonMonotonicTimes": NonMonotonicTimes}
+    loop, = _compile(namespace, f"rk4 d={d}", _RK4_SOURCE.format(
+        d=d, u=_names("u", d), stage2=_terms("u{i} + half * s1[{i}]", d),
+        stage3=_terms("u{i} + half * s2[{i}]", d), stage4=_terms("u{i} + h * s3[{i}]", d),
+        update=_terms("                u{i} = u{i} + sixth * (s1[{i}] + 2.0 * (s2[{i}] + s3[{i}])"
+                      " + s4[{i}])", d, "\n"),
+        finite=_terms("isfinite(u{i})", d, " and ")))
+    return loop
 
 
 def _grid_columns(t0: float, dt: float, t_end: float, n: int, free: int,

@@ -114,6 +114,16 @@ class TestSolveCommand:
         assert code == 1
         assert "dt * dt underflows to 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["filtered-ie23", "ie-pre-2", "ie-pre-post-3"])
+    def test_a_step_whose_square_overflows_is_a_solver_failure(self, capsys, method):
+        # used to say "dt * dt underflows to 0": the square overflowed, and
+        # alpha / 2 = inf / inf was nan
+        code = main(["solve", "--problem", "model", "--method", method,
+                     "--dt0", "1e160", "--t1", "1e161"])
+        assert code == 1
+        assert ("solver failure: step 1e+160 is too large for the pre-filter: "
+                "dt * dt overflows to inf") in capsys.readouterr().err
+
     def test_nan_residual_is_a_solver_failure(self, capsys):
         # mu * (1 - x**2) overflows to -inf at x = 2, and -inf * v is nan at
         # v = 0: the first implicit stage sees a NaN in component 1 only

@@ -53,6 +53,19 @@ class TestSolverConfig:
         with pytest.raises(TypeError, match=field):
             SolverConfig(**{field: value})
 
+    def test_fields_cannot_be_assigned(self):
+        # an assigned field would skip the checks: dt0 = -0.1 used to make
+        # the constant-step grids loop forever, and t_end = nan end an
+        # adaptive solve at t = 0.3 without an error
+        cfg = SolverConfig()
+        for field, value in (("dt0", -0.1), ("t_end", math.nan), ("k_max", None)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, field, value)
+        assert cfg == SolverConfig()
+        assert dataclasses.replace(cfg, dt0=0.05).k_max == 0.1
+        with pytest.raises(ValueError, match="dt0 must be positive"):
+            dataclasses.replace(cfg, dt0=-0.1)
+
     def test_rejects_empty_span(self):
         with pytest.raises(ValueError):
             SolverConfig(t_begin=2.0, t_end=2.0)

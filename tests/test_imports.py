@@ -206,6 +206,7 @@ PER_STEP = [filters.curvature, filters._beta, filters.step_factors,
             *filters.kernels(1), *filters.kernels(2), *filters.kernels(4),
             steppers.rk3_step, steppers._solve_ie_filtered,
             steppers.solve_rk4_reference, steppers._rk4, steppers._grid_columns,
+            steppers._rk4_loop(1), steppers._rk4_loop(2), steppers._rk4_loop(4),
             newton._fd_jacobian, newton._stage_kernel(1), newton._stage_kernel(2),
             newton._stage_kernel(3), newton._stage_kernel(4),
             newton.implicit_euler_stage, adaptive.solve_filtered_ie23,
@@ -215,6 +216,7 @@ PER_STEP = [filters.curvature, filters._beta, filters.step_factors,
 # the generated code, whose source no import check reads
 GENERATED = [newton._stage_kernel(d) for d in (1, 2, 3, 4)] + [
     adaptive._loop(1, None), adaptive._loop(2, 0), adaptive._loop(4, 0),
+    steppers._rk4_loop(1), steppers._rk4_loop(2), steppers._rk4_loop(4),
     *filters.kernels(1), *filters.kernels(2), *filters.kernels(4)]
 
 

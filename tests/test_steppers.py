@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import traceback
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from filtered_ie23 import (DegenerateBeta, DimensionMismatch, Method,
                            solve_filtered_ie23, quasi_periodic_problem,
                            solve_ie_pre_2, solve_ie_pre_post_3,
                            solve_rk4_reference, van_der_pol_problem)
-from filtered_ie23 import filters, newton, steppers
+from filtered_ie23 import adaptive, filters, newton, steppers
 from filtered_ie23.bench import constant_run
 from filtered_ie23.core import _BLOCK
 from filtered_ie23.filters import step_factors
@@ -169,6 +171,20 @@ class TestStepFactors:
             with pytest.raises(NonPositiveStep, match=r"step 1e-170 .* dt \* dt underflows"):
                 solve(P, SolverConfig(dt0=1e-170, t_end=4e-170), (1.0,))
 
+    def test_overflowing_alpha_is_a_solver_error(self, monkeypatch):
+        # dt * dt overflows to inf, so alpha / 2 = inf / inf is nan; this
+        # used to be reported as an underflow
+        def no_stage(*args):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(steppers, "implicit_euler_stage", no_stage)
+        monkeypatch.setattr(adaptive, "implicit_euler_stage", no_stage)
+        message = "step 1e+160 is too large for the pre-filter: dt * dt overflows to inf"
+        for solve in (solve_ie_pre_2, solve_ie_pre_post_3, solve_filtered_ie23):
+            with pytest.raises(NonPositiveStep) as info:
+                solve(P, SolverConfig(dt0=1e160, t_end=4e160), (1.0,))
+            assert str(info.value) == message
+
 
 class TestSecondOrderConstant:
     def test_startup_rows_are_implicit_euler(self):
@@ -232,9 +248,14 @@ class TestRk4Reference:
     def _forced(t, y):
         return (y[1] + math.sin(3.0 * t), -y[0] * math.cos(t) - 0.5 * y[1] * y[1])
 
+    @staticmethod
+    def _forced_1d(t, y):
+        return (math.cos(2.0 * t) - 0.3 * y[0] * y[0],)
+
     def test_planar_loop_matches_generic_loop_bits(self):
-        # the 4-D problem of two uncoupled copies runs the generic loop;
-        # 33 steps of 0.03 and a clamped final step of 0.01
+        # each dimension runs its own generated loop, and each copy in a
+        # problem of uncoupled copies must get the bits of its own run; 33
+        # steps of 0.03 and a clamped final step of 0.01
         f = self._forced
         p2 = OdeProblem(2, f)
         p4 = OdeProblem(4, lambda t, y: f(t, y[:2]) + f(t, y[2:]))
@@ -246,12 +267,46 @@ class TestRk4Reference:
         assert list(planar.times) == list(generic.times)
         assert list(planar.ks) == list(generic.ks)
         assert planar.states == [s[:2] for s in generic.states]
+        # d uncoupled copies of a 1-D problem from 0.7, -0.4, 0.7, ...
+        # against the 2-D run of two of them
+        def copies(d):
+            g = self._forced_1d
+            return OdeProblem(d, lambda t, y: sum([g(t, y[j:j + 1]) for j in range(d)], ()))
+
+        y0 = (0.7, -0.4) * 3
+        pair = solve_rk4_reference(copies(2), cfg, y0[:2]).trajectory
+        for d in (1, 3, 5):
+            traj = solve_rk4_reference(copies(d), cfg, y0[:d]).trajectory
+            assert list(traj.times) == list(planar.times)
+            assert list(traj.ks) == list(planar.ks)
+            assert traj.states == [(y * 3)[:d] for y in pair.states]
 
     def test_planar_nonfinite_second_component_raises(self):
         # y1' = y1**2 from 1e200 overflows while y0 stays 1
         p = OdeProblem(2, lambda t, y: (0.0, y[1] * y[1]))
         with pytest.raises(NonFiniteState):
             solve_rk4_reference(p, _cfg(0.05), (1.0, 1e200))
+
+    def test_a_traceback_shows_the_generated_loop(self):
+        # the loop's source is registered with linecache, as the adaptive
+        # loop's is, so a failure mid-run shows the generated line and
+        # inspect.getsource reads it
+        def rhs(t, y):
+            if t >= 0.5:
+                raise RuntimeError("rhs failed")
+            return self._forced(t, y)
+
+        with pytest.raises(RuntimeError, match="rhs failed") as info:
+            solve_rk4_reference(OdeProblem(2, rhs), SolverConfig(dt0=0.1, t_end=1.0),
+                                (1.0, 0.5))
+        frames = [frame for frame in traceback.extract_tb(info.value.__traceback__)
+                  if frame.filename == "<filtered_ie23.steppers rk4 d=2>"]
+        assert [frame.line for frame in frames] == [
+            "s4 = rhs(t_next, (u0 + h * s3[0], u1 + h * s3[1],))"]
+        source = inspect.getsource(steppers._rk4_loop(2))
+        assert source.startswith("def rk4_d2(p, cfg, y, n, free, tested, take, columns):\n")
+        assert ("                u1 = u1 + sixth * (s1[1] + 2.0 * (s2[1] + s3[1]) + s4[1])\n"
+                in source)
 
     def test_planar_rhs_may_return_a_list(self):
         f = self._forced
