@@ -10,7 +10,8 @@ handled exactly like est-too-large rejections.
 The adaptive loop exists once, as the template _LOOP_SOURCE: the clamp
 to the span, the factors of the step history, the pre-filter, the
 implicit stage, the post-filter and the estimate, reject/halve and the
-k_min floor, the append, the doubling rule and the statistics.
+k_min floor, the append, the doubling rule and the counts of rejections,
+doublings and Newton failures; the other statistics come from the rows.
 _loop(d, est_component) fills it for one dimension and estimate and
 compiles it once with core._compile, as newton._stage_kernel does the
 stage: straight-line code on float locals, whose per-component terms
@@ -43,8 +44,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import OdeProblem, SolverConfig, Trajectory, _compile, _names, _running_max, _terms
-from .errors import (DegenerateBeta, MinStepReached, NewtonDiverged, NonMonotonicTimes,
-                     NonPositiveStep, SingularLinearSystem)
+from .errors import DegenerateBeta, MinStepReached, NewtonDiverged, SingularLinearSystem
 from .filters import (_CURVATURE, _ESTIMATE, _POST_FILTER, _PRE_FILTER, step_factors,
                       uniform_step_factors)
 from .newton import _stage_for, implicit_euler_stage
@@ -69,7 +69,9 @@ class AdaptiveRunStats:
     after the bootstrap; newton_failures counts the rejected attempts
     whose implicit stage raised.  min_k_used and max_k_used range over
     the accepted steps only, a clamped final step included, and stay inf
-    and 0.0 when no step was accepted.
+    and 0.0 when no step was accepted.  Those three are read off the
+    trajectory's rows after the four start-up rows; a start-up mid-run
+    would add rows that they must not count.
     """
 
     accepted: int = 0
@@ -103,7 +105,8 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     NonFiniteState outright.  A dt0 that no filtered step can use is
     named before the bootstrap: NonPositiveStep when dt0 * dt0 underflows
     or overflows, else DegenerateBeta when beta of four steps of dt0 leaves
-    float range (dt0 from about 1e77 up, or below about 1e-77).
+    float range (dt0 from about 1e77 up, or below about 1e-77).  The stats'
+    accepted, min_k_used and max_k_used come from the trajectory's rows.
     """
     if 3.0 * cfg.dt0 >= cfg.span:
         raise ValueError("dt0 too large: the three bootstrap steps must fit in the span")
@@ -117,17 +120,19 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
     for t, y, k in zip(times, states, (0.0, cfg.dt0, cfg.dt0, cfg.dt0)):
         append(t, y, 0.0, k)
     # read at each solve, so that rebinding them in this module reaches the loop
-    counts = _loop(p.dimension, p.est_component)(
+    rejected, doublings, failures = _loop(p.dimension, p.est_component)(
         p, cfg, times, states, append, _stage_for(implicit_euler_stage, p.dimension),
         step_factors, _FACTOR_CACHE_SIZE)
-    return traj, AdaptiveRunStats(*counts)
+    ks = memoryview(traj.ks)[4:]    # the accepted steps, uncopied
+    return traj, AdaptiveRunStats(len(ks), rejected, doublings, min(ks, default=math.inf),
+                                  max(ks, default=0.0), failures)
 
 
 # The template of _loop: the adaptive loop after the bootstrap, for one
 # dimension and estimate, on the float locals of filters.py's terms (y_nm2
 # as q0, q1, ..., y_nm1 as m0, ..., y_n as n0, ..., kappa_prev as c0, ...,
 # y_second as s0, ... and y_third as t0, ...), with y_n also as a tuple.
-# It returns AdaptiveRunStats' fields in their order.
+# It returns the counts of rejections, doublings and Newton failures.
 _LOOP_SOURCE = """\
 def loop_d{d}(p, cfg, times, states, append, stage, step_factors, cache_size):
     tol, k_min, k_max, t_end = cfg.tol, cfg.k_min, cfg.k_max, cfg.t_end
@@ -136,8 +141,7 @@ def loop_d{d}(p, cfg, times, states, append, stage, step_factors, cache_size):
     # step_factors by history; keys of positive floats, so a hit gives a miss's bits
     factors = {{}}
     factor = factors.get
-    accepted = rejected = doublings = failures = 0
-    k_lo, k_hi = math.inf, 0.0
+    rejected = doublings = failures = 0
     k = cfg.dt0
     t_nm3, t_nm2, t_nm1, t_n = times
     _, ({q}), ({m}), y_n = states
@@ -148,8 +152,6 @@ def loop_d{d}(p, cfg, times, states, append, stage, step_factors, cache_size):
         remaining = t_end - t_n
         if k > remaining:
             k = remaining
-        if k_nm2 <= 0.0 or k_nm1 <= 0.0:
-            raise NonPositiveStep(f"curvature needs positive steps, got {{k_nm2!r}}, {{k_nm1!r}}")
         s = k_nm1 + k_nm2
         w_next = 2.0 * k_nm2 / s
         w_prev = 2.0 * k_nm1 / s
@@ -184,25 +186,18 @@ def loop_d{d}(p, cfg, times, states, append, stage, step_factors, cache_size):
                 raise MinStepReached(
                     f"step fell to {{k!r}} at t={{t_n!r}} without an acceptable attempt")
 
+        # keeps steps positive, as append did the start-up's: below t's resolution
+        if not t_next > t_n:
+            raise MinStepReached(f"step {{k!r}} is below the resolution of t={{t_n!r}}")
         y_n = ({t})
-        try:
-            append(t_next, y_n, est, k)
-        except NonMonotonicTimes:
-            # an accepted step below the resolution of t leaves t where it was
-            raise MinStepReached(
-                f"step {{k!r}} is below the resolution of t={{t_n!r}}") from None
+        append(t_next, y_n, est, k)
         k_nm3, k_nm2, k_nm1 = k_nm2, k_nm1, t_next - t_n
 {rotate}
         t_n = t_next
-        accepted += 1
-        if k < k_lo:
-            k_lo = k
-        if k > k_hi:
-            k_hi = k
         if est < tk / {divisor!r} and 2.0 * k <= k_max:
             k = 2.0 * k
             doublings += 1
-    return accepted, rejected, doublings, k_lo, k_hi, failures
+    return rejected, doublings, failures
 """
 
 
@@ -217,9 +212,7 @@ def _loop(d: int, est_component: Optional[int]):
         estimate = f"                    est = abs({_ESTIMATE.format(i=est_component)})"
     # the loop's globals, so that it reads no name this module's source does not
     namespace = {"__name__": __name__, "math": math, "MinStepReached": MinStepReached,
-                 "NewtonDiverged": NewtonDiverged, "NonMonotonicTimes": NonMonotonicTimes,
-                 "NonPositiveStep": NonPositiveStep,
-                 "SingularLinearSystem": SingularLinearSystem}
+                 "NewtonDiverged": NewtonDiverged, "SingularLinearSystem": SingularLinearSystem}
     source = _LOOP_SOURCE.format(
         d=d, **{key: _names(key, d) for key in "qmnst"},
         curvature=_terms("        c{i} = " + _CURVATURE, d, "\n"), pre=_terms(_PRE_FILTER, d),

@@ -82,19 +82,27 @@ def initial_state(p: OdeProblem, y0: Sequence[float]) -> Vector:
     return y
 
 
-def short_rhs(p: OdeProblem, err: IndexError, *values) -> Exception:
-    """What a solver raises when indexing rhs values raised err: a
+def short_rhs(p: OdeProblem, err: Optional[Exception], *values) -> Exception:
+    """What a solver raises when unpacking rhs values raised err: a
     DimensionMismatch caused by err if one of values (None: not computed
-    yet) has fewer than p.dimension components, else err itself.  Solvers
+    yet) has other than p.dimension components, else err itself.  Solvers
     call it only from that except clause: a correct rhs pays only for the
     try, which costs nothing until it catches on CPython >= 3.11."""
     for f in values:
-        if f is not None and len(f) < p.dimension:
+        if f is not None and len(f) != p.dimension:
             mismatch = DimensionMismatch(
                 f"rhs of {p.name!r} returned {len(f)} components, need {p.dimension}")
             mismatch.__cause__ = err
             return mismatch
     return err
+
+
+def rhs_value(p: OdeProblem, f: Sequence[float]) -> Sequence[float]:
+    """f, a value of p's rhs, unless its length is not p.dimension: then
+    DimensionMismatch.  For code that indexes rhs values."""
+    if len(f) != p.dimension:
+        raise short_rhs(p, None, f)
+    return f
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ depend only on a step's history (k_n, k_nm1, k_nm2, k_nm3): alpha / 2,
 beta and the post-filter's curvature weights.  uniform_step_factors gives
 them for the uniform history every filtered solve starts from, and
 refuses a step whose square underflows or overflows; both drivers call it
-first.  The constant-step drivers call step_factors for a clamped final
-step, the adaptive loop once per history.
+first.  The constant-step drivers call step_factors for each step that
+does not snap to dt, the adaptive loop once per history.
 
 The per-component formulas are the terms _CURVATURE (on curvature's two
 weights), _PRE_FILTER, _POST_FILTER and _ESTIMATE, each written once on

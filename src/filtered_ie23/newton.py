@@ -52,7 +52,7 @@ from math import isfinite, sqrt
 from typing import NamedTuple, Sequence
 
 from .core import (OdeProblem, SolverConfig, Vector, _compile, _names, _running_max,
-                   _terms, short_rhs)
+                   _terms, rhs_value, short_rhs)
 from .errors import (DimensionMismatch, NewtonDiverged, NonPositiveStep,
                      SingularLinearSystem)
 
@@ -72,12 +72,13 @@ class NewtonOutcome(NamedTuple):
 
 
 def _fd_jacobian(p: OdeProblem, t: float, y: list[float], f0: Sequence[float]):
-    """Forward finite-difference Jacobian rows, increment sqrt(eps)*(1+|y_i|)."""
+    """Forward finite-difference Jacobian rows, increment sqrt(eps)*(1+|y_i|);
+    a perturbed rhs value of another length raises DimensionMismatch."""
     cols = []
     for i, yi in enumerate(y):
         h = _SQRT_EPS * (1.0 + abs(yi))
         y[i] = yi + h
-        fi = p.rhs(t, tuple(y))
+        fi = rhs_value(p, p.rhs(t, tuple(y)))
         y[i] = yi       # (yi + h) - h need not round back to yi
         col = []
         for r in range(len(y)):
@@ -117,7 +118,7 @@ def implicit_euler_stage(p: OdeProblem, t_next: float, k_n: float,
     elimination that _stage_kernel writes out for p.dimension; from
     dimension _REUSE_FROM on it is reused while k_n and J repeat.
     y_tilde and y_guess need p.dimension >= 1 components each, rhs values
-    at least as many and J at least p.dimension rows and columns, else
+    as many and J at least p.dimension rows and columns, else
     DimensionMismatch.  cfg is not read: perfbench/tracing.py wraps this
     function with these six arguments.
     """
@@ -155,12 +156,13 @@ def stage_d{d}(p, t_next, k_n, y_tilde, y_guess, cfg):
     while True:
         y = ({y})
         f = rhs(t_next, y)
+        try:
+            {f} = f
+        except ValueError as err:
+            raise short_rhs(p, err, f)
         # -g, the solve's right-hand side; k_n * f_i - (y_i - yt_i) would
         # give +0.0 where -g is -0.0
-        try:
 {residual}
-        except IndexError as err:
-            raise short_rhs(p, err, f)
 {res_max}
         # every component, not res alone: the max drops a NaN that is not first
         if not ({b_finite}):
@@ -264,8 +266,8 @@ def _stage_kernel(d: int):
     locals, compiled from _STAGE_SOURCE.  Kept for the 16 dimensions used
     last."""
     stage, = _compile(_kernel_globals, f"stage d={d}", _STAGE_SOURCE.format(
-        d=d, y=_names("y", d), yt=_names("yt", d),
-        residual=_terms("            b{i} = -(y{i} - yt{i} - k_n * f[{i}])", d, "\n"),
+        d=d, y=_names("y", d), yt=_names("yt", d), f=_names("f", d),
+        residual=_terms("        b{i} = -(y{i} - yt{i} - k_n * f{i})", d, "\n"),
         res_max=_running_max("res", "b{i}", d), top_max=_running_max("top", "y{i}", d),
         declare="    global _plan_slot\n" if d >= _REUSE_FROM else "",
         b_finite=_terms("isfinite(b{i})", d, " and "), update=_update(d),

@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from .core import (_BLOCK, OdeProblem, SolverConfig, Trajectory, Vector, _compile, _names,
-                   _terms, all_finite, initial_state, short_rhs)
+                   _terms, all_finite, initial_state, rhs_value, short_rhs)
 from .errors import (DegenerateBeta, DimensionMismatch, NonFiniteState,
                      NonMonotonicTimes, NonPositiveStep)
 from .filters import kernels, step_factors, uniform_step_factors
@@ -37,32 +37,28 @@ class ConstantStepRun:
 
 def rk3_step(p: OdeProblem, t: float, y: Vector, h: float) -> Vector:
     """One explicit third-order step (Kutta's tableau); h must be positive
-    and finite, else NonPositiveStep, and y must have p.dimension
-    components, else DimensionMismatch."""
+    and finite, else NonPositiveStep, and y and every rhs value must have
+    p.dimension components, else DimensionMismatch."""
     if not 0.0 < h < math.inf:
         raise NonPositiveStep(f"rk3_step needs a positive finite step, got {h!r}")
     if len(y) != p.dimension:
         raise DimensionMismatch(f"rk3_step needs {p.dimension} components, got {len(y)}")
     rng = range(p.dimension)
     rhs = p.rhs
-    s1 = s2 = s3 = None
-    try:
-        s1 = rhs(t, y)
-        u = []
-        for i in rng:
-            u.append(y[i] + 0.5 * h * s1[i])
-        s2 = rhs(t + 0.5 * h, tuple(u))
-        u = []
-        for i in rng:
-            u.append(y[i] - h * s1[i] + 2.0 * h * s2[i])
-        s3 = rhs(t + h, tuple(u))
-        h6 = h / 6.0
-        u = []
-        for i in rng:
-            u.append(y[i] + h6 * (s1[i] + 4.0 * s2[i] + s3[i]))
-        return tuple(u)
-    except IndexError as err:
-        raise short_rhs(p, err, s1, s2, s3)
+    s1 = rhs_value(p, rhs(t, y))
+    u = []
+    for i in rng:
+        u.append(y[i] + 0.5 * h * s1[i])
+    s2 = rhs_value(p, rhs(t + 0.5 * h, tuple(u)))
+    u = []
+    for i in rng:
+        u.append(y[i] - h * s1[i] + 2.0 * h * s2[i])
+    s3 = rhs_value(p, rhs(t + h, tuple(u)))
+    h6 = h / 6.0
+    u = []
+    for i in rng:
+        u.append(y[i] + h6 * (s1[i] + 4.0 * s2[i] + s3[i]))
+    return tuple(u)
 
 
 def bootstrap(p: OdeProblem, t0: float, y0: Sequence[float],
@@ -81,15 +77,20 @@ def bootstrap(p: OdeProblem, t0: float, y0: Sequence[float],
     return tuple(times), tuple(states)
 
 
+def _snap(h: float, dt: float) -> float:
+    """The step across a grid gap h: dt when h is within 1e-9 * dt of it, else h."""
+    return dt if abs(h - dt) <= 1e-9 * dt else h
+
+
 def _grid(cfg: SolverConfig, dt: float) -> tuple[int, bool]:
     """The time grid of a constant-step run, as (n, snaps).  Its interior
     points are cfg.t_begin + i * dt for i = 1 .. n, the last of them below
     t_end - 1e-14 * span, and t_end follows (the final step is clamped
-    when dt does not divide the span).  snaps is true when every interior
-    gap is provably within 1e-9 * dt of dt, so that a solver may take each
-    of them as dt untested: a point is off by at most half an ulp of the
-    span and half an ulp of the larger end, and the subtraction that
-    forms a gap by half an ulp of 2 dt."""
+    when dt does not divide the span), each step _snap of its gap.  snaps
+    is true when every interior gap is provably within 1e-9 * dt of dt, so
+    that a solver may take each of them as dt untested: a point is off by
+    at most half an ulp of the span and half an ulp of the larger end, and
+    the subtraction that forms a gap by half an ulp of 2 dt."""
     t0, t_end, span = cfg.t_begin, cfg.t_end, cfg.span
     edge = t_end - 1e-14 * span
     n = int((edge - t0) / dt)    # a guess; the two loops settle it by the rule
@@ -144,8 +145,8 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     for t_next in times[n_start:]:
         k = t_next - t_prev
         # steps run at dt exactly, but a clamped final step at its own k
-        uniform = abs(k - dt) <= 1e-9 * dt
-        h = dt if uniform else k
+        h = _snap(k, dt)
+        uniform = h == dt
         half_a, beta, v_next, v_prev = uniform_factors if uniform else step_factors(k, dt, dt, dt)
         kappa_prev = curvature(w, w, y_nm2, y_nm1, y_n)
         y_tilde = pre_filtered(half_a, y_n, kappa_prev)
@@ -193,8 +194,8 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
     The loop counts through the grid of _grid, t_next = t_begin + i * dt,
     and takes h = dt untested on the interior steps when the grid snaps;
     the final step, and every step of a grid that does not, tests its gap,
-    raises NonMonotonicTimes unless it advances, and runs with its own h
-    and weights.  Against a generator of times, a snap test per step and
+    raises NonMonotonicTimes unless it advances, and runs with h = _snap
+    of the gap.  Against a generator of times, a snap test per step and
     one append per row, on the same machine in interleaved in-process
     pairs: the four 2-D references of perfbench's vdp-stiff set-up,
     412,500 steps, took 0.82-0.84 times as long (median ratios of two sets
@@ -203,7 +204,7 @@ def solve_rk4_reference(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float]) -
 
     The trajectory gets the first row by append and the states of the
     others, _BLOCK at a time, by Trajectory._take_states; their times,
-    steps and estimates (_grid_columns) are built only when first read.
+    steps and estimates (_grid_columns) are built from the grid on first read.
     perfbench's vdp-stiff setup_s, whose references read only final
     states, went from 0.542 to 0.474 s (BENCH_26.json).
 
@@ -226,27 +227,25 @@ def _rk4(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     n, snaps = _grid(cfg, dt)
     free = n if snaps else 0    # steps 1 .. free take h = dt untested
     y = initial_state(p, y0)
-    tested = []    # the h of each step after the first `free`
     take = columns = None
     if traj is not None:
         traj.append(cfg.t_begin, y, 0.0, 0.0)
         take = traj._take_states
-        columns = partial(_grid_columns, cfg.t_begin, dt, cfg.t_end, n, free, tested)
-    return _rk4_loop(p.dimension)(p, cfg, y, n, free, tested, take, columns)
+        columns = partial(_grid_columns, cfg.t_begin, dt, cfg.t_end, n, free)
+    return _rk4_loop(p.dimension)(p, cfg, y, n, free, take, columns)
 
 
 # The template of _rk4_loop: steps 1 .. n + 1 of _rk4's grid from y, on the
-# float locals u0, u1, ..., with the states to take _BLOCK rows at a time,
-# and a short rhs value's IndexError to short_rhs for DimensionMismatch.
+# float locals u0, ... and the slopes s1_0, ..., s4_0, ..., with the states
+# to take _BLOCK rows at a time; an rhs value's unpacking error goes to short_rhs.
 _RK4_SOURCE = """\
-def rk4_d{d}(p, cfg, y, n, free, tested, take, columns):
+def rk4_d{d}(p, cfg, y, n, free, take, columns):
     rhs = p.rhs
     dt, t0, t_end = cfg.dt0, cfg.t_begin, cfg.t_end
     isfinite = math.isfinite
     {u} = y
     t_prev = t0
     h, half, sixth = dt, 0.5 * dt, dt / 6.0
-    half_dt, sixth_dt = half, sixth
     keep = take is not None
     flat = []
     put_y = flat.extend
@@ -261,17 +260,17 @@ def rk4_d{d}(p, cfg, y, n, free, tested, take, columns):
                     if not t_next > t_prev:
                         raise NonMonotonicTimes(
                             f"time {{t_next!r}} does not advance past {{t_prev!r}}")
-                    h = t_next - t_prev
-                    if abs(h - dt) > 1e-9 * dt:
-                        half, sixth = 0.5 * h, h / 6.0
-                    else:
-                        h, half, sixth = dt, half_dt, sixth_dt
-                    tested.append(h)
+                    h = _snap(t_next - t_prev, dt)
+                    half, sixth = 0.5 * h, h / 6.0
                 t_half = t_prev + half
                 s1 = rhs(t_prev, y)
+                {s1} = s1
                 s2 = rhs(t_half, ({stage2},))
+                {s2} = s2
                 s3 = rhs(t_half, ({stage3},))
+                {s3} = s3
                 s4 = rhs(t_next, ({stage4},))
+                {s4} = s4
 {update}
                 if not ({finite}):
                     raise NonFiniteState(f"reference solution blew up near t={{t_next!r}}")
@@ -282,7 +281,7 @@ def rk4_d{d}(p, cfg, y, n, free, tested, take, columns):
             if keep:
                 take(flat, t_prev, columns)
                 del flat[:]
-    except IndexError as err:
+    except ValueError as err:
         raise short_rhs(p, err, s1, s2, s3, s4)
     return y
 """
@@ -293,24 +292,26 @@ def _rk4_loop(d: int):
     """The RK4 loop for d components, compiled from _RK4_SOURCE.  Kept for
     the 16 dimensions used last."""
     # the loop's globals, so that it reads no name this module's source does not
-    namespace = {"__name__": __name__, "math": math, "_BLOCK": _BLOCK, "short_rhs": short_rhs,
-                 "NonFiniteState": NonFiniteState, "NonMonotonicTimes": NonMonotonicTimes}
+    namespace = {"__name__": __name__, "math": math, "_BLOCK": _BLOCK, "_snap": _snap,
+                 "short_rhs": short_rhs, "NonFiniteState": NonFiniteState,
+                 "NonMonotonicTimes": NonMonotonicTimes}
     loop, = _compile(namespace, f"rk4 d={d}", _RK4_SOURCE.format(
-        d=d, u=_names("u", d), stage2=_terms("u{i} + half * s1[{i}]", d),
-        stage3=_terms("u{i} + half * s2[{i}]", d), stage4=_terms("u{i} + h * s3[{i}]", d),
-        update=_terms("                u{i} = u{i} + sixth * (s1[{i}] + 2.0 * (s2[{i}] + s3[{i}])"
-                      " + s4[{i}])", d, "\n"),
+        d=d, u=_names("u", d), **{f"s{j}": _names(f"s{j}_", d) for j in range(1, 5)},
+        stage2=_terms("u{i} + half * s1_{i}", d), stage3=_terms("u{i} + half * s2_{i}", d),
+        stage4=_terms("u{i} + h * s3_{i}", d),
+        update=_terms("                u{i} = u{i} + sixth * (s1_{i} + 2.0 * (s2_{i} + s3_{i})"
+                      " + s4_{i})", d, "\n"),
         finite=_terms("isfinite(u{i})", d, " and ")))
     return loop
 
 
 def _grid_columns(t0: float, dt: float, t_end: float, n: int, free: int,
-                  tested: list, lo: int, hi: int) -> tuple[list, list, list]:
+                  lo: int, hi: int) -> tuple[list, list, list]:
     """The times, estimates and steps of rows lo .. hi - 1 of an _rk4 run,
     whose row i is point i of _grid's grid: t0 + i * dt, and t_end past n;
-    steps dt on the first `free` steps and then the tested h values."""
+    steps dt up to row free and then _snap of the loop's gap floats."""
     times, ks = [], []
     for i in range(lo, hi):
         times.append(t0 + i * dt if i <= n else t_end)
-        ks.append(dt if i <= free else tested[i - free - 1])
+        ks.append(dt if i <= free else _snap(times[-1] - (t0 + (i - 1) * dt), dt))
     return times, [0.0] * (hi - lo), ks

@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end checks, one test per criterion.
+"""Acceptance gate: eleven end-to-end checks, one test per criterion.
 
 Each test prints a single PASS line with the measured numbers (visible
 with -s or -rA); a failure is reported by pytest as usual.  The frozen
@@ -14,9 +14,9 @@ import time
 
 import pytest
 
-from filtered_ie23 import (Method, adaptive_run, constant_run,
-                           convergence_table, curvature, model_problem,
-                           quasi_periodic_problem)
+from filtered_ie23 import (Method, OdeProblem, SolverConfig, adaptive_run, constant_run,
+                           convergence_table, curvature, implicit_euler_stage,
+                           model_problem, quasi_periodic_problem)
 from filtered_ie23.filters import _beta, kernels, step_factors
 from oracles import beta_oracle
 
@@ -249,3 +249,52 @@ def test_10_stiffness_sweep_accuracy(bench_analog):
     assert bench_analog.seconds < 5.0
     errs = ", ".join(f"gamma={g:g}: {runs[g].final_error:.2e}" for g in sorted(runs))
     print(f"PASS 10 stiffness sweep: {errs}, {bench_analog.seconds:.2f}s")
+
+
+# (problem, exact solution) for the smooth-grid order test
+SMOOTH_GRID_CASES = {
+    "decay": (OdeProblem(1, lambda t, y: (-y[0],), lambda t, y: ((-1.0,),)),
+              lambda t: math.exp(-t)),
+    "cos": (OdeProblem(1, lambda t, y: (math.cos(t),), lambda t, y: ((0.0,),)), math.sin),
+}
+
+
+def _smooth_grid_error(p, exact, a, n):
+    """Error at the end of [0, 2] of the filtered steps, each composed from
+    step_factors, curvature, the stage and kernels(1)'s filters, on the grid
+    t_i = 2 (s + a sin(2 pi s) / (2 pi)), s = i / n, from exact values at
+    t_0 .. t_3."""
+    _, pre_filtered, post_filtered, _ = kernels(1)
+    cfg = SolverConfig()
+    times = [2.0 * (i / n + a * math.sin(2.0 * math.pi * i / n) / (2.0 * math.pi))
+             for i in range(n + 1)]
+    ys = [(exact(t),) for t in times[:4]]
+    for i in range(3, n):
+        t_nm3, t_nm2, t_nm1, t_n, t_next = times[i - 3:i + 2]
+        k, k_nm1, k_nm2 = t_next - t_n, t_n - t_nm1, t_nm1 - t_nm2
+        half_a, beta, v_next, v_prev = step_factors(k, k_nm1, k_nm2, t_nm2 - t_nm3)
+        y_nm2, y_nm1, y_n = ys[-3:]
+        kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
+        y_tilde = pre_filtered(half_a, y_n, kappa_prev)
+        y_second = implicit_euler_stage(p, t_next, k, y_tilde, y_n, cfg).y
+        ys.append(post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second,
+                                None)[0])
+    return abs(ys[-1][0] - exact(times[-1]))
+
+
+@pytest.mark.parametrize("case", [
+    "decay",
+    # on a smooth grid k_n - k_nm2 = O(k^2), so the post-filter's
+    # beta * k_nm1 * (k_n - k_nm2) * y'' term (ROADMAP item 8) is O(k^3) a step
+    pytest.param("cos", marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 8: the post-filter is not exact on "
+                            "quadratics when k_n != k_nm2, order 2 on a smooth grid")),
+])
+def test_11_third_order_on_a_smooth_grid(case):
+    p, exact = SMOOTH_GRID_CASES[case]
+    orders = {}
+    for a in (0.5, 0.9):
+        coarse, fine = (_smooth_grid_error(p, exact, a, n) for n in (320, 640))
+        orders[a] = math.log2(coarse / fine)
+    assert all(abs(order - 3.0) <= 0.1 for order in orders.values()), orders
+    print(f"PASS 11 smooth grid, {case}: observed order {orders}")

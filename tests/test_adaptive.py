@@ -6,7 +6,7 @@ import traceback
 import pytest
 
 from filtered_ie23 import (DegenerateBeta, MinStepReached, NonFiniteState,
-                           NonPositiveStep, OdeProblem, SolverConfig,
+                           NonMonotonicTimes, NonPositiveStep, OdeProblem, SolverConfig,
                            SolverError, curvature,
                            implicit_euler_stage, model_analog_problem,
                            model_problem, quasi_periodic_problem,
@@ -147,6 +147,30 @@ class TestAdaptiveSolve:
         with pytest.raises(MinStepReached,
                            match=r"step \S+ is below the resolution of t=1000000000\.003"):
             solve_filtered_ie23(p, cfg, (1.0,) * d)
+
+    def test_no_accepted_step_gives_the_default_range(self):
+        # the start-up's three steps of (1 - 5e-15) / 3 end within 1e-14 * span
+        # of t_end, so the loop accepts no step and the stats read no row
+        cfg = SolverConfig(tol=0.005, dt0=(1.0 - 5e-15) / 3.0, t_end=1.0)
+        traj, stats = solve_filtered_ie23(P, cfg, (1.0,))
+        assert len(traj) == 4
+        assert stats == adaptive.AdaptiveRunStats(0, 0, 0, math.inf, 0.0, 0)
+        # the stats hold no view of the rows: the trajectory still grows
+        traj.append(2.0, (0.0,), 0.0, 1.0)
+        assert list(traj.times)[-2:] == [traj.times[3], 2.0]
+
+    def test_a_start_up_below_the_resolution_of_t_ends_before_the_loop(self, monkeypatch):
+        # floats near 1e16 are 2 apart, so t_begin + 0.5 == t_begin and append
+        # refuses the first start-up step; the loop never runs, so every
+        # step it sees is positive
+        def stage(*args):
+            pytest.fail("the loop ran")
+
+        monkeypatch.setattr(adaptive, "implicit_euler_stage", stage)
+        cfg = SolverConfig(tol=1e-3, dt0=0.5, t_begin=1e16, t_end=1e16 + 100.0)
+        with pytest.raises(NonMonotonicTimes,
+                           match=re.escape("time 1e+16 does not advance past 1e+16")):
+            solve_filtered_ie23(P, cfg, (1.0,))
 
     def test_bootstrap_must_fit_in_span(self):
         cfg = SolverConfig(tol=1e-3, dt0=0.4, t_end=1.0, k_max=0.5)

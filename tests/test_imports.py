@@ -205,7 +205,7 @@ def test_every_export_resolves_once():
 PER_STEP = [filters.curvature, filters._beta, filters.step_factors,
             *filters.kernels(1), *filters.kernels(2), *filters.kernels(4),
             steppers.rk3_step, steppers._solve_ie_filtered,
-            steppers.solve_rk4_reference, steppers._rk4, steppers._grid_columns,
+            steppers.solve_rk4_reference, steppers._rk4, steppers._grid_columns, steppers._snap,
             steppers._rk4_loop(1), steppers._rk4_loop(2), steppers._rk4_loop(4),
             newton._fd_jacobian, newton._stage_kernel(1), newton._stage_kernel(2),
             newton._stage_kernel(3), newton._stage_kernel(4),

@@ -591,6 +591,22 @@ class TestStateLengths:
                            match=f"returned {d - 1} components, need {d}"):
             implicit_euler_stage(p, 0.5, 0.1, ones, ones, CFG)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_a_perturbed_rhs_value_of_another_length(self, d, extra):
+        # the rhs is right at the iterate and wrong where finite differences
+        # perturb it, where a long value used to be cut and a short one to
+        # raise a bare IndexError
+        ones = (1.0,) * d
+
+        def rhs(t, y):
+            f = tuple([-c for c in y])
+            return f if y == ones else (f + (5.0,) if extra > 0 else f[:-1])
+
+        with pytest.raises(DimensionMismatch,
+                           match=f"returned {d + extra} components, need {d}"):
+            implicit_euler_stage(OdeProblem(d, rhs), 0.5, 0.1, ones, ones, CFG)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("short", ["rows", "columns"])
     def test_short_jacobian_raises_dimension_mismatch(self, d, short):

@@ -302,10 +302,10 @@ class TestRk4Reference:
         frames = [frame for frame in traceback.extract_tb(info.value.__traceback__)
                   if frame.filename == "<filtered_ie23.steppers rk4 d=2>"]
         assert [frame.line for frame in frames] == [
-            "s4 = rhs(t_next, (u0 + h * s3[0], u1 + h * s3[1],))"]
+            "s4 = rhs(t_next, (u0 + h * s3_0, u1 + h * s3_1,))"]
         source = inspect.getsource(steppers._rk4_loop(2))
-        assert source.startswith("def rk4_d2(p, cfg, y, n, free, tested, take, columns):\n")
-        assert ("                u1 = u1 + sixth * (s1[1] + 2.0 * (s2[1] + s3[1]) + s4[1])\n"
+        assert source.startswith("def rk4_d2(p, cfg, y, n, free, take, columns):\n")
+        assert ("                u1 = u1 + sixth * (s1_1 + 2.0 * (s2_1 + s3_1) + s4_1)\n"
                 in source)
 
     def test_planar_rhs_may_return_a_list(self):
@@ -678,6 +678,79 @@ class TestShortRhs:
                 else (_cfg(0.05), (1.0,) * d)
             with pytest.raises(IndexError, match="the rhs's own"):
                 solver(OdeProblem(d, rhs), *args)
+
+
+class TestLongRhs:
+    """An rhs value one component too long raises DimensionMismatch, naming
+    both lengths, from every solver and rk3_step, with a Jacobian and with
+    finite differences; these runs used to drop the extra component."""
+
+    SOLVERS = TestInitialStateCheck.SOLVERS + [rk3_step]
+
+    @staticmethod
+    def _problem(d, with_jac, long_after=-math.inf):
+        # y' = -y; rhs appends 5.0 once t > long_after
+        def rhs(t, y):
+            f = tuple([-c for c in y])
+            return f + (5.0,) if t > long_after else f
+        jac = lambda t, y: tuple(tuple(-1.0 if i == j else 0.0 for j in range(d))
+                                 for i in range(d))
+        return OdeProblem(d, rhs, jac if with_jac else None)
+
+    @staticmethod
+    def _run(solver, p, t=0.0):
+        y0 = (1.0,) * p.dimension
+        if solver is rk3_step:
+            return solver(p, t, y0, 0.05)
+        return solver(p, _cfg(0.05), y0)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("with_jac", [True, False])
+    def test_long_from_the_start(self, solver, d, with_jac):
+        with pytest.raises(DimensionMismatch,
+                           match=f"returned {d + 1} components, need {d}"):
+            self._run(solver, self._problem(d, with_jac))
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("with_jac", [True, False])
+    def test_long_part_way(self, solver, d, with_jac):
+        # past the bootstrap, so the steps' own evaluations hit it
+        with pytest.raises(DimensionMismatch,
+                           match=f"returned {d + 1} components, need {d}"):
+            self._run(solver, self._problem(d, with_jac, long_after=1.0), t=1.5)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_value_error_inside_rhs_propagates(self, solver, d):
+        # the unpacking that finds a wrong length catches ValueError, and
+        # hands the rhs's own on as it was raised
+        def rhs(t, y):
+            if t > 1.0:
+                raise ValueError("the rhs's own")
+            return tuple([-c for c in y])
+        with pytest.raises(ValueError, match="the rhs's own") as info:
+            self._run(solver, OdeProblem(d, rhs), t=1.5)
+        assert type(info.value) is ValueError
+
+
+class TestSnap:
+    """_snap, the one rule by which a constant-step run takes a grid gap as
+    dt, against the two expressions it replaced, at gaps 1e-9 * dt from dt
+    and the floats just inside and just outside that."""
+
+    @pytest.mark.parametrize("dt", [0.05, 0.1, 1.0 / 3.0, 1e-7, 2.5e3])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_agrees_with_the_old_copies(self, dt, side):
+        edge = dt + side * 1e-9 * dt
+        inside = math.nextafter(edge, dt)
+        outside = math.nextafter(edge, side * math.inf)
+        for h in (inside, edge, outside):
+            ie = dt if abs(h - dt) <= 1e-9 * dt else h    # the constant-step filters'
+            rk4 = h if abs(h - dt) > 1e-9 * dt else dt    # the RK4 loop's
+            assert steppers._snap(h, dt) == ie == rk4
+        assert (steppers._snap(inside, dt), steppers._snap(outside, dt)) == (dt, outside)
 
 
 def test_nonfinite_startup_raises():
