@@ -17,8 +17,9 @@ compiles it once with core._compile, as newton._stage_kernel does the
 stage: straight-line code on float locals, whose per-component terms
 (curvature, pre-filter, post-filter, estimate) are the strings that
 filters.kernels formats too.  The estimate is fixed when the loop is
-generated: the max-norm, whose running max replaces only on a > est as
-max() does, or est_component's entry.  solve_filtered_ie23 checks its
+generated, by the lines of filters._estimate that the kernels use too:
+the max-norm, whose running max replaces only on a > est as max() does,
+or est_component's entry.  solve_filtered_ie23 checks its
 input, runs the bootstrap and hands the rest to the loop, with the stage,
 step_factors and the cache size read at each solve, so that rebinding
 them in this module (perfbench/tracing.py does) reaches every attempt.
@@ -43,9 +44,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import OdeProblem, SolverConfig, Trajectory, _compile, _names, _running_max, _terms
+from .core import OdeProblem, SolverConfig, Trajectory, _compile, _names, _terms
 from .errors import DegenerateBeta, MinStepReached, NewtonDiverged, SingularLinearSystem
-from .filters import (_CURVATURE, _ESTIMATE, _POST_FILTER, _PRE_FILTER, step_factors,
+from .filters import (_CURVATURE, _POST_FILTER, _PRE_FILTER, _estimate, step_factors,
                       uniform_step_factors)
 from .newton import _stage_for, implicit_euler_stage
 # perfbench/tracing.py rebinds rk3_step here, though only bootstrap calls it
@@ -136,7 +137,7 @@ def solve_filtered_ie23(p: OdeProblem, cfg: SolverConfig,
 _LOOP_SOURCE = """\
 def loop_d{d}(p, cfg, times, states, append, stage, step_factors, cache_size):
     tol, k_min, k_max, t_end = cfg.tol, cfg.k_min, cfg.k_max, cfg.t_end
-    t_edge = t_end - 1e-14 * cfg.span
+    t_edge = cfg.t_edge
     isfinite = math.isfinite
     # step_factors by history; keys of positive floats, so a hit gives a miss's bits
     factors = {{}}
@@ -203,21 +204,16 @@ def loop_d{d}(p, cfg, times, states, append, stage, step_factors, cache_size):
 
 @lru_cache(maxsize=16)
 def _loop(d: int, est_component: Optional[int]):
-    """The adaptive loop for d components, compiled from _LOOP_SOURCE, with
-    the max-norm estimate, whose running max replaces only on a > est as
-    max() does, or est_component's.  Kept for the 16 pairs used last."""
-    if est_component is None:
-        estimate = _running_max("est", _ESTIMATE, d, 20)
-    else:
-        estimate = f"                    est = abs({_ESTIMATE.format(i=est_component)})"
+    """The adaptive loop for d components and filters._estimate(d, est_component),
+    compiled from _LOOP_SOURCE.  Kept for the 16 pairs used last."""
     # the loop's globals, so that it reads no name this module's source does not
     namespace = {"__name__": __name__, "math": math, "MinStepReached": MinStepReached,
                  "NewtonDiverged": NewtonDiverged, "SingularLinearSystem": SingularLinearSystem}
     source = _LOOP_SOURCE.format(
         d=d, **{key: _names(key, d) for key in "qmnst"},
         curvature=_terms("        c{i} = " + _CURVATURE, d, "\n"), pre=_terms(_PRE_FILTER, d),
-        post=_terms("                    t{i} = " + _POST_FILTER, d, "\n"), estimate=estimate,
-        finite=_terms("isfinite(t{i})", d, " and "),
+        post=_terms("                    t{i} = " + _POST_FILTER, d, "\n"),
+        estimate=_estimate(d, est_component, 20), finite=_terms("isfinite(t{i})", d, " and "),
         rotate=_terms("        q{i}, m{i}, n{i} = m{i}, n{i}, t{i}", d, "\n"),
         divisor=_DOUBLING_DIVISOR)
     loop, = _compile(namespace, f"loop d={d} est_component={est_component}", source)

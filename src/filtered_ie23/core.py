@@ -34,12 +34,12 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DimensionMismatch, NonMonotonicTimes
 
 Vector = tuple[float, ...]
-Rhs = Callable[[float, Vector], Sequence[float]]
+Rhs = Callable[[float, Vector], Iterable[float]]
 Jacobian = Callable[[float, Vector], Sequence[Sequence[float]]]
 
 
@@ -48,16 +48,18 @@ class OdeProblem:
     """A first-order ODE system y' = rhs(t, y).
 
     dimension: length of the state vector.
-    rhs: callable (t, y) -> sequence of length `dimension`.
+    rhs: callable (t, y) -> iterable of `dimension` numbers: a tuple, a
+        list, an iterator or a generator.
     jacobian: optional callable (t, y) -> dimension x dimension matrix of
         partials d rhs_i / d y_j.  When absent a forward finite difference
         is used by the implicit stage.
     exact: optional closed-form solution, callable t -> state vector.
     name: identifier used by the CLI and reports.
-    est_component: when set, the adaptive error estimator reads only this
-        component of the embedded difference instead of the max-norm over
-        all components.  Useful for systems whose components carry wildly
-        different scales (see the quasi-periodic problem).
+    est_component: an int in [0, dimension); when set, the error
+        estimator reads only this component of the embedded difference
+        instead of the max-norm over all components.  Useful for systems
+        whose components carry wildly different scales (see the
+        quasi-periodic problem).
     """
 
     dimension: int
@@ -77,29 +79,43 @@ def initial_state(p: OdeProblem, y0: Sequence[float]) -> Vector:
     if len(y) != p.dimension:
         raise DimensionMismatch(f"y0 has {len(y)} components, {p.name!r} has {p.dimension}")
     comp = p.est_component
-    if comp is not None and not 0 <= comp < p.dimension:
-        raise DimensionMismatch(f"est_component {comp!r} of {p.name!r} is not in [0, {p.dimension})")
+    # an int, not a bool or a float: the generated code writes it into its source
+    if comp is not None and not (type(comp) is int and 0 <= comp < p.dimension):
+        raise DimensionMismatch(
+            f"est_component {comp!r} of {p.name!r} is not an int in [0, {p.dimension})")
     return y
 
 
 def short_rhs(p: OdeProblem, err: Optional[Exception], *values) -> Exception:
     """What a solver raises when unpacking rhs values raised err: a
     DimensionMismatch caused by err if one of values (None: not computed
-    yet) has other than p.dimension components, else err itself.  Solvers
-    call it only from that except clause: a correct rhs pays only for the
-    try, which costs nothing until it catches on CPython >= 3.11."""
+    yet) has other than p.dimension components, or has no len (an iterator,
+    consumed) while err was raised in the solver's own frame, by its
+    unpacking and not inside the rhs; else err itself.  Solvers call it
+    only from that except clause: a correct rhs pays only for the try,
+    which costs nothing until it catches on CPython >= 3.11."""
     for f in values:
-        if f is not None and len(f) != p.dimension:
-            mismatch = DimensionMismatch(
-                f"rhs of {p.name!r} returned {len(f)} components, need {p.dimension}")
-            mismatch.__cause__ = err
-            return mismatch
+        if f is None:
+            continue
+        try:
+            if len(f) == p.dimension:
+                continue
+            got = f"{len(f)} components"
+        except TypeError:
+            if err.__traceback__.tb_next is not None:
+                continue
+            got = f"an iterable of another length ({err})"
+        mismatch = DimensionMismatch(f"rhs of {p.name!r} returned {got}, need {p.dimension}")
+        mismatch.__cause__ = err
+        return mismatch
     return err
 
 
-def rhs_value(p: OdeProblem, f: Sequence[float]) -> Sequence[float]:
-    """f, a value of p's rhs, unless its length is not p.dimension: then
-    DimensionMismatch.  For code that indexes rhs values."""
+def rhs_value(p: OdeProblem, f: Iterable[float]) -> Vector:
+    """f, a value of p's rhs, as a tuple (a tuple unchanged) unless its
+    length is not p.dimension: then DimensionMismatch.  For code that
+    indexes rhs values."""
+    f = tuple(f)
     if len(f) != p.dimension:
         raise short_rhs(p, None, f)
     return f
@@ -153,6 +169,12 @@ class SolverConfig:
         """The adaptive step floor: a halving cascade that falls below it
         raises MinStepReached."""
         return 1e-12 * self.span
+
+    @property
+    def t_edge(self) -> float:
+        """The end of the span less 1e-14 * span: a solve whose time
+        reaches it has reached t_end."""
+        return self.t_end - 1e-14 * self.span
 
 
 # rows a Trajectory holds in its lists before it moves them into its arrays
@@ -329,10 +351,11 @@ class Trajectory:
                     component: Optional[int] = None) -> float:
         """Max-norm distance (or one component's distance) from `exact`
         at the final time; DimensionMismatch unless `exact` gives as many
-        components as the state has and component indexes them."""
+        components as the state has and component is an int that indexes them."""
         ref = exact(self.final_time())
         y = self.final_state()
-        if len(ref) != len(y) or component is not None and not -len(y) <= component < len(y):
+        if len(ref) != len(y) or component is not None and not (
+                type(component) is int and -len(y) <= component < len(y)):
             raise DimensionMismatch(f"exact solution has {len(ref)} components, the state "
                                     f"{len(y)}, component {component!r}")
         if component is not None:

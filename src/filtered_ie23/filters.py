@@ -17,11 +17,13 @@ The per-component formulas are the terms _CURVATURE (on curvature's two
 weights), _PRE_FILTER, _POST_FILTER and _ESTIMATE, each written once on
 float locals.  Two templates format them: _KERNEL_SOURCE here, which adds
 the post-filter's uniform-step closed form, and the adaptive loop's
-adaptive._LOOP_SOURCE.  kernels(d) compiles the first once per d, as
-newton._stage_kernel does the stage, into straight-line code with the
-float operations of the plain loops that tests/oracles.py keeps as the
-reference, in their order.  curvature checks its arguments and calls its
-kernel; the constant-step drivers call the kernels.  On a 2-CPU Xeon
+adaptive._LOOP_SOURCE.  Both take the estimate's lines from _estimate:
+the max-norm or one component's, decided when the code is generated.
+kernels(d, component) compiles the first once per pair, as adaptive._loop
+does the loop, into straight-line code with the float operations of the
+plain loops that tests/oracles.py keeps as the reference, in their
+order.  curvature checks its arguments and calls its kernel; the
+constant-step drivers call the kernels for the problem's est_component.  On a 2-CPU Xeon
 under CPython 3.11, 4-D calls took 262 ns for the curvature kernel, 155
 for the pre-filter's and 540-575 for the uniform post-filter's, against
 615-645, 365-390 and 960-1000 ns for the loops (best of 7 timeit runs,
@@ -124,7 +126,7 @@ def curvature(k_prev: float, k_cur: float,
         raise NonPositiveStep(
             f"curvature needs positive finite steps, got {k_prev!r}, {k_cur!r}")
     s = k_cur + k_prev
-    return kernels(len(y_mid))[0](2.0 * k_prev / s, 2.0 * k_cur / s, y_prev, y_mid, y_next)
+    return kernels(len(y_mid), None)[0](2.0 * k_prev / s, 2.0 * k_cur / s, y_prev, y_mid, y_next)
 
 
 # The filters' per-component terms, for component i, on float locals: y_nm2
@@ -137,7 +139,7 @@ _PRE_FILTER = "n{i} - half_a * c{i}"
 _POST_FILTER = "s{i} - beta * ((v_next * s{i} - 2.0 * n{i} + v_prev * m{i}) - c{i})"
 _ESTIMATE = "t{i} - s{i}"
 
-# The template of kernels(d); the curvature kernel takes curvature's weights.
+# The template of kernels(d, component); the curvature kernel takes curvature's weights.
 _KERNEL_SOURCE = """\
 def curvature_d{d}(w_next, w_prev, y_nm2, y_nm1, y_n):
 {unpack[qmn]}
@@ -149,28 +151,36 @@ def pre_filtered_d{d}(half_a, y_n, kappa_prev):
     return ({pre},)
 
 
-def post_filtered_d{d}(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second,
-                       component):
+def post_filtered_d{d}(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second):
 {unpack[mncs]}
 {post}
 {estimate}
+    return ({t}), est
 
 
-def post_filtered_uniform_d{d}(y_nm2, y_nm1, y_n, y_second, component):
+def post_filtered_uniform_d{d}(y_nm2, y_nm1, y_n, y_second):
 {unpack[qmns]}
 {post_uniform}
 {estimate}
+    return ({t}), est
 """
 
 
+def _estimate(d: int, component: Optional[int], indent: int) -> str:
+    """Lines, indented indent spaces, that leave in est the max-norm of
+    _ESTIMATE, as max() takes it (a NaN counts only first), or component's."""
+    if component is None:
+        return _running_max("est", _ESTIMATE, d, indent)
+    return f"{' ' * indent}est = abs({_ESTIMATE.format(i=component)})"
+
+
 @lru_cache(maxsize=16)
-def kernels(d: int) -> tuple:
+def kernels(d: int, component: Optional[int]) -> tuple:
     """(curvature, pre_filtered, post_filtered, post_filtered_uniform)
     written out for d components, each with its plain loop's float
     operations in their order (tests/oracles.py keeps the loops), and
-    DimensionMismatch for a state of another length.  The estimate's
-    running max replaces only on a > est, so a NaN counts only in the
-    first component.  Kept for the 16 dimensions used last."""
+    DimensionMismatch for a state of another length.  The post-filters'
+    estimate is _estimate(d, component).  Kept for the 16 pairs used last."""
     if d < 1:
         raise DimensionMismatch(f"filter states need length 1 or more, got {d}")
     states = {"q": "y_nm2", "m": "y_nm1", "n": "y_n", "c": "kappa_prev", "s": "y_second"}
@@ -182,15 +192,12 @@ def kernels(d: int) -> tuple:
             + ["    except ValueError:",
                f'        raise DimensionMismatch(f"filter states need length {d}, got "',
                f'            f"{{tuple(map(len, ({names})))}}") from None'])
-
-    return _compile(globals(), f"kernels d={d}", _KERNEL_SOURCE.format(
-        d=d, unpack=unpack,
+    source = _KERNEL_SOURCE.format(
+        d=d, unpack=unpack, t=_names("t", d),
         curvature=_terms(_CURVATURE, d), pre=_terms(_PRE_FILTER, d),
         post=_terms("    t{i} = " + _POST_FILTER, d, "\n"),
         post_uniform=_terms("    t{i} = s{i} - 5.0 / 11.0 * (s{i} - 3.0 * n{i} + 3.0 * m{i}"
                             " - q{i})", d, "\n"),
-        estimate="\n".join([f"    y_third = ({_names('t', d)})",
-                            "    if component is None:",
-                            _running_max("est", _ESTIMATE, d),
-                            "        return y_third, est",
-                            "    return y_third, abs(y_third[component] - y_second[component])"])))
+        estimate=_estimate(d, component, 4))
+    return _compile({"__name__": __name__, "DimensionMismatch": DimensionMismatch},
+                    f"kernels d={d} est_component={component}", source)

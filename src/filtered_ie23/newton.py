@@ -177,7 +177,7 @@ def stage_d{d}(p, t_next, k_n, y_tilde, y_guess, cfg):
             raise NewtonDiverged(
                 f"no convergence in {{_NEWTON_MAX_ITER}} iterations at "
                 f"t={{t_next!r}} (residual {{res!r}})")
-        jm = jac(t_next, y) if jac is not None else _fd_jacobian(p, t_next, list(y), f)
+        jm = jac(t_next, y) if jac is not None else _fd_jacobian(p, t_next, list(y), ({f}))
 {update}
 {step}
         iterations += 1

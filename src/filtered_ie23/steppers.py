@@ -85,14 +85,13 @@ def _snap(h: float, dt: float) -> float:
 def _grid(cfg: SolverConfig, dt: float) -> tuple[int, bool]:
     """The time grid of a constant-step run, as (n, snaps).  Its interior
     points are cfg.t_begin + i * dt for i = 1 .. n, the last of them below
-    t_end - 1e-14 * span, and t_end follows (the final step is clamped
+    cfg.t_edge, and t_end follows (the final step is clamped
     when dt does not divide the span), each step _snap of its gap.  snaps
     is true when every interior gap is provably within 1e-9 * dt of dt, so
     that a solver may take each of them as dt untested: a point is off by
     at most half an ulp of the span and half an ulp of the larger end, and
     the subtraction that forms a gap by half an ulp of 2 dt."""
-    t0, t_end, span = cfg.t_begin, cfg.t_end, cfg.span
-    edge = t_end - 1e-14 * span
+    t0, t_end, span, edge = cfg.t_begin, cfg.t_end, cfg.span, cfg.t_edge
     n = int((edge - t0) / dt)    # a guess; the two loops settle it by the rule
     while n > 0 and t0 + n * dt >= edge:
         n -= 1
@@ -140,7 +139,8 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
     y_nm2, y_nm1, y_n = history[-3:]
     t_prev = times[n_start - 1]
     # curvature(dt, dt, ...) as its kernel on its weights: SolverConfig keeps dt > 0 finite
-    curvature, pre_filtered, post_filtered, post_filtered_uniform = kernels(p.dimension)
+    curvature, pre_filtered, post_filtered, post_filtered_uniform = kernels(
+        p.dimension, p.est_component)
     w = 2.0 * dt / (dt + dt)
     for t_next in times[n_start:]:
         k = t_next - t_prev
@@ -154,12 +154,11 @@ def _solve_ie_filtered(p: OdeProblem, cfg: SolverConfig, y0: Sequence[float],
         if not third_order:
             y_next, est = y_second, 0.0
         elif uniform:
-            y_next, est = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second, p.est_component)
+            y_next, est = post_filtered_uniform(y_nm2, y_nm1, y_n, y_second)
         else:
             if beta is None:
                 raise DegenerateBeta(f"post-filter degenerate at final step {k!r}, dt {dt!r}")
-            y_next, est = post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev,
-                                        y_second, p.est_component)
+            y_next, est = post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second)
         traj.append(t_next, y_next, est, k)
         y_nm2, y_nm1, y_n = y_nm1, y_n, y_next
         t_prev = t_next

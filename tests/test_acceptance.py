@@ -82,7 +82,7 @@ def test_03_uniform_grid_coefficient_identities():
         k = 10.0 ** rng.uniform(-3.0, 3.0)
         half_a, beta, _, _ = step_factors(k, k, k, k)
         # the pre-filter at y_n = 0 and kappa_prev = -2 returns alpha exactly
-        alpha = kernels(1)[1](half_a, (0.0,), (-2.0,))[0]
+        alpha = kernels(1, None)[1](half_a, (0.0,), (-2.0,))[0]
         worst = max(worst, abs(alpha - 1.0))
         worst = max(worst, abs(beta - 5.0 / 11.0) / (5.0 / 11.0))
     assert worst <= 1e-14
@@ -119,7 +119,7 @@ def test_05_polynomial_exactness():
     refining the state.
     """
     rng = random.Random(20260818)
-    _, pre_filtered, post_filtered, _ = kernels(1)
+    _, pre_filtered, post_filtered, _ = kernels(1, None)
     worst2 = worst3 = 0.0
     t0 = time.perf_counter()
     for _ in range(500):
@@ -146,7 +146,7 @@ def test_05_polynomial_exactness():
                 worst2 = max(worst2, abs(y_stage[0] - t4 ** 2) / t4 ** 2)
             else:
                 y_third, _ = post_filtered(beta, v_next, v_prev, y_nm1, y_n,
-                                           kappa_prev, y_stage, None)
+                                           kappa_prev, y_stage)
                 worst3 = max(worst3, abs(y_third[0] - t4 ** 3) / t4 ** 3)
     elapsed = time.perf_counter() - t0
     assert worst2 <= 1e-12, f"quadratic reproduction off by {worst2:.3e}"
@@ -261,10 +261,10 @@ SMOOTH_GRID_CASES = {
 
 def _smooth_grid_error(p, exact, a, n):
     """Error at the end of [0, 2] of the filtered steps, each composed from
-    step_factors, curvature, the stage and kernels(1)'s filters, on the grid
+    step_factors, curvature, the stage and kernels(1, None)'s filters, on the grid
     t_i = 2 (s + a sin(2 pi s) / (2 pi)), s = i / n, from exact values at
     t_0 .. t_3."""
-    _, pre_filtered, post_filtered, _ = kernels(1)
+    _, pre_filtered, post_filtered, _ = kernels(1, None)
     cfg = SolverConfig()
     times = [2.0 * (i / n + a * math.sin(2.0 * math.pi * i / n) / (2.0 * math.pi))
              for i in range(n + 1)]
@@ -277,8 +277,7 @@ def _smooth_grid_error(p, exact, a, n):
         kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
         y_tilde = pre_filtered(half_a, y_n, kappa_prev)
         y_second = implicit_euler_stage(p, t_next, k, y_tilde, y_n, cfg).y
-        ys.append(post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second,
-                                None)[0])
+        ys.append(post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second)[0])
     return abs(ys[-1][0] - exact(times[-1]))
 
 

@@ -31,6 +31,15 @@ class TestSolverConfig:
         assert cfg.k_min == pytest.approx(2e-12)
         assert cfg.k_max == 0.2
 
+    @pytest.mark.parametrize("t_begin, t_end", [(0.0, 1.0), (1.0, 3.0), (-2.5, 1e6)])
+    def test_t_edge_is_a_read_only_property(self, t_begin, t_end):
+        # the one copy of the end-of-span rule that the adaptive loop and
+        # the constant-step grids read, with the float they wrote out
+        cfg = SolverConfig(dt0=1e-3, t_begin=t_begin, t_end=t_end)
+        assert cfg.t_edge == t_end - 1e-14 * (t_end - t_begin)
+        with pytest.raises(AttributeError):
+            cfg.t_edge = t_end
+
     def test_default_ceiling_admits_dt0(self):
         # a dt0 above a tenth of the span raises the default ceiling to dt0
         assert SolverConfig(dt0=0.3, t_end=2.0).k_max == 0.3
@@ -147,6 +156,12 @@ class TestTrajectory:
         with pytest.raises(DimensionMismatch, match=f"has {len(exact)} components, the state 2"):
             traj.final_error(lambda t: exact, component)
         assert traj.final_error(lambda t: (3.0, -3.5), -1) == 0.5
+
+    @pytest.mark.parametrize("component", [0.0, 1.0, True, 1.5])
+    def test_final_error_of_a_component_that_is_not_an_int_raises(self, component):
+        # used to raise a bare TypeError, or, for True, to read component 1
+        with pytest.raises(DimensionMismatch, match=f"component {component!r}$"):
+            self._sample().final_error(lambda t: (3.0, -3.5), component)
 
     def test_state_of_the_wrong_length_raises(self):
         # a short state used to shift every later row: state(0) read

@@ -11,7 +11,7 @@ import pytest
 from filtered_ie23 import (DegenerateBeta, DimensionMismatch, NonPositiveStep,
                            curvature)
 from filtered_ie23.filters import _beta, kernels, step_factors
-from oracles import (beta_oracle, curvature_oracle, post_filtered_oracle,
+from oracles import (beta_oracle, curvature_oracle, estimate_oracle, post_filtered_oracle,
                      post_filtered_uniform_oracle, pre_filtered_oracle)
 
 UNIFORM_BETA = 5.0 / 11.0
@@ -59,7 +59,7 @@ class TestCurvature:
 def _alpha(k_n, k_nm1, k_nm2):
     """alpha, read off the pre-filter: y_n = 0 and kappa_prev = -2 give
     -0.5 * alpha * -2 = alpha, exactly."""
-    return kernels(1)[1](step_factors(k_n, k_nm1, k_nm2, 1.0)[0], (0.0,), (-2.0,))[0]
+    return kernels(1, None)[1](step_factors(k_n, k_nm1, k_nm2, 1.0)[0], (0.0,), (-2.0,))[0]
 
 
 class TestAlpha:
@@ -176,13 +176,14 @@ KAPPA_PREV = curvature(1.0, 1.0, Y_NM2, Y_NM1, Y_N)
 
 def _post_filtered(y_second, component=None):
     _, beta, v_next, v_prev = step_factors(1.0, 1.0, 1.0, 1.0)
-    return kernels(2)[2](beta, v_next, v_prev, Y_NM1, Y_N, KAPPA_PREV, y_second, component)
+    return kernels(2, component)[2](beta, v_next, v_prev, Y_NM1, Y_N, KAPPA_PREV, y_second)
 
 
 class TestFilters:
     def test_pre_filter_uniform_arithmetic(self):
         # gain 1 removes half of the trailing curvature
-        assert kernels(2)[1](step_factors(1.0, 1.0, 1.0, 1.0)[0], Y_N, KAPPA_PREV) == (8.0, 0.0)
+        half_a = step_factors(1.0, 1.0, 1.0, 1.0)[0]
+        assert kernels(2, None)[1](half_a, Y_N, KAPPA_PREV) == (8.0, 0.0)
 
     def test_post_filter_uniform_arithmetic(self):
         # y_second = (27, -22) gives kappa_cur = (13, -22) against
@@ -209,8 +210,8 @@ class TestErrorEstimate:
         for v in itertools.product(values, repeat=d):
             kappa_prev = tuple(-x for x in v)
             for y_second in [(0.0,) * d, (-0.0,) * d, (1.0,) * d]:
-                y_third, got = kernels(d)[2](1.0, 0.0, 0.0, zeros, zeros, kappa_prev,
-                                             y_second, None)
+                y_third, got = kernels(d, None)[2](1.0, 0.0, 0.0, zeros, zeros, kappa_prev,
+                                                   y_second)
                 assert [math.isnan(x) for x in y_third] == [math.isnan(x) for x in v]
                 expected = max([abs(y_third[i] - y_second[i]) for i in range(d)])
                 assert repr(got) == repr(expected), (y_second, y_third)
@@ -241,37 +242,41 @@ def _states(rng, d, count):
 
 
 class TestKernels:
-    """Each kernel of kernels(d) against its plain loop in oracles.py, bit
-    for bit, and curvature, which calls the kernel for its d."""
+    """Each kernel of kernels(d, component) against its plain loop in
+    oracles.py, bit for bit, the estimate against estimate_oracle for every
+    component and None, and curvature, which calls the kernels for its d."""
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_every_kernel_gives_the_loops_bits(self, d):
         rng = random.Random(2800 + d)
-        curv, pre, post, post_uniform = kernels(d)
         states = _states(rng, d, 16)
         weights = [(1.0, 1.0), (0.75, 1.25), (5e-324, 2.0), (-0.0, 1e300)]
-        components = [None, *range(d)]
-        for n, y_nm2 in enumerate(states):
-            y_nm1, y_n, y_second = (states[(n + j) % len(states)] for j in (3, 7, 11))
-            w_next, w_prev = weights[n % len(weights)]
-            kappa = curvature_oracle(w_next, w_prev, y_nm2, y_nm1, y_n)
-            assert _bits(curv(w_next, w_prev, y_nm2, y_nm1, y_n)) == _bits(kappa)
-            for half_a in (0.5, 2.0, -0.0):
-                assert _bits(pre(half_a, y_n, kappa)) == _bits(
-                    pre_filtered_oracle(half_a, y_n, kappa))
-            for comp in components:
+        for comp in [None, *range(d)]:
+            curv, pre, post, post_uniform = kernels(d, comp)
+            for n, y_nm2 in enumerate(states):
+                y_nm1, y_n, y_second = (states[(n + j) % len(states)] for j in (3, 7, 11))
+                w_next, w_prev = weights[n % len(weights)]
+                kappa = curvature_oracle(w_next, w_prev, y_nm2, y_nm1, y_n)
+                assert _bits(curv(w_next, w_prev, y_nm2, y_nm1, y_n)) == _bits(kappa)
+                for half_a in (0.5, 2.0, -0.0):
+                    assert _bits(pre(half_a, y_n, kappa)) == _bits(
+                        pre_filtered_oracle(half_a, y_n, kappa))
                 for beta, v_next, v_prev in ((5.0 / 11.0, 1.0, 1.0), (0.6, 2.0 / 3.0, 4.0 / 3.0)):
-                    args = (beta, v_next, v_prev, y_nm1, y_n, kappa, y_second, comp)
-                    assert _bits(post(*args)) == _bits(post_filtered_oracle(*args))
-                args = (y_nm2, y_nm1, y_n, y_second, comp)
-                assert _bits(post_uniform(*args)) == _bits(post_filtered_uniform_oracle(*args))
+                    args = (beta, v_next, v_prev, y_nm1, y_n, kappa, y_second)
+                    y_third, est = post(*args)
+                    assert _bits((y_third, est)) == _bits(post_filtered_oracle(*args, comp))
+                    assert _bits(est) == _bits(estimate_oracle(y_second, y_third, comp))
+                args = (y_nm2, y_nm1, y_n, y_second)
+                y_third, est = post_uniform(*args)
+                assert _bits((y_third, est)) == _bits(post_filtered_uniform_oracle(*args, comp))
+                assert _bits(est) == _bits(estimate_oracle(y_second, y_third, comp))
 
     @pytest.mark.parametrize("d", range(2, 7))
     def test_a_nan_after_the_first_component_leaves_the_estimate(self, d):
         # the running max replaces only on a > est, as max() does
         y = tuple(float(i) for i in range(d))
         y_second = y[:-1] + (math.nan,)
-        y_third, est = kernels(d)[3](y, y, y, y_second, None)
+        y_third, est = kernels(d, None)[3](y, y, y, y_second)
         assert math.isnan(y_third[-1]) and est == post_filtered_uniform_oracle(
             y, y, y, y_second, None)[1]
         assert not math.isnan(est)
@@ -283,11 +288,10 @@ class TestKernels:
         assert _bits(curvature(0.7, 0.3, y_prev, y_mid, y_next)) == _bits(want)
 
     @pytest.mark.parametrize("call", [
-        lambda: kernels(2)[1](0.5, (1.0, 2.0), (1.0, 2.0, 3.0)),   # used to drop the 3
-        lambda: kernels(2)[1](0.5, (1.0, 2.0), (1.0,)),            # used to raise IndexError
-        lambda: kernels(2)[2](0.5, 1.0, 1.0, (1.0,), (1.0, 2.0), (1.0, 2.0),
-                              (1.0, 2.0), None),
-        lambda: kernels(2)[3]((1.0, 2.0), (1.0, 2.0), (1.0,), (1.0, 2.0), None),
+        lambda: kernels(2, None)[1](0.5, (1.0, 2.0), (1.0, 2.0, 3.0)),   # used to drop the 3
+        lambda: kernels(2, None)[1](0.5, (1.0, 2.0), (1.0,)),       # used to raise IndexError
+        lambda: kernels(2, None)[2](0.5, 1.0, 1.0, (1.0,), (1.0, 2.0), (1.0, 2.0), (1.0, 2.0)),
+        lambda: kernels(2, 1)[3]((1.0, 2.0), (1.0, 2.0), (1.0,), (1.0, 2.0)),
         lambda: curvature(1.0, 1.0, (), (), ()),
     ], ids=["pre long", "pre short", "post short", "uniform short", "empty"])
     def test_states_of_the_wrong_length_raise(self, call):
@@ -298,14 +302,15 @@ class TestKernels:
         # the kernels' source is registered with linecache, as the Newton
         # stage's is, so a failure shows the generated line and getsource works
         with pytest.raises(DimensionMismatch) as info:
-            kernels(4)[1](0.5, (1.0,) * 4, (1.0,) * 3)
+            kernels(4, None)[1](0.5, (1.0,) * 4, (1.0,) * 3)
         frames = [frame for frame in traceback.extract_tb(info.value.__traceback__)
-                  if frame.filename == "<filtered_ie23.filters kernels d=4>"]
+                  if frame.filename == "<filtered_ie23.filters kernels d=4 est_component=None>"]
         assert [frame.line for frame in frames] == [
             'raise DimensionMismatch(f"filter states need length 4, got "']
         assert "got (4, 3)" in str(info.value)
-        source = inspect.getsource(kernels(4)[2])
-        assert source.startswith("def post_filtered_d4(beta, v_next, v_prev, y_nm1, y_n,")
+        source = inspect.getsource(kernels(4, None)[2])
+        assert source.startswith(
+            "def post_filtered_d4(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second):")
         assert "    t3 = s3 - beta * ((v_next * s3 - 2.0 * n3 + v_prev * m3) - c3)\n" in source
 
 
@@ -322,9 +327,9 @@ class TestUniformClosedForm:
                 tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(4))
             kappa_prev = curvature(k, k, y_nm2, y_nm1, y_n)
             _, beta, v_next, v_prev = step_factors(k, k, k, k)
-            general = kernels(3)[2](beta, v_next, v_prev, y_nm1, y_n, kappa_prev,
-                                    y_second, None)
-            uniform = kernels(3)[3](y_nm2, y_nm1, y_n, y_second, None)
+            general = kernels(3, None)[2](beta, v_next, v_prev, y_nm1, y_n, kappa_prev,
+                                          y_second)
+            uniform = kernels(3, None)[3](y_nm2, y_nm1, y_n, y_second)
             ulps = 4 * math.ulp(8.0 * max(map(abs, y_nm2 + y_nm1 + y_n + y_second)))
             for a, b in zip(general[0], uniform[0]):
                 assert abs(a - b) <= ulps
@@ -342,10 +347,10 @@ def _step_map(k_n, k_nm1, k_nm2, k_nm3, stiff):
     y_nm2, y_nm1, y_n = UNIT
     half_a, beta, v_next, v_prev = step_factors(k_n, k_nm1, k_nm2, k_nm3)
     kappa_prev = curvature(k_nm2, k_nm1, y_nm2, y_nm1, y_n)
-    _, pre_filtered, post_filtered, _ = kernels(3)
+    _, pre_filtered, post_filtered, _ = kernels(3, None)
     y_tilde = pre_filtered(half_a, y_n, kappa_prev)
     y_second = (0.0, 0.0, 0.0) if stiff else y_tilde
-    y_third, _ = post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second, None)
+    y_third, _ = post_filtered(beta, v_next, v_prev, y_nm1, y_n, kappa_prev, y_second)
     return (UNIT[1], UNIT[2], y_third)
 
 

@@ -203,8 +203,8 @@ def test_every_export_resolves_once():
 # the code that runs once per step, attempt or Newton iteration, the
 # generated kernels included
 PER_STEP = [filters.curvature, filters._beta, filters.step_factors,
-            *filters.kernels(1), *filters.kernels(2), *filters.kernels(4),
-            steppers.rk3_step, steppers._solve_ie_filtered,
+            *filters.kernels(1, None), *filters.kernels(2, 1), *filters.kernels(3, None),
+            *filters.kernels(4, 0), steppers.rk3_step, steppers._solve_ie_filtered,
             steppers.solve_rk4_reference, steppers._rk4, steppers._grid_columns, steppers._snap,
             steppers._rk4_loop(1), steppers._rk4_loop(2), steppers._rk4_loop(4),
             newton._fd_jacobian, newton._stage_kernel(1), newton._stage_kernel(2),
@@ -217,7 +217,8 @@ PER_STEP = [filters.curvature, filters._beta, filters.step_factors,
 GENERATED = [newton._stage_kernel(d) for d in (1, 2, 3, 4)] + [
     adaptive._loop(1, None), adaptive._loop(2, 0), adaptive._loop(4, 0),
     steppers._rk4_loop(1), steppers._rk4_loop(2), steppers._rk4_loop(4),
-    *filters.kernels(1), *filters.kernels(2), *filters.kernels(4)]
+    *filters.kernels(1, None), *filters.kernels(2, 1), *filters.kernels(3, None),
+    *filters.kernels(4, 0)]
 
 
 @pytest.mark.parametrize("function", PER_STEP, ids=lambda f: f.__qualname__)

@@ -596,16 +596,16 @@ class TestStateLengths:
     def test_a_perturbed_rhs_value_of_another_length(self, d, extra):
         # the rhs is right at the iterate and wrong where finite differences
         # perturb it, where a long value used to be cut and a short one to
-        # raise a bare IndexError
+        # raise a bare IndexError, and an iterator a bare TypeError
         ones = (1.0,) * d
+        for make in (tuple, iter):
+            def rhs(t, y):
+                f = tuple([-c for c in y])
+                return make(f if y == ones else (f + (5.0,) if extra > 0 else f[:-1]))
 
-        def rhs(t, y):
-            f = tuple([-c for c in y])
-            return f if y == ones else (f + (5.0,) if extra > 0 else f[:-1])
-
-        with pytest.raises(DimensionMismatch,
-                           match=f"returned {d + extra} components, need {d}"):
-            implicit_euler_stage(OdeProblem(d, rhs), 0.5, 0.1, ones, ones, CFG)
+            with pytest.raises(DimensionMismatch,
+                               match=f"returned {d + extra} components, need {d}"):
+                implicit_euler_stage(OdeProblem(d, rhs), 0.5, 0.1, ones, ones, CFG)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("short", ["rows", "columns"])

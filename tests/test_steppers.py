@@ -629,6 +629,21 @@ class TestInitialStateCheck:
             solver(bad, _cfg(0.05), (1.0,))
 
     @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("component", [0.0, 1.0, True, 1.5])
+    def test_est_component_that_is_not_an_int(self, solver, component):
+        # used to end in a SyntaxError, NameError or TypeError from the
+        # generated code, or to run once the int's code was cached
+        adaptive._loop(2, 0), adaptive._loop(2, 1), filters.kernels(2, 0), filters.kernels(2, 1)
+
+        def rhs(t, y):
+            pytest.fail("the rhs ran before the check")
+
+        bad = OdeProblem(2, rhs, lambda t, y: ((-1.0, 0.0), (0.0, -1.0)),
+                         est_component=component)
+        with pytest.raises(DimensionMismatch, match=f"est_component {component!r} of"):
+            solver(bad, _cfg(0.01), (1.0, 1.0))
+
+    @pytest.mark.parametrize("solver", SOLVERS)
     def test_dimension_zero(self, solver):
         # the adaptive and filtered solvers used to fail on an empty max(),
         # and the RK4 reference returned empty states
@@ -732,6 +747,69 @@ class TestLongRhs:
             return tuple([-c for c in y])
         with pytest.raises(ValueError, match="the rhs's own") as info:
             self._run(solver, OdeProblem(d, rhs), t=1.5)
+        assert type(info.value) is ValueError
+
+
+def _generator(f):
+    yield from f
+
+
+class TestIterableRhs:
+    """An rhs value may be any iterable of p.dimension numbers.  An iterator
+    or a generator gives the tuple rhs's rows bit for bit in every solver,
+    with a Jacobian and with finite differences, and one of another length
+    raises DimensionMismatch everywhere; both used to end in a bare
+    TypeError from a len() in rk3_step or finite differences."""
+
+    SOLVERS = TestLongRhs.SOLVERS
+
+    @staticmethod
+    def _problem(d, with_jac, make, extra=0, after=-math.inf):
+        # y' = -y, each value made by make, extra components longer (shorter
+        # when negative) once t > after
+        def rhs(t, y):
+            f = tuple([-c for c in y])
+            if t > after:
+                f = f + (5.0,) * extra if extra >= 0 else f[:extra]
+            return make(f)
+        jac = lambda t, y: tuple(tuple(-1.0 if i == j else 0.0 for j in range(d))
+                                 for i in range(d))
+        return OdeProblem(d, rhs, jac if with_jac else None)
+
+    @staticmethod
+    def _rows(result):
+        if isinstance(result, tuple) and isinstance(result[0], float):
+            return repr(result)     # rk3_step's state
+        traj, *stats = result if isinstance(result, tuple) else (result.trajectory,)
+        return digest(traj, *stats)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("with_jac", [True, False])
+    @pytest.mark.parametrize("make", [iter, _generator])
+    def test_an_iterable_gives_the_tuples_rows(self, solver, d, with_jac, make):
+        want = self._rows(TestLongRhs._run(solver, self._problem(d, with_jac, tuple)))
+        assert self._rows(TestLongRhs._run(solver, self._problem(d, with_jac, make))) == want
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("with_jac", [True, False])
+    @pytest.mark.parametrize("extra", [1, -1])
+    @pytest.mark.parametrize("after", [-math.inf, 1.0])
+    def test_an_iterator_of_another_length_raises(self, solver, d, with_jac, extra, after):
+        p = self._problem(d, with_jac, iter, extra, after)
+        with pytest.raises(DimensionMismatch, match=f"need {d}$"):
+            TestLongRhs._run(solver, p, t=1.5)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_a_generators_own_value_error_propagates(self, solver):
+        # raised inside the generator, not by the unpacking of its values
+        def values(t, y):
+            if t > 1.0:
+                raise ValueError("the rhs's own")
+            yield -y[0]
+        with pytest.raises(ValueError, match="the rhs's own") as info:
+            TestLongRhs._run(solver, OdeProblem(1, values), t=1.5)
         assert type(info.value) is ValueError
 
 
